@@ -955,9 +955,9 @@ let exp_sample () =
   Printf.printf "wrote BENCH_sample.json\n%!"
 
 (* Checkpoint-parallel sampling (--sample-jobs): a bare-machine loop
-   sampled three ways — the legacy serial supervisor, the parallel
-   supervisor pinned to one job, and the parallel supervisor fanned
-   across 4 worker domains. The jobs=1 and jobs=4 merged reports must
+   sampled three ways — the serial supervisor (Sample.run), and
+   Fleet.run_parallel (capture pass + replay pool) pinned to one job and
+   fanned across 4 worker domains. The jobs=1 and jobs=4 merged reports must
    be bit-identical; the speedup budget only applies when the host
    actually has the cores (recorded as host_cores in the JSON).
    Writes BENCH_parallel_sample.json for the CI artifact. *)
@@ -1003,8 +1003,9 @@ let exp_parallel_sample () =
   Printf.printf "serial supervisor:        %.2f s\n%!" t_serial;
   let run_par jobs =
     time (fun () ->
-        Sample.run_parallel ~placement ~max_cycles:2_000_000_000 ~jobs
-          ~schedule (make_domain ()))
+        (Fleet.run_parallel ~placement ~max_cycles:2_000_000_000 ~jobs
+           ~schedule (make_domain ()))
+          .Fleet.rp_result)
   in
   let r1, t_j1 = run_par 1 in
   Printf.printf "parallel, jobs=1:         %.2f s\n%!" t_j1;
@@ -1203,7 +1204,7 @@ let exp_fleet () =
     \  \"intervals\": %d,\n\
     \  \"capture_seconds\": %.3f,\n\
     \  \"capture_delta_bytes\": %d,\n\
-    \  \"capture_full_bytes\": %d,\n\
+    \  \"capture_image_bytes\": %d,\n\
     \  \"delta_shrink_factor\": %.2f,\n\
     \  \"serial_seconds\": %.3f,\n\
     \  \"fleet_seconds\": %.3f,\n\

@@ -234,10 +234,10 @@ let trace_term =
    rails". *)
 let exit_sim_failure = 3
 
-(* Exit code for a degraded fleet result: the run terminated and
-   printed a report, but one or more intervals were quarantined after
-   repeated failures, so the estimates cover the surviving intervals
-   only. See README "Failure modes & recovery". *)
+(* Exit code for a degraded replay result (serve, replay, sweep,
+   --sample-jobs): the run terminated and printed a report, but one or
+   more intervals were quarantined, so the estimates cover the
+   surviving intervals only. See README "Failure modes & recovery". *)
 let exit_degraded = 4
 
 type guard_opts = {
@@ -392,32 +392,38 @@ let sample_schedule sample_opts guard_opts ~core ~commands =
 (* Run the domain under the sampling supervisor and print its report
    (the sampled replacement for Domain.submit + Domain.run). With
    --sample-jobs the checkpoint-parallel engine replaces the serial
-   supervisor (even at 1 job, so job counts are comparable). *)
+   supervisor (even at 1 job, so job counts are comparable) and, as in
+   optlsim replay, a failing interval is quarantined into a DEGRADED
+   report. Returns whether any interval was quarantined. *)
 let run_sampled sample_opts ~tracing ~schedule ~placement ~max_cycles d =
   catch_sim_failure (fun () ->
-      let r =
-        match sample_opts.s_jobs with
-        | None ->
-          Sample.run ~roi:sample_opts.s_roi ~placement ~max_cycles ~schedule d
-        | Some jobs ->
-          (* 0 = one replay worker per recommended host core *)
-          let jobs =
-            if jobs = 0 then Stdlib.Domain.recommended_domain_count ()
-            else jobs
-          in
-          (match
-             Sample.check_jobs ~jobs
-               ~kernel:(d.Domain.kernel <> None)
-               ~tracing ()
-           with
-          | Error msg ->
-            prerr_endline ("optlsim: " ^ msg);
-            exit 1
-          | Ok () -> ());
-          Sample.run_parallel ~roi:sample_opts.s_roi ~placement ~max_cycles
+      match sample_opts.s_jobs with
+      | None ->
+        Sample.report stdout
+          (Sample.run ~roi:sample_opts.s_roi ~placement ~max_cycles ~schedule
+             d);
+        false
+      | Some jobs ->
+        (* 0 = one replay worker per recommended host core *)
+        let jobs =
+          if jobs = 0 then Stdlib.Domain.recommended_domain_count () else jobs
+        in
+        (match
+           Sample.check_jobs ~jobs ~kernel:(d.Domain.kernel <> None) ~tracing ()
+         with
+        | Error msg ->
+          prerr_endline ("optlsim: " ^ msg);
+          exit 1
+        | Ok () -> ());
+        let rp =
+          Fleet.run_parallel ~roi:sample_opts.s_roi ~placement ~max_cycles
             ~jobs ~schedule d
-      in
-      Sample.report stdout r)
+        in
+        let quarantined = rp.Fleet.rp_quarantined in
+        Sample.report_degraded stdout
+          ~count:(rp.Fleet.rp_replayed + List.length quarantined)
+          ~quarantined rp.Fleet.rp_result;
+        quarantined <> [])
 
 let sample_term =
   let flag_on =
@@ -479,13 +485,14 @@ let sample_term =
       & opt (some int) None
       & info [ "sample-jobs" ] ~docv:"N"
           ~doc:
-            "Checkpoint-parallel sampling: one native pass captures a full \
-             checkpoint (architectural state + warmed caches, TLBs, \
-             predictor) at each measured window, then N worker domains \
-             replay the intervals on private state. The merged report is \
-             bit-identical for any N; N = 0 auto-detects the host core \
-             count. Needs a bare-machine workload ($(b,compute --bare)). \
-             Implies $(b,--sample).")
+            "Checkpoint-parallel sampling: one native pass captures a base \
+             image and a delta checkpoint (dirty pages, architectural \
+             state, changed caches/TLBs/predictor) at each measured \
+             window, then N worker domains replay the intervals on private \
+             state. The merged report is bit-identical for any N; N = 0 \
+             auto-detects the host core count. A failing interval is \
+             quarantined (DEGRADED report, exit 4). Needs a bare-machine \
+             workload ($(b,compute --bare)). Implies $(b,--sample).")
   in
   let offset =
     Arg.(
@@ -555,16 +562,20 @@ let run_rsync trace_opts guard_opts sample_opts core machine files commands
   in
   install_guard guard_opts d;
   let max_cycles = max_mcycles * 1_000_000 in
-  (match sampled with
-  | Some (schedule, placement) ->
-    run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
-      ~placement ~max_cycles d
-  | None ->
-    Domain.submit d commands;
-    catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d)));
+  let degraded =
+    match sampled with
+    | Some (schedule, placement) ->
+      run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
+        ~placement ~max_cycles d
+    | None ->
+      Domain.submit d commands;
+      catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d));
+      false
+  in
   Printf.printf "synchronized correctly: %b\n" (Rsync_bench.verify_sync k);
   print_summary d (Some k);
-  finish_trace trace_opts d.Domain.env.Env.stats
+  finish_trace trace_opts d.Domain.env.Env.stats;
+  if degraded then exit exit_degraded
 
 (* The synthetic compute workload shared by the compute and capture
    subcommands: a pointer-chasing increment loop with a multiplicative
@@ -616,15 +627,19 @@ let run_compute trace_opts guard_opts sample_opts core machine commands
   in
   install_guard guard_opts d;
   let max_cycles = max_mcycles * 1_000_000 in
-  (match sampled with
-  | Some (schedule, placement) ->
-    run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
-      ~placement ~max_cycles d
-  | None ->
-    Domain.submit d commands;
-    catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d)));
+  let degraded =
+    match sampled with
+    | Some (schedule, placement) ->
+      run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
+        ~placement ~max_cycles d
+    | None ->
+      Domain.submit d commands;
+      catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d));
+      false
+  in
   print_summary d k;
-  finish_trace trace_opts d.Domain.env.Env.stats
+  finish_trace trace_opts d.Domain.env.Env.stats;
+  if degraded then exit exit_degraded
 
 (* ---------- virtual-memory scenarios (optlsim vm) ---------- *)
 
@@ -930,7 +945,7 @@ let run_capture_cmd guard_opts sample_opts core machine iters max_mcycles
 
 (* serve: hand the store's intervals to worker processes, merge, report.
    stdout carries exactly the Sample.report so it can be byte-compared
-   with a serial --sample run; progress goes to stderr. *)
+   with a --sample-jobs run; progress goes to stderr. *)
 let run_serve_cmd store_dir socket lease_timeout max_failures quiet =
   (match
      Fleet.check_serve ~store:store_dir ~socket ~lease_timeout ~max_failures ()
@@ -1372,7 +1387,7 @@ let serve_cmd =
           $(b,optlsim work) processes lease intervals, dead workers' \
           leases re-queue after $(b,--lease-timeout), results land in the \
           store's (checkpoint, config) cache, and the merged report — \
-          byte-identical to a serial --sample run — prints on stdout.")
+          byte-identical to a --sample-jobs run — prints on stdout.")
     Term.(
       const run_serve_cmd $ store_arg $ socket_arg $ lease_timeout_arg
       $ max_failures_arg $ fleet_quiet_arg)

@@ -3,8 +3,8 @@
     queue; any number of [optlsim work] processes lease intervals,
     replay them from the shared base + delta checkpoints, and stream
     results back. The server merges by capture index, so the merged
-    report is byte-identical to a serial [--sample] run for any worker
-    count and any completion order — the paper's cluster-distributed
+    report is byte-identical to an in-process [--sample-jobs] run for any
+    worker count and any completion order — the paper's cluster-distributed
     PTLsim/X workflow (capture once, replay anywhere, deterministically).
 
     Fault model: a worker that dies or wedges mid-lease loses nothing —
@@ -33,6 +33,8 @@ module Config = Ptl_ooo.Config
 module Chaos = Ptl_chaos.Chaos
 module Rng = Ptl_util.Rng
 module Sim_failure = Ptl_ooo.Sim_failure
+module Stats = Ptl_stats.Statstree
+module Domain = Ptl_hyper.Domain
 
 (* ---------------------------------------------------------------- *)
 (* Wire protocol                                                     *)
@@ -187,6 +189,91 @@ let check_replay ~store ~jobs () =
   else if jobs < 0 then
     Error "--jobs must be at least 1 (or 0 to auto-detect host cores)"
   else Ok ()
+
+(* ---------------------------------------------------------------- *)
+(* The replay pool                                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* Replay the intervals [indices] on [jobs] {!Stdlib.Domain}s pulling
+   from a shared atomic cursor, each on fully private state
+   ({!Sample.replay_delta} over the delta [load] fetches for it; an
+   [Error] is that interval's diagnostic). Every per-interval failure —
+   a load error, a {!Sim_failure}, any other exception — becomes a
+   [Failed] outcome, so one poison interval is quarantined instead of
+   aborting the run. [Chaos.Killed] is the one exception deliberately
+   let through (it stands in for the process dying at this point); it
+   stops the other workers taking new intervals and propagates once
+   every spawned domain is joined. Outcomes are by position in
+   [indices], so they are bit-identical for any [jobs] and any
+   completion order. *)
+let replay_pool ~jobs ?progress ?wrap ~core ~config ~schedule ~base ~load
+    indices =
+  let n = Array.length indices in
+  let out = Array.make n (Replayed None) in
+  let cursor = Atomic.make 0 in
+  let replay index =
+    match load index with
+    | Error diag -> Failed { diag }
+    | Ok d -> (
+      try
+        Replayed
+          (Sample.replay_delta ?progress ?wrap ~core_name:core ~config
+             ~schedule ~index ~base d)
+      with
+      | Chaos.Killed _ as e -> raise e
+      | Sim_failure.Sim_failure f ->
+        Failed { diag = Sim_failure.summary f ^ "\n" ^ Sim_failure.render f }
+      | e -> Failed { diag = Printexc.to_string e })
+  in
+  (* each worker writes only its own cells of [out], published to the
+     caller by [Domain.join]; a worker's death comes back as data so
+     the caller can join every domain before re-raising it *)
+  let worker () =
+    let rec go () =
+      let k = Atomic.fetch_and_add cursor 1 in
+      if k < n then begin
+        out.(k) <- replay indices.(k);
+        go ()
+      end
+    in
+    match go () with
+    | () -> None
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Atomic.set cursor n;
+      Some (e, bt)
+  in
+  let jobs = max 1 (min jobs n) in
+  let doms = Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker) in
+  let mine = worker () in
+  let deaths = mine :: List.map Stdlib.Domain.join (Array.to_list doms) in
+  (match List.find_map Fun.id deaths with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ());
+  out
+
+(* Settle pool outcomes in index order: [keep index iv] for every
+   replayed interval, every failure logged and quarantined (in-process
+   replay is deterministic, so one attempt is the whole retry budget).
+   Returns the replayed count and the quarantined intervals by index. *)
+let settle ~log ~keep indices out =
+  let replayed = ref 0 and quarantined = ref [] in
+  Array.iteri
+    (fun k r ->
+      let index = indices.(k) in
+      match r with
+      | Replayed iv ->
+        incr replayed;
+        keep index iv
+      | Failed { diag } ->
+        quarantined := (index, [ diag ]) :: !quarantined;
+        log
+          (Printf.sprintf "replay: interval %d quarantined: %s" index
+             (match String.index_opt diag '\n' with
+             | Some j -> String.sub diag 0 j
+             | None -> diag)))
+    out;
+  (!replayed, List.rev !quarantined)
 
 (* ---------------------------------------------------------------- *)
 (* Server                                                            *)
@@ -401,13 +488,12 @@ let connect_retry path tries =
   in
   go 1
 
-(* Replay one leased interval, catching every per-interval failure as a
-   typed outcome. [progress] heartbeats the lease every [heartbeat]
-   seconds of wall time while the pipeline steps — request-reply, so
-   the strict protocol alternation is preserved; heartbeat trouble is
-   swallowed (the lease machinery already covers a lost renewal).
-   Chaos.Killed is the one exception deliberately NOT converted: it
-   stands in for the process dying at this point. *)
+(* Replay one leased interval through the replay pool, every
+   per-interval failure coming back as a typed outcome. [progress]
+   heartbeats the lease every [heartbeat] seconds of wall time while
+   the pipeline steps — request-reply, so the strict protocol
+   alternation is preserved; heartbeat trouble is swallowed (the lease
+   machinery already covers a lost renewal). *)
 let replay_outcome ~store ~base ~core ~config ~schedule ~heartbeat
     ~recv_timeout ?wrap fd index =
   (match Chaos.fire "work.replay" with
@@ -427,18 +513,9 @@ let replay_outcome ~store ~base ~core ~config ~schedule ~heartbeat
       | Recv_timeout | End_of_file | Unix.Unix_error _ | Failure _ -> ()
     end
   in
-  match store_err (Store.load_interval store index) with
-  | Error diag -> Failed { diag }
-  | Ok d -> (
-    try
-      Replayed
-        (Sample.replay_delta ~progress ?wrap ~core_name:core ~config ~schedule
-           ~index ~base d)
-    with
-    | Chaos.Killed _ as e -> raise e
-    | Sim_failure.Sim_failure f ->
-      Failed { diag = Sim_failure.summary f ^ "\n" ^ Sim_failure.render f }
-    | e -> Failed { diag = Printexc.to_string e })
+  (replay_pool ~jobs:1 ~progress ?wrap ~core ~config ~schedule ~base
+     ~load:(fun i -> store_err (Store.load_interval store i))
+     [| index |]).(0)
 
 (** One worker process: connect to a server at [connect], lease
     intervals, replay each from the store's base + delta checkpoints,
@@ -547,9 +624,10 @@ type replayed = {
 
 (** Replay every interval of [store] in this process ([jobs] worker
     {!Stdlib.Domain}s; 1 = inline), using and refilling the result
-    cache. Byte-identical to {!serve} + workers and to the original
-    serial [--sample] run. [config] overrides the manifest's machine
-    configuration — the sweep engine's per-leg entry point: every leg
+    cache. Byte-identical to {!serve} + workers and to an in-process
+    {!run_parallel} of the same capture. [config] overrides the
+    manifest's machine configuration — the sweep engine's per-leg entry
+    point: every leg
     replays the same checkpoints, cached under its own config digest.
     A corrupt interval record or a replay exception quarantines that
     interval ([rp_quarantined]) instead of aborting the run; only a
@@ -571,76 +649,86 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
     Array.of_list
       (List.filter (fun i -> not hit.(i)) (List.init count Fun.id))
   in
-  let quarantined = ref [] and replayed = ref 0 in
-  let* () =
-    if Array.length miss = 0 then Ok ()
+  let* replayed, quarantined =
+    if Array.length miss = 0 then Ok (0, [])
     else begin
       let* base = Store.load_base store in
       log
         (Printf.sprintf "replay: %d cached, %d to replay on %d job(s)"
            (List.length cached) (Array.length miss)
            (max 1 (min jobs (Array.length miss))));
-      let out = Array.make (Array.length miss) (Ok None) in
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let rec go () =
-          let k = Atomic.fetch_and_add cursor 1 in
-          if k < Array.length miss then begin
-            let index = miss.(k) in
-            (out.(k) <-
-               (match Store.load_interval store index with
-               | Error e -> Error (Store.error_to_string e)
-               | Ok d -> (
-                 try
-                   Ok
-                     (Sample.replay_delta ?wrap ~core_name:m.Store.m_core
-                        ~config ~schedule ~index ~base d)
-                 with
-                 | Chaos.Killed _ as e -> raise e
-                 | Sim_failure.Sim_failure f ->
-                   Error
-                     (Sim_failure.summary f ^ "\n" ^ Sim_failure.render f)
-                 | e -> Error (Printexc.to_string e))));
-            go ()
-          end
-        in
-        go ()
+      let out =
+        replay_pool ~jobs ?wrap ~core:m.Store.m_core ~config ~schedule ~base
+          ~load:(fun i -> store_err (Store.load_interval store i))
+          miss
       in
-      let jobs = max 1 (min jobs (Array.length miss)) in
-      let doms =
-        Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker)
+      let keep index iv =
+        results.(index) <- iv;
+        match Store.put_result store ~config_digest:digest ~index iv with
+        | Ok () -> ()
+        | Error e ->
+          log
+            (Printf.sprintf "replay: result cache write failed: %s"
+               (Store.error_to_string e))
       in
-      worker ();
-      Array.iter Stdlib.Domain.join doms;
-      Array.iteri
-        (fun k r ->
-          match r with
-          | Ok iv ->
-            results.(miss.(k)) <- iv;
-            incr replayed;
-            (match
-               Store.put_result store ~config_digest:digest ~index:miss.(k) iv
-             with
-            | Ok () -> ()
-            | Error e ->
-              log (Printf.sprintf "replay: result cache write failed: %s"
-                     (Store.error_to_string e)))
-          | Error diag ->
-            quarantined := (miss.(k), [ diag ]) :: !quarantined;
-            log
-              (Printf.sprintf "replay: interval %d quarantined: %s" miss.(k)
-                 (match String.index_opt diag '\n' with
-                 | Some j -> String.sub diag 0 j
-                 | None -> diag)))
-        out;
-      Ok ()
+      Ok (settle ~log ~keep miss out)
     end
   in
   Ok
     {
       rp_result = merge m results;
       rp_cached = List.length cached;
-      rp_replayed = !replayed;
-      rp_quarantined =
-        List.sort (fun (a, _) (b, _) -> compare a b) !quarantined;
+      rp_replayed = replayed;
+      rp_quarantined = quarantined;
     }
+
+(** Checkpoint-parallel sampled run in one process: one native master
+    pass ({!Sample.run_capture}: functional warming throughout, a base
+    image plus one delta checkpoint per warm-up+measure window), then
+    the replay pool over the deltas on [jobs] worker {!Stdlib.Domain}s,
+    merged by capture index — bit-identical for any [jobs] value and any
+    completion order ([jobs = 1] runs the same pool inline). A failing
+    interval is quarantined ([rp_quarantined]) exactly as in {!replay};
+    [rp_cached] is always 0. Bumps the [sample.intervals] /
+    [sample.measured_*] counters of the domain's stats tree for the
+    surviving intervals. Raises [Invalid_argument] on kernel-hosted
+    domains — see {!Sample.check_jobs}. *)
+let run_parallel ?(roi = false) ?(placement = Sample.Fixed)
+    ?(max_insns = max_int) ?(max_cycles = max_int) ?(jobs = 1) ~schedule
+    (d : Domain.t) =
+  if jobs < 1 then invalid_arg "Fleet.run_parallel: jobs must be >= 1";
+  let stats = d.Domain.env.Ptl_arch.Env.stats in
+  let c_intervals = Stats.counter stats "sample.intervals"
+  and c_meas_i = Stats.counter stats "sample.measured_insns"
+  and c_meas_c = Stats.counter stats "sample.measured_cycles" in
+  let cr =
+    Sample.run_capture ~roi ~placement ~max_insns ~max_cycles ~schedule d
+  in
+  let n = Array.length cr.Sample.cr_deltas in
+  let indices = Array.init n Fun.id and results = Array.make n None in
+  let out =
+    replay_pool ~jobs ~core:d.Domain.core_name ~config:d.Domain.config
+      ~schedule ~base:cr.Sample.cr_base
+      ~load:(fun i -> Ok cr.Sample.cr_deltas.(i))
+      indices
+  in
+  let replayed, quarantined =
+    settle ~log:ignore ~keep:(Array.set results) indices out
+  in
+  (* merge in capture order: independent of job count and completion
+     order, so the report is bit-identical across --sample-jobs *)
+  let intervals = Array.to_list results |> List.filter_map Fun.id in
+  List.iter
+    (fun (iv : Sample.interval) ->
+      Stats.incr c_intervals;
+      Stats.add c_meas_i iv.Sample.iv_insns;
+      Stats.add c_meas_c iv.Sample.iv_cycles)
+    intervals;
+  {
+    rp_result =
+      Sample.aggregate ~total_insns:cr.Sample.cr_insns
+        ~total_cycles:cr.Sample.cr_cycles intervals;
+    rp_cached = 0;
+    rp_replayed = replayed;
+    rp_quarantined = quarantined;
+  }

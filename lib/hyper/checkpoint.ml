@@ -4,8 +4,9 @@
     trace-and-inject methodology of §4.2 ("a checkpoint of the target
     machine's physical memory and register state is captured ... the
     simulator then starts execution at the checkpoint"), and of
-    checkpoint-parallel sampled simulation (lib/sample), where every
-    measured interval is replayed from one of these by a worker domain.
+    checkpoint-parallel sampled simulation (lib/sample, lib/fleet), where
+    one base image plus a delta per measured interval lets any worker
+    replay that interval.
 
     Full-system domains with a live minios instance carry host-side
     kernel bookkeeping (continuations) that is deliberately not
@@ -64,29 +65,6 @@ let diff t (env : Env.t) (ctx : Context.t) =
     ]
   else []
 
-(* ---- full checkpoints: machine + warmed microarchitecture ---- *)
-
-(** A machine checkpoint extended with the warmed {!Ptl_ooo.Uarch}
-    contents (cache tags/LRU + replacement-RNG cursors, TLBs, predictor
-    tables) — what a parallel sampling worker needs to reproduce a
-    measured interval exactly. *)
-type full = { fk_machine : t; fk_uarch : Uarch.snapshot }
-
-let capture_full ~(uarch : Uarch.t) env ctx =
-  { fk_machine = capture env ctx; fk_uarch = Uarch.snapshot uarch }
-
-(** Restore into a (possibly freshly built) machine and a [Uarch.t] of
-    the same configuration. *)
-let restore_full f ~uarch env ctx =
-  restore f.fk_machine env ctx;
-  Uarch.restore uarch ~snapshot:f.fk_uarch
-
-(** Every difference between the live machine + microarchitectural state
-    and the full checkpoint, each line naming the subsystem. Empty =
-    exact round trip. *)
-let diff_full f ~uarch env ctx =
-  diff f.fk_machine env ctx @ Uarch.diff uarch f.fk_uarch
-
 (* ---- delta checkpoints: base image + per-interval footprints ---- *)
 
 (** The master image a run of delta checkpoints is relative to: a deep
@@ -132,7 +110,8 @@ let delta_pages d = Pm.delta_pages d.dk_pages
     the full image it replaces. *)
 let delta_page_bytes d = Pm.delta_bytes d.dk_pages
 
-(** Page payload of a full checkpoint of [env]'s memory. *)
+(** Page payload of a full image of [env]'s memory (what a per-window
+    memory copy would cost). *)
 let full_page_bytes (env : Env.t) =
   Pm.allocated_pages env.Env.mem * Pm.page_size
 
@@ -144,69 +123,43 @@ let clone_mem ~(base : base) (d : delta) =
   Pm.apply_delta mem d.dk_pages;
   mem
 
-(** Restore a delta checkpoint in place into a machine + [Uarch.t] of
-    the same configuration (the memory is rebuilt from the base plus
-    the delta's pages; prefer {!clone_mem} + {!Ptl_arch.Env.create}
-    [?mem] when building fresh worker state, which shares the base
-    copy-on-write instead of copying it). *)
-let restore_delta ~(base : base) (d : delta) ~uarch (env : Env.t)
-    (ctx : Context.t) =
-  Pm.restore env.Env.mem ~snapshot:base.bk_mem;
-  Pm.apply_delta env.Env.mem d.dk_pages;
-  Context.restore ctx ~snapshot:d.dk_ctx;
-  env.Env.cycle <- d.dk_cycle;
-  env.Env.tsc_offset <- d.dk_tsc_offset;
-  Uarch.restore_delta uarch ~base:base.bk_uarch ~delta:d.dk_uarch
-
-(** Restore a delta checkpoint in place {e and re-arm dirty-page
-    tracking as if the original capture run were still in flight}:
-    after this call the dirty set is exactly the delta's page set —
-    what the original run had dirty at that capture moment (deltas are
-    cumulative since {!capture_base}). A resumed capture's subsequent
-    {!capture_delta}s are therefore byte-identical to the uninterrupted
-    run's. Plain {!restore_delta} instead leaves {e every} frame dirty
-    (restore marks all it touches), which is correct for replay but
-    would bloat resumed deltas and break resume byte-identity. *)
-let resume_delta ~(base : base) (d : delta) ~uarch (env : Env.t)
-    (ctx : Context.t) =
-  Pm.restore env.Env.mem ~snapshot:base.bk_mem;
-  Pm.clear_dirty env.Env.mem;
-  Pm.apply_delta env.Env.mem d.dk_pages;
-  Context.restore ctx ~snapshot:d.dk_ctx;
-  (* Context.restore bumps tlb_generation to invalidate a live machine's
-     stale TLB entries — but a resume rebuilds the uarch TLBs to exactly
-     the checkpoint state below, so the bump would only make the resumed
-     run's future snapshots disagree with the original's by one
-     generation. Restore the counter exactly. *)
-  ctx.Context.tlb_generation <- d.dk_ctx.Context.tlb_generation;
-  env.Env.cycle <- d.dk_cycle;
-  env.Env.tsc_offset <- d.dk_tsc_offset;
-  Uarch.restore_delta uarch ~base:base.bk_uarch ~delta:d.dk_uarch
-
-(** Restore a delta's microarchitectural and context/clock state into
-    freshly built worker state whose memory already came from
-    {!clone_mem}. *)
-let restore_delta_into ~(base : base) (d : delta) ~uarch (env : Env.t)
-    (ctx : Context.t) =
-  Context.restore ctx ~snapshot:d.dk_ctx;
-  env.Env.cycle <- d.dk_cycle;
-  env.Env.tsc_offset <- d.dk_tsc_offset;
-  Uarch.restore_delta uarch ~base:base.bk_uarch ~delta:d.dk_uarch
-
-(** {!restore_delta_into} with geometry tolerance: uarch components the
-    snapshot does not fit (a sweep leg replaying under a different
-    machine configuration) start cold and re-warm during the warm-up
-    phase. Returns the component names started cold; empty for a
-    same-configuration replay, which restores exactly as
-    {!restore_delta_into}. *)
+(** Restore a delta's context, clock and microarchitectural state into
+    worker state whose memory already came from {!clone_mem} (or was
+    rebuilt in place by {!resume_delta}). Geometry-tolerant: uarch
+    components the snapshot does not fit (a sweep leg replaying under a
+    different machine configuration) start cold and re-warm during the
+    warm-up phase. Returns the components started cold; empty for a
+    same-configuration restore, which is exact. *)
 let restore_delta_into_fit ~(base : base) (d : delta) ~uarch (env : Env.t)
     (ctx : Context.t) =
   Context.restore ctx ~snapshot:d.dk_ctx;
   env.Env.cycle <- d.dk_cycle;
   env.Env.tsc_offset <- d.dk_tsc_offset;
-  Uarch.restore_delta_fit uarch ~base:base.bk_uarch ~delta:d.dk_uarch
+  Uarch.restore uarch ~base:base.bk_uarch ~delta:d.dk_uarch
 
-(** {!restore_full} with the same geometry tolerance. *)
-let restore_full_fit f ~uarch env ctx =
-  restore f.fk_machine env ctx;
-  Uarch.restore_fit uarch ~snapshot:f.fk_uarch
+(** Restore a delta checkpoint in place {e and re-arm dirty-page
+    tracking as if the original capture run were still in flight}:
+    memory is rebuilt from the base plus the delta's pages, leaving the
+    dirty set exactly the delta's page set — what the original run had
+    dirty at that capture moment (deltas are cumulative since
+    {!capture_base}). A resumed capture's subsequent {!capture_delta}s
+    are therefore byte-identical to the uninterrupted run's. Raises
+    [Invalid_argument] when [uarch] was built for a different geometry
+    than the checkpoint's: a resume must reproduce the run exactly. *)
+let resume_delta ~(base : base) (d : delta) ~uarch (env : Env.t)
+    (ctx : Context.t) =
+  Pm.restore env.Env.mem ~snapshot:base.bk_mem;
+  Pm.clear_dirty env.Env.mem;
+  Pm.apply_delta env.Env.mem d.dk_pages;
+  (match restore_delta_into_fit ~base d ~uarch env ctx with
+  | [] -> ()
+  | cold ->
+    invalid_arg
+      ("Checkpoint.resume_delta: geometry mismatch in "
+      ^ String.concat ", " cold));
+  (* Context.restore bumps tlb_generation to invalidate a live machine's
+     stale TLB entries — but a resume rebuilds the uarch TLBs to exactly
+     the checkpoint state, so the bump would only make the resumed run's
+     future snapshots disagree with the original's by one generation.
+     Restore the counter exactly. *)
+  ctx.Context.tlb_generation <- d.dk_ctx.Context.tlb_generation

@@ -1,9 +1,9 @@
 (** Domain checkpointing (paper §4.2): capture and restore physical
     memory, VCPU context and the virtual clock of a bare-machine domain.
     Restores are in place, so existing references remain valid — like
-    restarting a domain from a Xen checkpoint. [full] checkpoints extend
-    this with the warmed {!Ptl_ooo.Uarch} contents for
-    checkpoint-parallel sampled simulation (lib/sample). *)
+    restarting a domain from a Xen checkpoint. {!base} + {!delta}
+    checkpoints extend this with the warmed {!Ptl_ooo.Uarch} contents
+    for checkpoint-parallel sampled simulation (lib/sample, lib/fleet). *)
 
 type t
 
@@ -15,20 +15,6 @@ val restore : t -> Ptl_arch.Env.t -> Ptl_arch.Context.t -> unit
     exact. TLB generations are shoot-down bookkeeping and are not
     compared. *)
 val diff : t -> Ptl_arch.Env.t -> Ptl_arch.Context.t -> string list
-
-(** Machine checkpoint + warmed microarchitecture (cache tags/LRU with
-    replacement-RNG cursors, TLBs, predictor tables). *)
-type full = { fk_machine : t; fk_uarch : Ptl_ooo.Uarch.snapshot }
-
-val capture_full :
-  uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t -> Ptl_arch.Context.t -> full
-
-val restore_full :
-  full -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t -> Ptl_arch.Context.t -> unit
-
-val diff_full :
-  full -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t -> Ptl_arch.Context.t ->
-  string list
 
 (** {2 Delta checkpoints}
 
@@ -73,38 +59,24 @@ val full_page_bytes : Ptl_arch.Env.t -> int
     O(frames + footprint), not O(guest bytes). *)
 val clone_mem : base:base -> delta -> Ptl_mem.Phys_mem.t
 
-(** Restore in place, rebuilding memory from base + delta. *)
-val restore_delta :
-  base:base -> delta -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t ->
-  Ptl_arch.Context.t -> unit
-
-(** Restore in place and re-arm dirty-page tracking as the original
-    capture run had it at that moment (dirty set = the delta's page
-    set), so a resumed capture's subsequent {!capture_delta}s are
-    byte-identical to the uninterrupted run's. Use for capture resume;
-    {!restore_delta} (which leaves every restored frame dirty) for
-    replay. *)
-val resume_delta :
-  base:base -> delta -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t ->
-  Ptl_arch.Context.t -> unit
-
-(** Restore context/clock/uarch into worker state whose memory already
-    came from {!clone_mem}. *)
-val restore_delta_into :
-  base:base -> delta -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t ->
-  Ptl_arch.Context.t -> unit
-
-(** {!restore_delta_into} with geometry tolerance: uarch components the
-    snapshot does not fit (a design-space sweep leg replaying under a
-    different machine configuration) start cold and re-warm during the
-    warm-up phase. Returns the component names started cold — empty for
-    a same-configuration replay, which restores exactly as
-    {!restore_delta_into}. *)
+(** Restore a delta's context, clock and uarch state into worker state
+    whose memory already came from {!clone_mem}, with geometry
+    tolerance: uarch components the snapshot does not fit (a
+    design-space sweep leg replaying under a different machine
+    configuration) start cold and re-warm during the warm-up phase.
+    Returns the component names started cold — empty for a
+    same-configuration replay, which restores exactly. *)
 val restore_delta_into_fit :
   base:base -> delta -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t ->
   Ptl_arch.Context.t -> string list
 
-(** {!restore_full} with the same geometry tolerance. *)
-val restore_full_fit :
-  full -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t -> Ptl_arch.Context.t ->
-  string list
+(** Restore in place for capture resume: rebuild memory from base +
+    delta, re-arm dirty-page tracking as the original capture run had
+    it at that moment (dirty set = the delta's page set), then
+    {!restore_delta_into_fit}. A resumed capture's subsequent
+    {!capture_delta}s are byte-identical to the uninterrupted run's.
+    Raises [Invalid_argument] if [uarch]'s geometry differs from the
+    checkpoint's. *)
+val resume_delta :
+  base:base -> delta -> uarch:Ptl_ooo.Uarch.t -> Ptl_arch.Env.t ->
+  Ptl_arch.Context.t -> unit

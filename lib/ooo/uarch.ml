@@ -71,49 +71,6 @@ let snapshot t =
     sn_bpred = Predictor.snapshot t.bpred;
   }
 
-(** Restore in place into a [t] built from the same {!Config.t} (the
-    geometries must match). *)
-let restore t ~snapshot =
-  Hierarchy.restore t.hierarchy ~snapshot:snapshot.sn_hierarchy;
-  Tlb.restore t.dtlb ~snapshot:snapshot.sn_dtlb;
-  Tlb.restore t.itlb ~snapshot:snapshot.sn_itlb;
-  (match (t.pwc, snapshot.sn_pwc) with
-  | Some pwc, Some s -> Pwc.restore pwc ~snapshot:s
-  | None, None -> ()
-  | _ -> invalid_arg "Uarch.restore: pwc presence mismatch");
-  Predictor.restore t.bpred ~snapshot:snapshot.sn_bpred
-
-(** Best-effort restore for replays under a {e different} machine
-    configuration (design-space sweep legs): each component restores
-    only when the snapshot fits its geometry; the rest stay cold and
-    re-warm during the interval's warm-up phase — the standard
-    sampled-simulation treatment of warmed state that cannot be
-    translated across geometries. Returns the components started cold;
-    empty means the restore was exactly {!restore}. *)
-let restore_fit t ~snapshot =
-  let cold = ref [] in
-  let component name fits restore =
-    if fits then restore () else cold := name :: !cold
-  in
-  component "hierarchy"
-    (Hierarchy.fits t.hierarchy snapshot.sn_hierarchy)
-    (fun () -> Hierarchy.restore t.hierarchy ~snapshot:snapshot.sn_hierarchy);
-  component "dtlb"
-    (Tlb.fits t.dtlb snapshot.sn_dtlb)
-    (fun () -> Tlb.restore t.dtlb ~snapshot:snapshot.sn_dtlb);
-  component "itlb"
-    (Tlb.fits t.itlb snapshot.sn_itlb)
-    (fun () -> Tlb.restore t.itlb ~snapshot:snapshot.sn_itlb);
-  (match (t.pwc, snapshot.sn_pwc) with
-  | Some pwc, Some s ->
-    component "pwc" (Pwc.fits pwc s) (fun () -> Pwc.restore pwc ~snapshot:s)
-  | None, _ -> ()  (* no PWC in this configuration: nothing to restore *)
-  | Some _, None -> component "pwc" false (fun () -> ()));
-  component "bpred"
-    (Predictor.fits t.bpred snapshot.sn_bpred)
-    (fun () -> Predictor.restore t.bpred ~snapshot:snapshot.sn_bpred);
-  List.rev !cold
-
 (** Every mismatch between the live state and a snapshot, one line per
     difference with the owning subsystem named (empty = exact). *)
 let diff t snapshot =
@@ -154,22 +111,38 @@ let delta t ~base =
     d_bpred = keep (sn.sn_bpred <> base.sn_bpred) sn.sn_bpred;
   }
 
-(** The full snapshot a delta resolves to: each component from the
-    delta when it changed, from [base] otherwise. *)
-let resolve_delta ~base ~delta =
-  {
-    sn_hierarchy = Option.value delta.d_hierarchy ~default:base.sn_hierarchy;
-    sn_dtlb = Option.value delta.d_dtlb ~default:base.sn_dtlb;
-    sn_itlb = Option.value delta.d_itlb ~default:base.sn_itlb;
-    sn_pwc = Option.value delta.d_pwc ~default:base.sn_pwc;
-    sn_bpred = Option.value delta.d_bpred ~default:base.sn_bpred;
-  }
-
-(** Restore the state [delta] was captured from: each component comes
-    from the delta when it changed, from [base] otherwise. *)
-let restore_delta t ~base ~delta =
-  restore t ~snapshot:(resolve_delta ~base ~delta)
-
-(** {!restore_delta} with the {!restore_fit} geometry tolerance. *)
-let restore_delta_fit t ~base ~delta =
-  restore_fit t ~snapshot:(resolve_delta ~base ~delta)
+(** Restore in place the state [delta] was captured from: each
+    component from the delta when it changed, from [base] otherwise.
+    Tolerates a {e different} machine configuration (design-space sweep
+    legs): a component restores only when the snapshot fits its
+    geometry; the rest stay cold and re-warm during the interval's
+    warm-up phase — the standard sampled-simulation treatment of warmed
+    state that cannot be translated across geometries. Returns the
+    components not restored (a PWC present on one side only counts);
+    empty means the restore was exact. *)
+let restore t ~base ~delta =
+  let pick changed base = Option.value changed ~default:base in
+  let cold = ref [] in
+  let component name fits restore =
+    if fits then restore () else cold := name :: !cold
+  in
+  let hierarchy = pick delta.d_hierarchy base.sn_hierarchy
+  and dtlb = pick delta.d_dtlb base.sn_dtlb
+  and itlb = pick delta.d_itlb base.sn_itlb
+  and bpred = pick delta.d_bpred base.sn_bpred in
+  component "hierarchy"
+    (Hierarchy.fits t.hierarchy hierarchy)
+    (fun () -> Hierarchy.restore t.hierarchy ~snapshot:hierarchy);
+  component "dtlb" (Tlb.fits t.dtlb dtlb) (fun () ->
+      Tlb.restore t.dtlb ~snapshot:dtlb);
+  component "itlb" (Tlb.fits t.itlb itlb) (fun () ->
+      Tlb.restore t.itlb ~snapshot:itlb);
+  (match (t.pwc, pick delta.d_pwc base.sn_pwc) with
+  | Some pwc, Some s ->
+    component "pwc" (Pwc.fits pwc s) (fun () -> Pwc.restore pwc ~snapshot:s)
+  | None, None -> ()
+  | _ -> component "pwc" false ignore);
+  component "bpred"
+    (Predictor.fits t.bpred bpred)
+    (fun () -> Predictor.restore t.bpred ~snapshot:bpred);
+  List.rev !cold

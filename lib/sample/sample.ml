@@ -425,21 +425,36 @@ let drain_commands (d : Domain.t) =
                 (Ptlcall.command_to_string other)))
       cmds
 
-(** Run the domain to completion (guest shutdown / halt / -kill /
-    budget) under the sampling [schedule]. With [~roi:true] the
-    measured periods only advance while the guest-controlled
-    [-startsample] region is open; fast-forward (and warming) continues
-    outside it. Returns the per-interval records and the aggregate CPI
-    estimate. *)
-let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
-    ?(max_cycles = max_int) ~schedule (d : Domain.t) =
+(* The native/timed driving handles a period driver lends its
+   per-window action and resume prologue. *)
+type pass = {
+  uarch : Uarch.t;  (* the domain's shared microarchitectural state *)
+  live : unit -> bool;  (* not halted, killed or out of budget *)
+  drive_ff : int -> unit;  (* [n] ROI insns natively, warming *)
+  drive_sim : int -> unit;  (* [n] more insns on the timed core *)
+  reset_memos : unit -> unit;  (* see {!install_warming} *)
+}
+
+(* The period driver behind {!run} and {!run_capture}: get or create the
+   shared {!Uarch}, tick the domain under ROI gating and the insn/cycle
+   budget, and repeat periods of a leading fast-forward of the placer's
+   offset, [window] (only while the domain is live) and the trailing
+   [ff_insns - offset] fast-forward, so every period spends the same
+   budget wherever the window lands. Under [Fixed] the offset is
+   [ff_insns] and the trailing leg vanishes.
+
+   [enter] runs once after the entry totals are read and before the
+   warming hooks install — capture captures its base image or restores
+   its resume point there — and its result goes to [resume] and
+   [window]. [resume] runs once the hooks are in and returns the first
+   period index (capture resume re-drives its restart window first).
+   Returns [enter]'s result, the instructions committed and the cycles
+   elapsed. *)
+let drive_periods ~roi ~placement ~max_insns ~max_cycles ~schedule ~enter
+    ~resume ~window (d : Domain.t) =
   let env = d.Domain.env and ctx = d.Domain.ctx in
   let stats = env.Env.stats in
-  let c_intervals = Stats.counter stats "sample.intervals"
-  and c_ff = Stats.counter stats "sample.ff_insns"
-  and c_warm = Stats.counter stats "sample.warmup_insns"
-  and c_meas_i = Stats.counter stats "sample.measured_insns"
-  and c_meas_c = Stats.counter stats "sample.measured_cycles" in
+  let c_ff = Stats.counter stats "sample.ff_insns" in
   let uarch =
     match d.Domain.uarch with
     | Some u -> u
@@ -448,8 +463,10 @@ let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       Domain.set_uarch d u;
       u
   in
-  let (_ : unit -> unit) = install_warming d uarch in
   if not roi then d.Domain.sample_roi <- true;
+  (* entry totals read before any restore: a resumed capture rebuilds
+     the domain deterministically, so they equal the original pass's
+     and the final insn/cycle totals come out whole-run *)
   let start_cycle = env.Env.cycle
   and start_insns = ctx.Context.insns_committed in
   let finished = ref false in
@@ -492,37 +509,80 @@ let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       ignore (tick ())
     done
   in
+  let state = enter uarch in
+  (* warming hooks install after any restore: their TLB-generation memo
+     must match the live context, or the first warmed access would
+     flush the restored TLB contents the original run kept *)
+  let reset_memos = install_warming d uarch in
+  let p =
+    {
+      uarch;
+      live = (fun () -> not !finished);
+      drive_ff;
+      drive_sim;
+      reset_memos;
+    }
+  in
   let placer = make_placer placement schedule in
-  let intervals = ref [] in
-  let idx = ref 0 in
-  let period_idx = ref 0 in
+  let period_idx = ref (resume state p placer) in
+  (* count only the fast-forward legs into sample.ff_insns *)
+  let ff n =
+    let i0 = ctx.Context.insns_committed in
+    drive_ff n;
+    Stats.add c_ff (ctx.Context.insns_committed - i0)
+  in
   while not !finished do
-    (* [off] native instructions lead the window; the remaining
-       [ff_insns - off] trail it, so every period spends the same budget
-       wherever the window lands. Under [Fixed] off = ff_insns and the
-       trailing leg vanishes — byte-identical to the legacy schedule. *)
     let off = placer !period_idx in
     incr period_idx;
-    let i_ff = ctx.Context.insns_committed in
-    drive_ff off;
-    Stats.add c_ff (ctx.Context.insns_committed - i_ff);
-    if not !finished then begin
-      let i_warm = ctx.Context.insns_committed in
-      drive_sim schedule.warmup_insns;
-      Stats.add c_warm (ctx.Context.insns_committed - i_warm)
-    end;
-    if not !finished then begin
+    ff off;
+    if not !finished then window state p (!period_idx - 1);
+    if (not !finished) && schedule.ff_insns - off > 0 then
+      ff (schedule.ff_insns - off)
+  done;
+  remove_warming d;
+  Domain.enter_native d;
+  (match d.Domain.timelapse with
+  | Some tl -> Timelapse.finish tl ~cycle:env.Env.cycle
+  | None -> ());
+  ( state,
+    ctx.Context.insns_committed - start_insns,
+    env.Env.cycle - start_cycle )
+
+(** Run the domain to completion (guest shutdown / halt / -kill /
+    budget) under the sampling [schedule]. With [~roi:true] the
+    measured periods only advance while the guest-controlled
+    [-startsample] region is open; fast-forward (and warming) continues
+    outside it. Each window runs warm-up then measure on the timed
+    core. Returns the per-interval records and the aggregate CPI
+    estimate. *)
+let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
+    ?(max_cycles = max_int) ~schedule (d : Domain.t) =
+  let env = d.Domain.env and ctx = d.Domain.ctx in
+  let stats = env.Env.stats in
+  (* registration order is visible in snapshots and dumps: ff_insns
+     (bumped by the driver) keeps its place among these *)
+  let c_intervals = Stats.counter stats "sample.intervals"
+  and _ = Stats.counter stats "sample.ff_insns"
+  and c_warm = Stats.counter stats "sample.warmup_insns"
+  and c_meas_i = Stats.counter stats "sample.measured_insns"
+  and c_meas_c = Stats.counter stats "sample.measured_cycles" in
+  let intervals = ref [] in
+  let window () p _ =
+    let i_warm = ctx.Context.insns_committed in
+    p.drive_sim schedule.warmup_insns;
+    Stats.add c_warm (ctx.Context.insns_committed - i_warm);
+    if p.live () then begin
       Trace.sample_boundary ();
       let before = Stats.snapshot stats ~cycle:env.Env.cycle in
       let i0 = ctx.Context.insns_committed in
-      drive_sim schedule.measure_insns;
+      p.drive_sim schedule.measure_insns;
       let after = Stats.snapshot stats ~cycle:env.Env.cycle in
       let insns = ctx.Context.insns_committed - i0 in
       let cycles = after.Stats.cycle - before.Stats.cycle in
       if insns > 0 then begin
         intervals :=
           {
-            iv_index = !idx;
+            iv_index = List.length !intervals;
             iv_insns = insns;
             iv_cycles = cycles;
             iv_cpi = float_of_int cycles /. float_of_int insns;
@@ -530,27 +590,17 @@ let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
             iv_after = after;
           }
           :: !intervals;
-        incr idx;
         Stats.incr c_intervals;
         Stats.add c_meas_i insns;
         Stats.add c_meas_c cycles
       end
-    end;
-    if (not !finished) && schedule.ff_insns - off > 0 then begin
-      let i_tail = ctx.Context.insns_committed in
-      drive_ff (schedule.ff_insns - off);
-      Stats.add c_ff (ctx.Context.insns_committed - i_tail)
     end
-  done;
-  remove_warming d;
-  Domain.enter_native d;
-  (match d.Domain.timelapse with
-  | Some tl -> Timelapse.finish tl ~cycle:env.Env.cycle
-  | None -> ());
-  aggregate
-    ~total_insns:(ctx.Context.insns_committed - start_insns)
-    ~total_cycles:(env.Env.cycle - start_cycle)
-    (List.rev !intervals)
+  in
+  let (), total_insns, total_cycles =
+    drive_periods ~roi ~placement ~max_insns ~max_cycles ~schedule
+      ~enter:ignore ~resume:(fun () _ _ -> 0) ~window d
+  in
+  aggregate ~total_insns ~total_cycles (List.rev !intervals)
 
 (* ---------------------------------------------------------------- *)
 (* Checkpoint-parallel sampling                                      *)
@@ -573,15 +623,37 @@ let check_jobs ~jobs ~kernel ~tracing () : (unit, string) Stdlib.result =
        interleave in it"
   else Ok ()
 
-(* Drive a freshly restored private core through warm-up + measure and
-   package the measured window. Shared by the full-checkpoint and
-   delta-checkpoint replay paths; determinism follows because the
-   result is a pure function of the restored state and the schedule.
-   [progress] (default no-op) is invoked every ~2k pipeline steps — a
-   cheap liveness hook fleet workers use to heartbeat their lease
-   while a slow interval replays; it must not touch simulator state. *)
-let replay_measure ?(progress = fun () -> ()) ~inst ~stats ~(env : Env.t)
-    ~(ctx : Context.t) ~schedule ~index () =
+(** Replay one measured interval from a delta checkpoint on completely
+    private state: the memory is a copy-on-write clone of the shared
+    base image overlaid with the interval's dirty pages — O(frames +
+    footprint) to build — and a fresh context, {!Uarch} and {!Stats}
+    tree are restored from [base + delta]; a private core instance then
+    drives warm-up and measure. Nothing here touches the master domain,
+    so any number of these can run on separate {!Stdlib.Domain}s at
+    once; determinism follows because the result is a pure function of
+    the checkpoint and the schedule. Returns [None] when the guest halts
+    before committing a single measured instruction.
+
+    The restore is geometry-tolerant: a sweep leg with a different
+    [config] starts the mismatched components cold (the warm-up phase
+    re-warms them); same-config replays restore exactly. [progress]
+    (default no-op) is invoked every ~2k pipeline steps — a cheap
+    liveness hook fleet workers heartbeat their lease from; it must not
+    touch simulator state. [wrap] interposes on the freshly built core
+    instance before it drives — how fleet workers put a {!Ptl_guard}
+    supervisor around each interval, turning a mid-replay invariant
+    breach into a typed failure instead of a dead worker. *)
+let replay_delta ?(progress = fun () -> ()) ?wrap ~core_name ~config
+    ~schedule ~index ~(base : Checkpoint.base) (d : Checkpoint.delta) =
+  let stats = Stats.create () in
+  let mem = Checkpoint.clone_mem ~base d in
+  let env = Env.create ~stats ~mem () in
+  let ctx = Context.create ~vcpu_id:0 in
+  let uarch = Uarch.create ~prefix:core_name config stats in
+  ignore
+    (Checkpoint.restore_delta_into_fit ~base d ~uarch env ctx : string list);
+  let inst = Registry.build ~uarch core_name config env [| ctx |] in
+  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
   let halted () =
     (not ctx.Context.running)
     && (not (Context.interruptible ctx))
@@ -615,59 +687,11 @@ let replay_measure ?(progress = fun () -> ()) ~inst ~stats ~(env : Env.t)
       }
   else None
 
-(** Replay one measured interval from a full checkpoint on completely
-    private state: a fresh physical memory + context + {!Uarch} +
-    {!Stats} tree are built, the checkpoint restored into them, and a
-    private core instance drives warm-up then measure. Nothing here
-    touches the master domain, so any number of these can run on
-    separate {!Stdlib.Domain}s at once; determinism follows because the
-    result is a pure function of the checkpoint and the schedule.
-    Returns [None] when the guest halts before committing a single
-    measured instruction.
-
-    [wrap] (both replay builders) interposes on the freshly built core
-    instance before it drives — how fleet workers put a {!Ptl_guard}
-    supervisor around each leased interval, turning a mid-replay
-    invariant breach into a typed failure instead of a dead worker. *)
-let replay_interval ?progress ?wrap ~core_name ~config ~schedule ~index
-    (ck : Checkpoint.full) =
-  let stats = Stats.create () in
-  let env = Env.create ~stats () in
-  let ctx = Context.create ~vcpu_id:0 in
-  let uarch = Uarch.create ~prefix:core_name config stats in
-  (* fit-tolerant: a sweep leg with a different geometry starts the
-     mismatched components cold (the warm-up phase re-warms them);
-     same-config replays restore exactly *)
-  ignore (Checkpoint.restore_full_fit ck ~uarch env ctx : string list);
-  let inst = Registry.build ~uarch core_name config env [| ctx |] in
-  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
-  replay_measure ?progress ~inst ~stats ~env ~ctx ~schedule ~index ()
-
-(** Replay one measured interval from a delta checkpoint. The private
-    memory is a copy-on-write clone of the shared base image overlaid
-    with the interval's dirty pages — O(frames + footprint) to build —
-    and the private {!Uarch} restores from [base + changed components].
-    Restored state is identical to what {!replay_interval} sees from a
-    full checkpoint of the same moment, so the interval record is too. *)
-let replay_delta ?progress ?wrap ~core_name ~config ~schedule ~index
-    ~(base : Checkpoint.base) (d : Checkpoint.delta) =
-  let stats = Stats.create () in
-  let mem = Checkpoint.clone_mem ~base d in
-  let env = Env.create ~stats ~mem () in
-  let ctx = Context.create ~vcpu_id:0 in
-  let uarch = Uarch.create ~prefix:core_name config stats in
-  (* fit-tolerant, as in replay_interval: sweep legs may change the
-     geometry of what the checkpoint warmed *)
-  ignore (Checkpoint.restore_delta_into_fit ~base d ~uarch env ctx : string list);
-  let inst = Registry.build ~uarch core_name config env [| ctx |] in
-  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
-  replay_measure ?progress ~inst ~stats ~env ~ctx ~schedule ~index ()
-
 (** What one master capture pass produced: the shared base image, one
     delta checkpoint per measured window, the whole-run totals, and the
     capture-cost accounting (delta vs full page payloads). This is what
     [optlsim capture] spills into a durable store (lib/store) and what
-    {!run_parallel} replays in-process. *)
+    {!Ptl_fleet.Fleet.run_parallel} replays in-process. *)
 type capture_run = {
   cr_base : Checkpoint.base;
   cr_deltas : Checkpoint.delta array;  (** by capture index *)
@@ -705,8 +729,8 @@ type resume_point = {
     microarchitectural components only — at the start of every
     warm-up+measure window. The windows themselves are advanced
     natively; replaying them timed is the workers' job ({!replay_delta},
-    in-process via {!run_parallel} or from a durable store via
-    lib/fleet). ROI gating as in {!run}.
+    in-process or from a durable store via lib/fleet). ROI gating as in
+    {!run}.
 
     [on_base] / [on_window] stream the base image and each delta as
     they are captured (journaling); [resume] restarts an interrupted
@@ -735,51 +759,10 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   let c_ff = Stats.counter stats "sample.ff_insns"
   and c_ckpt = Stats.counter stats "sample.checkpoints"
   and c_ckpt_pages = Stats.counter stats "sample.checkpoint_pages" in
-  let uarch =
-    match d.Domain.uarch with
-    | Some u -> u
-    | None ->
-      let u = Uarch.create ~prefix:d.Domain.core_name d.Domain.config stats in
-      Domain.set_uarch d u;
-      u
-  in
-  if not roi then d.Domain.sample_roi <- true;
-  (* entry totals read before any restore: a resumed pass rebuilds the
-     domain deterministically, so they equal the original pass's and
-     the final insn/cycle totals come out whole-run *)
-  let start_cycle = env.Env.cycle
-  and start_insns = ctx.Context.insns_committed in
-  let finished = ref false in
-  let out_of_budget () =
-    ctx.Context.insns_committed - start_insns >= max_insns
-    || env.Env.cycle - start_cycle >= max_cycles
-  in
-  let tick () =
-    drain_commands d;
-    if d.Domain.killed || out_of_budget () then begin
-      finished := true;
-      false
-    end
-    else if Domain.drive_once d then true
-    else begin
-      finished := true;
-      false
-    end
-  in
-  let drive_ff n =
-    Domain.enter_native d;
-    let remaining = ref n in
-    let last = ref ctx.Context.insns_committed in
-    while (not !finished) && (!remaining > 0 || (roi && not d.Domain.sample_roi))
-    do
-      if tick () then begin
-        let now = ctx.Context.insns_committed in
-        if d.Domain.sample_roi then remaining := !remaining - (now - !last);
-        last := now
-      end
-    done
-  in
-  let base =
+  let window_insns = schedule.warmup_insns + schedule.measure_insns in
+  let deltas = ref [] (* newest first; reversed below *) in
+  let delta_bytes = ref 0 and full_bytes = ref 0 in
+  let enter uarch =
     match resume with
     | None ->
       let b = Checkpoint.capture_base ~uarch env in
@@ -789,149 +772,58 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       Checkpoint.resume_delta ~base:rs.rs_base rs.rs_last ~uarch env ctx;
       rs.rs_base
   in
-  (* warming hooks install after any restore: their TLB-generation memo
-     must match the live context, or the first warmed access would
-     flush the restored TLB contents the original run kept *)
-  let reset_memos = install_warming d uarch in
-  let placer = make_placer placement schedule in
-  let window = schedule.warmup_insns + schedule.measure_insns in
-  let deltas = ref [] (* newest first; reversed below *) in
-  let delta_bytes = ref 0 and full_bytes = ref 0 in
-  let period_idx = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some rs ->
-    delta_bytes := rs.rs_delta_bytes;
-    full_bytes := rs.rs_full_bytes;
-    (* re-draw the placer prefix — stateful [Rand_offset] placers must
-       see every period in order — keeping the offset of the window we
-       restarted from *)
-    let last_off = ref schedule.ff_insns in
-    for i = 0 to rs.rs_count - 1 do
-      last_off := placer i
-    done;
-    period_idx := rs.rs_count;
-    (* the restored moment is the START of journaled window
-       [rs_count-1]: re-drive it (and its period's trailing
-       fast-forward) natively to reach the next period's entry state *)
-    let i_re = ctx.Context.insns_committed in
-    drive_ff window;
-    if (not !finished) && schedule.ff_insns - !last_off > 0 then
-      drive_ff (schedule.ff_insns - !last_off);
-    Stats.add c_ff (ctx.Context.insns_committed - i_re));
-  while not !finished do
-    let off = placer !period_idx in
-    incr period_idx;
-    let i_ff = ctx.Context.insns_committed in
-    drive_ff off;
-    Stats.add c_ff (ctx.Context.insns_committed - i_ff);
-    if not !finished then begin
-      let dk = Checkpoint.capture_delta ~base ~uarch env ctx in
-      let db = Checkpoint.delta_page_bytes dk
-      and fb = Checkpoint.full_page_bytes env in
-      deltas := dk :: !deltas;
-      delta_bytes := !delta_bytes + db;
-      full_bytes := !full_bytes + fb;
-      Stats.incr c_ckpt;
-      Stats.add c_ckpt_pages (Checkpoint.delta_pages dk);
-      on_window
-        {
-          w_index = !period_idx - 1;
-          w_delta = dk;
-          w_delta_bytes = db;
-          w_full_bytes = fb;
-        };
-      (* cold memos at the capture point, matching a resumed pass *)
-      reset_memos ();
-      (* advance natively through the window so the next period starts
-         from sequential state; the workers will re-execute it timed *)
-      drive_ff window
-    end;
-    if (not !finished) && schedule.ff_insns - off > 0 then begin
-      let i_tail = ctx.Context.insns_committed in
-      drive_ff (schedule.ff_insns - off);
-      Stats.add c_ff (ctx.Context.insns_committed - i_tail)
-    end
-  done;
-  remove_warming d;
-  Domain.enter_native d;
-  (match d.Domain.timelapse with
-  | Some tl -> Timelapse.finish tl ~cycle:env.Env.cycle
-  | None -> ());
+  let resume_at _ p placer =
+    match resume with
+    | None -> 0
+    | Some rs ->
+      delta_bytes := rs.rs_delta_bytes;
+      full_bytes := rs.rs_full_bytes;
+      (* re-draw the placer prefix — stateful [Rand_offset] placers must
+         see every period in order — keeping the offset of the window we
+         restarted from *)
+      let last_off = ref schedule.ff_insns in
+      for i = 0 to rs.rs_count - 1 do
+        last_off := placer i
+      done;
+      (* the restored moment is the START of journaled window
+         [rs_count-1]: re-drive it (and its period's trailing
+         fast-forward) natively to reach the next period's entry state *)
+      let i_re = ctx.Context.insns_committed in
+      p.drive_ff window_insns;
+      if p.live () && schedule.ff_insns - !last_off > 0 then
+        p.drive_ff (schedule.ff_insns - !last_off);
+      Stats.add c_ff (ctx.Context.insns_committed - i_re);
+      rs.rs_count
+  in
+  let window base p period =
+    let dk = Checkpoint.capture_delta ~base ~uarch:p.uarch env ctx in
+    let db = Checkpoint.delta_page_bytes dk
+    and fb = Checkpoint.full_page_bytes env in
+    deltas := dk :: !deltas;
+    delta_bytes := !delta_bytes + db;
+    full_bytes := !full_bytes + fb;
+    Stats.incr c_ckpt;
+    Stats.add c_ckpt_pages (Checkpoint.delta_pages dk);
+    on_window
+      { w_index = period; w_delta = dk; w_delta_bytes = db; w_full_bytes = fb };
+    (* cold memos at the capture point, matching a resumed pass *)
+    p.reset_memos ();
+    (* advance natively through the window so the next period starts
+       from sequential state; the workers will re-execute it timed *)
+    p.drive_ff window_insns
+  in
+  let base, insns, cycles =
+    drive_periods ~roi ~placement ~max_insns ~max_cycles ~schedule ~enter
+      ~resume:resume_at ~window d
+  in
   {
     cr_base = base;
     cr_deltas = Array.of_list (List.rev !deltas);
-    cr_insns = ctx.Context.insns_committed - start_insns;
-    cr_cycles = env.Env.cycle - start_cycle;
+    cr_insns = insns;
+    cr_cycles = cycles;
     cr_delta_bytes = !delta_bytes;
     cr_full_bytes = !full_bytes;
   }
-
-(** Replay every interval of a capture on [jobs] worker
-    {!Stdlib.Domain}s pulling indices from a shared {!Atomic} cursor,
-    each on fully private state ({!replay_delta}). The result array is
-    indexed by capture index, so it is bit-identical for any [jobs] and
-    any completion order; [jobs = 1] runs the same replay path inline. *)
-let replay_capture ~core_name ~config ~schedule ?(jobs = 1)
-    (cr : capture_run) =
-  if jobs < 1 then invalid_arg "Sample.replay_capture: jobs must be >= 1";
-  let n = Array.length cr.cr_deltas in
-  let results = Array.make n None in
-  let base = cr.cr_base in
-  let next = Atomic.make 0 in
-  (* Workers steal the next un-replayed interval; each writes only its
-     own cell of [results], published to the master by [Domain.join]. *)
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n then continue := false
-      else
-        results.(i) <-
-          replay_delta ~core_name ~config ~schedule ~index:i ~base
-            cr.cr_deltas.(i)
-    done
-  in
-  if jobs = 1 then worker ()
-  else begin
-    let doms =
-      Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Stdlib.Domain.join doms
-  end;
-  results
-
-(** Checkpoint-parallel sampled run: {!run_capture} followed by
-    {!replay_capture}, with results merged by capture index — the
-    merged report is bit-identical for any [jobs] value and any
-    completion order. Raises [Invalid_argument] for kernel-hosted
-    domains — see {!check_jobs}. *)
-let run_parallel ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
-    ?(max_cycles = max_int) ?(jobs = 1) ~schedule (d : Domain.t) =
-  if jobs < 1 then invalid_arg "Sample.run_parallel: jobs must be >= 1";
-  if d.Domain.kernel <> None then
-    invalid_arg
-      "Sample.run_parallel: kernel-hosted domains are not checkpointable";
-  let stats = d.Domain.env.Env.stats in
-  let c_intervals = Stats.counter stats "sample.intervals"
-  and c_meas_i = Stats.counter stats "sample.measured_insns"
-  and c_meas_c = Stats.counter stats "sample.measured_cycles" in
-  let cr = run_capture ~roi ~placement ~max_insns ~max_cycles ~schedule d in
-  let results =
-    replay_capture ~core_name:d.Domain.core_name ~config:d.Domain.config
-      ~schedule ~jobs cr
-  in
-  (* merge in capture order: independent of job count and completion
-     order, so the report is bit-identical across --sample-jobs *)
-  let intervals = Array.to_list results |> List.filter_map Fun.id in
-  List.iter
-    (fun iv ->
-      Stats.incr c_intervals;
-      Stats.add c_meas_i iv.iv_insns;
-      Stats.add c_meas_c iv.iv_cycles)
-    intervals;
-  aggregate ~total_insns:cr.cr_insns ~total_cycles:cr.cr_cycles intervals
 
 (* ---------------------------------------------------------------- *)
 (* Reporting                                                         *)

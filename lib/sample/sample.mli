@@ -144,38 +144,20 @@ val check_jobs :
   unit ->
   (unit, string) Stdlib.result
 
-(** Replay one measured interval from a full checkpoint on completely
-    private state (fresh memory, context, {!Ptl_ooo.Uarch} and stats
-    tree) — safe to run on any {!Stdlib.Domain}; a pure function of the
+(** Replay one measured interval from a delta checkpoint on completely
+    private state: private memory is a copy-on-write clone of the shared
+    base image overlaid with the interval's dirty pages, and a fresh
+    context, {!Ptl_ooo.Uarch} and stats tree restore from base + changed
+    components (geometry-tolerant, so sweep legs may change [config]).
+    Safe to run on any {!Stdlib.Domain}; a pure function of the
     checkpoint and schedule. [None] if the guest halts before committing
-    a measured instruction. Exposed for tests; {!run_parallel} is the
-    driver.
+    a measured instruction.
 
-    [progress] (both replay builders) is invoked every ~2k pipeline
-    steps — a liveness hook fleet workers heartbeat from; it must not
-    touch simulator state. [wrap] interposes on the freshly built core
-    instance before it drives (e.g. a {!Ptl_guard} supervisor), turning
-    mid-replay invariant breaches into typed failures. *)
-val replay_interval :
-  ?progress:(unit -> unit) ->
-  ?wrap:
-    (env:Ptl_arch.Env.t ->
-    ctx:Ptl_arch.Context.t ->
-    Ptl_ooo.Registry.instance ->
-    Ptl_ooo.Registry.instance) ->
-  core_name:string ->
-  config:Ptl_ooo.Config.t ->
-  schedule:schedule ->
-  index:int ->
-  Ptl_hyper.Checkpoint.full ->
-  interval option
-
-(** Replay one measured interval from a delta checkpoint: private
-    memory is a copy-on-write clone of the shared base image overlaid
-    with the interval's dirty pages, the private {!Ptl_ooo.Uarch}
-    restores from base + changed components. Restored state — and so
-    the interval record — is identical to a full-checkpoint replay of
-    the same moment. *)
+    [progress] is invoked every ~2k pipeline steps — a liveness hook
+    fleet workers heartbeat from; it must not touch simulator state.
+    [wrap] interposes on the freshly built core instance before it
+    drives (e.g. a {!Ptl_guard} supervisor), turning mid-replay
+    invariant breaches into typed failures. *)
 val replay_delta :
   ?progress:(unit -> unit) ->
   ?wrap:
@@ -193,7 +175,9 @@ val replay_delta :
 
 (** One master capture pass: shared base image, one delta checkpoint
     per measured window (by capture index), whole-run totals, and the
-    capture-cost accounting (delta vs full page payloads). *)
+    capture-cost accounting (delta vs full-image page payloads). What
+    [optlsim capture] spills into a store and {!Ptl_fleet.Fleet.run_parallel}
+    replays in-process. *)
 type capture_run = {
   cr_base : Ptl_hyper.Checkpoint.base;
   cr_deltas : Ptl_hyper.Checkpoint.delta array;
@@ -247,35 +231,6 @@ val run_capture :
   schedule:schedule ->
   Ptl_hyper.Domain.t ->
   capture_run
-
-(** Replay every captured interval on [jobs] worker {!Stdlib.Domain}s
-    (default 1 = inline), returning results by capture index —
-    bit-identical for any [jobs] and completion order. *)
-val replay_capture :
-  core_name:string ->
-  config:Ptl_ooo.Config.t ->
-  schedule:schedule ->
-  ?jobs:int ->
-  capture_run ->
-  interval option array
-
-(** Checkpoint-parallel sampled run: one native master pass (functional
-    warming throughout) captures a {!Ptl_hyper.Checkpoint.full} at the
-    start of every warm-up+measure window; [jobs] worker
-    {!Stdlib.Domain}s then replay the intervals on private state and the
-    results merge by capture index. The merged report is bit-identical
-    for any [jobs] value and any completion order ([jobs = 1] runs the
-    same replay path inline). Raises [Invalid_argument] on
-    kernel-hosted domains — see {!check_jobs}. *)
-val run_parallel :
-  ?roi:bool ->
-  ?placement:placement ->
-  ?max_insns:int ->
-  ?max_cycles:int ->
-  ?jobs:int ->
-  schedule:schedule ->
-  Ptl_hyper.Domain.t ->
-  result
 
 (** Per-interval table plus the aggregate estimate (the [--sample]
     end-of-run report). *)

@@ -164,7 +164,7 @@ let test_flipped_record_quarantined () =
       (List.map fst rp.Fleet.rp_quarantined);
     Alcotest.(check int) "survivors replayed" (count - 1) rp.Fleet.rp_replayed;
     Alcotest.(check bool) "degraded result covers exactly the survivors" true
-      (rp.Fleet.rp_result = Test_fleet.degraded_expected cr ivs ~poison:0)
+      (rp.Fleet.rp_result = Test_fleet.degraded_expected cr ivs ~poison:[ 0 ])
 
 let suite =
   [

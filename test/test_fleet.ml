@@ -9,6 +9,11 @@ module Store = Ptl_store.Store
 module Fleet = Ptl_fleet.Fleet
 module Lq = Ptl_fleet.Lease_queue
 module Config = Ptl_ooo.Config
+module Context = Ptl_arch.Context
+module Checkpoint = Ptl_hyper.Checkpoint
+module Registry = Ptl_ooo.Registry
+module Sim_failure = Ptl_ooo.Sim_failure
+module Chaos = Ptl_chaos.Chaos
 
 (* ---- lease queue ---- *)
 
@@ -142,13 +147,18 @@ let fresh_paths name =
   (dir, dir ^ ".sock")
 
 (* one shared capture for the end-to-end tests (the capture pass is the
-   expensive part; stores built from it are cheap) *)
+   expensive part; stores built from it are cheap), with every interval
+   replayed one by one — the referee the pooled paths must match *)
 let captured =
   lazy
     (let d, _ = Test_checkpoint.bare_loop ~iters:20_000 () in
      let cr = Sample.run_capture ~schedule d in
      let ivs =
-       Sample.replay_capture ~core_name:"ooo" ~config:Config.tiny ~schedule cr
+       Array.mapi
+         (fun index dk ->
+           Sample.replay_delta ~core_name:"ooo" ~config:Config.tiny ~schedule
+             ~index ~base:cr.Sample.cr_base dk)
+         cr.Sample.cr_deltas
      in
      let expected =
        Sample.aggregate ~total_insns:cr.Sample.cr_insns
@@ -345,18 +355,19 @@ let corrupt_interval store index =
   ignore (Unix.write fd (Bytes.make 1 '\000') 0 1);
   Unix.close fd
 
+(* the merged result once the [poison] indices are quarantined *)
 let degraded_expected cr ivs ~poison =
   Sample.aggregate ~total_insns:cr.Sample.cr_insns
     ~total_cycles:cr.Sample.cr_cycles
     (Array.to_list ivs
-    |> List.filteri (fun i _ -> i <> poison)
+    |> List.filteri (fun i _ -> not (List.mem i poison))
     |> List.filter_map Fun.id)
 
 let test_poison_interval_quarantine () =
   let cr, ivs, expected = Lazy.force captured in
   let count = Array.length cr.Sample.cr_deltas in
   let poison = 1 in
-  let survivors = degraded_expected cr ivs ~poison in
+  let survivors = degraded_expected cr ivs ~poison:[ poison ] in
   Alcotest.(check bool) "poison actually contributes" true
     (survivors <> expected);
   (* in-process replay: one attempt, quarantined, run completes *)
@@ -419,6 +430,102 @@ let test_poison_interval_quarantine () =
   Alcotest.(check bool) "report names the quarantined interval" true
     (contains text "interval 1")
 
+let contains = Test_checkpoint.contains
+
+(* the committed-instruction count interval [index]'s checkpoint starts
+   at; a wrap runs right after the restore, so this names the interval *)
+let start_of cr index =
+  cr.Sample.cr_deltas.(index).Checkpoint.dk_ctx.Context.insns_committed
+
+(* a wrap that raises [exn ()] where [fires ctx] holds, and counts every
+   pipeline step it lets through *)
+let planted_wrap ~fires ~exn ~steps ~env:_ ~ctx (inst : Registry.instance) =
+  if fires ctx then raise (exn ());
+  {
+    inst with
+    Registry.step =
+      (fun () ->
+        Atomic.incr steps;
+        inst.Registry.step ());
+  }
+
+(* the replay pool: a record that will not load and a replay that raises
+   a Sim_failure are both quarantined with their diagnostics, the
+   survivors merge identically for 1 and 4 jobs, and Chaos.Killed is
+   not quarantined but propagates — only once every worker domain is
+   joined, so nothing is still stepping when the caller sees it *)
+let test_replay_pool_quarantine () =
+  let cr, ivs, _ = Lazy.force captured in
+  let count = Array.length cr.Sample.cr_deltas in
+  let unloadable = 1 and failing = 3 in
+  let survivors = degraded_expected cr ivs ~poison:[ unloadable; failing ] in
+  let sim_failure () =
+    Sim_failure.Sim_failure
+      (Sim_failure.make ~subsystem:"test.planted" ~kind:Sim_failure.Invariant
+         ~cycle:0 ~rip:0L "planted replay failure")
+  in
+  let run jobs =
+    (* same directory for both runs: diagnostics name the record path *)
+    let dir, _ = fresh_paths "fleet_pool" in
+    let store = make_store ~dir cr in
+    corrupt_interval store unloadable;
+    let wrap =
+      planted_wrap ~exn:sim_failure ~steps:(Atomic.make 0) ~fires:(fun ctx ->
+          ctx.Context.insns_committed = start_of cr failing)
+    in
+    match Fleet.replay ~jobs ~wrap store with
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+    | Ok rp ->
+      (match rp.Fleet.rp_quarantined with
+      | [ (i, [ load_diag ]); (j, [ sim_diag ]) ] ->
+        Alcotest.(check (pair int int)) "both planted failures quarantined"
+          (unloadable, failing) (i, j);
+        Alcotest.(check bool) "load diagnostic names the corruption" true
+          (contains load_diag "checksum");
+        Alcotest.(check bool) "replay diagnostic carries the Sim_failure" true
+          (contains sim_diag "test.planted"
+          && contains sim_diag "planted replay failure")
+      | q ->
+        Alcotest.fail
+          (Printf.sprintf "expected two quarantined intervals, got %d"
+             (List.length q)));
+      Alcotest.(check int) "survivors replayed" (count - 2)
+        rp.Fleet.rp_replayed;
+      Alcotest.(check bool) "survivors merge to the degraded referee" true
+        (rp.Fleet.rp_result = survivors);
+      let tmp = Filename.temp_file "optlsim_pool" ".txt" in
+      let oc = open_out_bin tmp in
+      Sample.report_degraded oc ~count ~quarantined:rp.Fleet.rp_quarantined
+        rp.Fleet.rp_result;
+      close_out oc;
+      let ic = open_in_bin tmp in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove tmp;
+      text
+  in
+  Alcotest.(check string) "degraded report identical for 1 and 4 jobs" (run 1)
+    (run 4);
+  (* a kill is the process dying, not a poison interval. It fires on the
+     calling domain once the pool is busy, while the spawned workers are
+     mid-interval: they must all be joined before the kill surfaces *)
+  let dir, _ = fresh_paths "fleet_pool_kill" in
+  let store = make_store ~dir cr in
+  let steps = Atomic.make 0 in
+  let killed () = Chaos.Killed "test.planted" in
+  let wrap =
+    planted_wrap ~exn:killed ~steps ~fires:(fun ctx ->
+        Stdlib.Domain.is_main_domain ()
+        && ctx.Context.insns_committed >= start_of cr 4)
+  in
+  (match Fleet.replay ~jobs:4 ~wrap store with
+  | _ -> Alcotest.fail "Chaos.Killed was swallowed by the replay pool"
+  | exception Chaos.Killed _ -> ());
+  let seen = Atomic.get steps in
+  Unix.sleepf 0.2;
+  Alcotest.(check int) "no worker still stepping after the kill surfaced" seen
+    (Atomic.get steps)
+
 let suite =
   [
     Alcotest.test_case "lease queue basics" `Quick test_lease_queue_basics;
@@ -436,4 +543,6 @@ let suite =
       test_worker_reconnects_after_restart;
     Alcotest.test_case "poison interval quarantined in bounded retries"
       `Quick test_poison_interval_quarantine;
+    Alcotest.test_case "replay pool quarantines, propagates kills" `Quick
+      test_replay_pool_quarantine;
   ]

@@ -4,6 +4,7 @@
    run, CPI accuracy and ptlcall-driven regions of interest. *)
 
 module Sample = Ptl_sample.Sample
+module Fleet = Ptl_fleet.Fleet
 module S = Ptl_stats.Statstree
 module Trace = Ptl_trace.Trace
 module Uarch = Ptl_ooo.Uarch
@@ -353,8 +354,8 @@ let test_check_jobs () =
   let d, _, _ = loop_domain ~iters:100 () in
   Alcotest.check_raises "run_parallel rejects kernel domains"
     (Invalid_argument
-       "Sample.run_parallel: kernel-hosted domains are not checkpointable")
-    (fun () -> ignore (Sample.run_parallel ~schedule:small_schedule d))
+       "Sample.run_capture: kernel-hosted domains are not checkpointable")
+    (fun () -> ignore (Fleet.run_parallel ~schedule:small_schedule d))
 
 let render_report r =
   let path = Filename.temp_file "optlsim_sample" ".txt" in
@@ -369,9 +370,11 @@ let render_report r =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic)))
 
-(* serial ≡ parallel: 1 worker vs 4 workers over the same checkpoints
-   must produce byte-identical per-interval snapshot pairs, aggregates
-   and rendered reports, regardless of scheduling and completion order *)
+(* --sample-jobs 1 ≡ --sample-jobs 4: 1 worker vs 4 workers over the
+   same checkpoints must produce byte-identical per-interval snapshot
+   pairs, aggregates and rendered reports, regardless of scheduling and
+   completion order. (The serial supervisor is not a referee here: it
+   times the windows in-line, so its intervals can differ.) *)
 let test_parallel_equivalence () =
   let schedule =
     { Sample.ff_insns = 6_000; warmup_insns = 800; measure_insns = 1_200 }
@@ -379,7 +382,10 @@ let test_parallel_equivalence () =
   let placement = Sample.Rand_offset (Test_seed.seed + 11) in
   let run jobs =
     let d, _ = Test_checkpoint.bare_loop ~iters:20_000 () in
-    Sample.run_parallel ~placement ~jobs ~schedule d
+    let rp = Fleet.run_parallel ~placement ~jobs ~schedule d in
+    Alcotest.(check bool) "nothing quarantined" true
+      (rp.Fleet.rp_quarantined = []);
+    rp.Fleet.rp_result
   in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool) "several intervals" true
@@ -454,7 +460,8 @@ let test_placement_antialias () =
         measure_insns = 40;
       }
     in
-    let r = Sample.run_parallel ~placement ~jobs:1 ~schedule d in
+    let rp = Fleet.run_parallel ~placement ~jobs:1 ~schedule d in
+    let r = rp.Fleet.rp_result in
     Alcotest.(check bool) "intervals measured" true (r.Sample.intervals <> []);
     r.Sample.cpi
   in
@@ -508,7 +515,7 @@ let suite =
     Alcotest.test_case "placement parse" `Quick test_placement_parse;
     Alcotest.test_case "placement offsets" `Quick test_placement_offsets;
     Alcotest.test_case "jobs validation" `Quick test_check_jobs;
-    Alcotest.test_case "serial = parallel (1 vs 4 jobs)" `Quick
+    Alcotest.test_case "jobs=1 vs jobs=4 byte-identical" `Quick
       test_parallel_equivalence;
     Alcotest.test_case "delta capture footprint" `Quick
       test_capture_delta_footprint;
