@@ -3,12 +3,59 @@
    and machine configuration, with PTLsim-style command lists.
 
      optlsim rsync --core ooo --machine k8 --files 24
-     optlsim compute --commands "-core ooo -run -stopinsns 100k : -native"
-     optlsim stats   # list core models and machine configs *)
+     optlsim compute --commands="-core ooo -run -stopinsns 100k : -native"
+     optlsim stats   # list core models and machine configs
+
+   One grammar: each subcommand's term composes only the flags it
+   honours, so cmdliner refuses every other flag by construction. Each
+   single-flag constraint is a converter on its Arg; the few cross-flag
+   rules are checked with Term.ret in the term that owns them. Either
+   way a bad command line is a usage error (exit 1) before any machine
+   is built, and the run functions receive checked, typed values. *)
 
 open Ptlsim
 open Cmdliner
 module Trace = Ptl_trace.Trace
+
+(* ---------- argument converters ---------- *)
+
+(* A converter from a partial parser; [expected] words the usage error. *)
+let conv_of ~expected parse print =
+  Arg.conv'
+    ( (fun s ->
+        match parse s with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "invalid value '%s', expected %s" s expected)),
+      print )
+
+let int_where ~expected ok =
+  conv_of ~expected
+    (fun s -> Option.bind (int_of_string_opt s) (fun n -> if ok n then Some n else None))
+    Format.pp_print_int
+
+let nat = int_where ~expected:"an integer >= 0" (fun n -> n >= 0)
+let pos_int = int_where ~expected:"an integer >= 1" (fun n -> n >= 1)
+
+(* A worker count; 0 = one per recommended host core, resolved here. *)
+let jobs_conv =
+  conv_of ~expected:"a worker count >= 1, or 0 for one per host core"
+    (fun s ->
+      match int_of_string_opt s with
+      | Some 0 -> Some (Stdlib.Domain.recommended_domain_count ())
+      | Some n when n > 0 -> Some n
+      | _ -> None)
+    Format.pp_print_int
+
+(* A comma-separated class list; the owning library raises on unknown names. *)
+let classes_conv parse name =
+  Arg.conv'
+    ( (fun s -> try Ok (parse s) with Invalid_argument msg -> Error msg),
+      fun ppf cs -> Format.pp_print_string ppf (String.concat "," (List.map name cs)) )
+
+(* A cross-flag rule's verdict: an [Error] is a usage error (exit 1). *)
+let checked = function Ok v -> `Ok v | Error msg -> `Error (false, msg)
+
+let ( let* ) = Result.bind
 
 (* ---------- pipeline event tracing (--trace family) ---------- *)
 
@@ -16,35 +63,52 @@ type trace_opts = {
   t_on : bool;
   t_start : int option;  (* begin capture at this cycle *)
   t_stop : int option;  (* end of the capture window *)
-  t_rip : string;  (* restrict to one instruction address, "" = all *)
-  t_filter : string;  (* comma-separated event classes, "" = all *)
+  t_rip : int64 option;  (* restrict to one instruction address *)
+  t_classes : Trace.cls list;  (* event classes to capture *)
   t_buf : int;  (* ring capacity in events *)
-  t_trigger : string;  (* immediate | cycle:N | mispredict *)
-  t_out : string list;  (* sink specs: [format:]path *)
-  t_stream : string;  (* incremental sink spec, "" = none *)
+  t_trigger : Trace.trigger option;  (* None = immediate *)
+  t_out : (string * string) list;  (* sinks: format, path *)
+  t_stream : (string * string) option;  (* incremental sink *)
   t_timeline : int;  (* per-uop timeline rows to print, 0 = off *)
 }
 
 let trace_requested o =
-  o.t_on || o.t_out <> [] || o.t_stream <> "" || o.t_timeline > 0
+  o.t_on || o.t_out <> [] || o.t_stream <> None || o.t_timeline > 0
 
 (* A sink spec is [format:]path; the format defaults from the extension
    (.json -> chrome, .csv -> csv, else text). path "-" is stdout. *)
-let parse_sink spec =
-  match String.index_opt spec ':' with
-  | Some i ->
-    let f = String.sub spec 0 i in
-    let p = String.sub spec (i + 1) (String.length spec - i - 1) in
-    (match f with
-    | "text" | "chrome" | "csv" -> (f, p)
-    | _ -> failwith ("unknown trace sink format in " ^ spec))
-  | None ->
-    let f =
-      if Filename.check_suffix spec ".json" then "chrome"
-      else if Filename.check_suffix spec ".csv" then "csv"
-      else "text"
+let sink_conv =
+  let parse spec =
+    let format, path =
+      match String.index_opt spec ':' with
+      | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+      | None when Filename.check_suffix spec ".json" -> ("chrome", spec)
+      | None when Filename.check_suffix spec ".csv" -> ("csv", spec)
+      | None -> ("text", spec)
     in
-    (f, spec)
+    if List.mem format [ "text"; "chrome"; "csv" ] then Ok (format, path)
+    else Error (Printf.sprintf "unknown sink format %S (expected text, chrome or csv)" format)
+  in
+  Arg.conv' (parse, fun ppf (f, p) -> Format.fprintf ppf "%s:%s" f p)
+
+let trigger_conv =
+  let cycle s = Option.bind (int_of_string_opt s) (fun n -> if n >= 0 then Some n else None) in
+  conv_of ~expected:"immediate, cycle:N, mispredict or sample"
+    (fun s ->
+      match String.lowercase_ascii s with
+      | "immediate" -> Some None
+      | "mispredict" -> Some (Some Trace.On_mispredict)
+      | "sample" -> Some (Some Trace.On_sample)
+      | s when String.starts_with ~prefix:"cycle:" s ->
+        Option.map
+          (fun n -> Some (Trace.At_cycle n))
+          (cycle (String.sub s 6 (String.length s - 6)))
+      | _ -> None)
+    (fun ppf -> function
+      | None | Some Trace.Immediate -> Format.pp_print_string ppf "immediate"
+      | Some Trace.On_mispredict -> Format.pp_print_string ppf "mispredict"
+      | Some Trace.On_sample -> Format.pp_print_string ppf "sample"
+      | Some (Trace.At_cycle n) -> Format.fprintf ppf "cycle:%d" n)
 
 (* the channel behind --trace-stream, owned here; the trace module only
    borrows it while the streaming sink is attached *)
@@ -52,45 +116,26 @@ let stream_channel : (string * out_channel) option ref = ref None
 
 let setup_trace o =
   if trace_requested o then begin
-    (* reject bad sink specs before burning cycles on the simulation *)
-    List.iter (fun s -> ignore (parse_sink s)) o.t_out;
-    let trigger =
-      match String.lowercase_ascii o.t_trigger with
-      | "" | "immediate" -> None
-      | "mispredict" -> Some Trace.On_mispredict
-      | "sample" -> Some Trace.On_sample
-      | s when String.length s > 6 && String.sub s 0 6 = "cycle:" ->
-        Some
-          (Trace.At_cycle
-             (int_of_string (String.sub s 6 (String.length s - 6))))
-      | other -> failwith ("unknown --trace-trigger: " ^ other)
-    in
     Trace.configure ~capacity:o.t_buf ?start_cycle:o.t_start
-      ?stop_cycle:o.t_stop
-      ?rip:(if o.t_rip = "" then None else Some (Int64.of_string o.t_rip))
-      ~classes:(Trace.parse_classes o.t_filter)
-      ?trigger ();
-    if o.t_stream <> "" then begin
-      let format, path = parse_sink o.t_stream in
-      let fmt =
-        match Trace.stream_format_of_name format with
-        | Some f -> f
-        | None -> failwith ("unknown trace stream format in " ^ o.t_stream)
-      in
-      let oc = if path = "-" then stdout else open_out path in
-      (* the sink's finalizer owns channel teardown so every exit path —
-         including the Sim_failure unwind — leaves a complete file *)
-      Trace.stream_to
-        ~on_stop:(fun () ->
-          if path <> "-" then close_out oc else flush oc;
-          stream_channel := None)
-        fmt oc;
-      stream_channel := Some (path, oc)
-    end
+      ?stop_cycle:o.t_stop ?rip:o.t_rip ~classes:o.t_classes ?trigger:o.t_trigger
+      ();
+    Option.iter
+      (fun (format, path) ->
+        let oc = if path = "-" then stdout else open_out path in
+        (* the sink's finalizer owns channel teardown so every exit path —
+           including the Sim_failure unwind — leaves a complete file *)
+        Trace.stream_to
+          ~on_stop:(fun () ->
+            if path <> "-" then close_out oc else flush oc;
+            stream_channel := None)
+          (* every sink format streams *)
+          (Option.get (Trace.stream_format_of_name format))
+          oc;
+        stream_channel := Some (path, oc))
+      o.t_stream
   end
 
-let write_sink spec =
-  let format, path = parse_sink spec in
+let write_sink (format, path) =
   let oc = if path = "-" then stdout else open_out path in
   (match format with
   | "text" -> Trace.dump_text oc
@@ -115,10 +160,8 @@ let finish_trace o stats =
        trace must agree with the counter tree. A restricted capture
        (window, trigger, rip or class filter) can never match, so skip. *)
     let unrestricted =
-      o.t_start = None && o.t_stop = None && o.t_rip = "" && o.t_filter = ""
-      && (match String.lowercase_ascii o.t_trigger with
-         | "" | "immediate" -> true
-         | _ -> false)
+      o.t_start = None && o.t_stop = None && o.t_rip = None
+      && o.t_classes = Trace.all_classes && o.t_trigger = None
     in
     let counter = Statstree.get stats "ooo.commit.insns" in
     let commits = Trace.commits ~tag:"ooo" () in
@@ -135,6 +178,21 @@ let finish_trace o stats =
     Trace.disable ()
   end
 
+let trace_filter_arg =
+  Arg.(
+    value
+    & opt (classes_conv Trace.parse_classes Trace.class_name) Trace.all_classes
+    & info [ "trace-filter" ] ~docv:"CLASSES" ~absent:"all"
+        ~doc:
+          "Comma-separated event classes to capture: pipe, commit, cache, \
+           tlb, bb, bpred. Default: all.")
+
+let trace_buf_arg default =
+  Arg.(
+    value & opt pos_int default
+    & info [ "trace-buf" ] ~docv:"EVENTS"
+        ~doc:"Ring buffer capacity; older events are overwritten when full.")
+
 let trace_term =
   let flag_on =
     Arg.(value & flag & info [ "trace" ] ~doc:"Enable pipeline event tracing.")
@@ -142,40 +200,30 @@ let trace_term =
   let start =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some nat) None
       & info [ "trace-start" ] ~docv:"CYCLE"
           ~doc:"Start capturing at the given cycle (PTLsim -startlog).")
   in
   let stop =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some nat) None
       & info [ "trace-stop" ] ~docv:"CYCLE" ~doc:"Stop capturing at the given cycle.")
   in
   let rip =
     Arg.(
-      value & opt string ""
+      value
+      & opt
+          (some
+             (conv_of ~expected:"an instruction address such as 0x401000"
+                Int64.of_string_opt (fun ppf -> Format.fprintf ppf "0x%Lx")))
+          None
       & info [ "trace-rip" ] ~docv:"RIP"
           ~doc:"Only capture events for this instruction address (e.g. 0x401000).")
   in
-  let filter =
-    Arg.(
-      value & opt string ""
-      & info [ "trace-filter" ] ~docv:"CLASSES"
-          ~doc:
-            "Comma-separated event classes to capture: pipe, commit, cache, \
-             tlb, bb, bpred. Default: all.")
-  in
-  let buf =
-    Arg.(
-      value
-      & opt int (1 lsl 20)
-      & info [ "trace-buf" ] ~docv:"EVENTS"
-          ~doc:"Ring buffer capacity; older events are overwritten when full.")
-  in
   let trigger =
     Arg.(
-      value & opt string ""
+      value & opt trigger_conv None
       & info [ "trace-trigger" ] ~docv:"WHEN"
           ~doc:
             "When capture begins: immediate (default), cycle:N, mispredict, \
@@ -183,7 +231,7 @@ let trace_term =
   in
   let out =
     Arg.(
-      value & opt_all string []
+      value & opt_all sink_conv []
       & info [ "trace-out" ] ~docv:"[FMT:]PATH"
           ~doc:
             "Write the captured window to a sink: text:PATH, chrome:PATH \
@@ -192,7 +240,8 @@ let trace_term =
   in
   let stream =
     Arg.(
-      value & opt string ""
+      value
+      & opt (some sink_conv) None
       & info [ "trace-stream" ] ~docv:"[FMT:]PATH"
           ~doc:
             "Also write every accepted event to PATH incrementally during \
@@ -203,35 +252,24 @@ let trace_term =
   let timeline =
     Arg.(
       value
-      & opt int 0 ~vopt:40
+      & opt nat 0 ~vopt:40
       & info [ "trace-timeline" ] ~docv:"ROWS"
           ~doc:"Print per-uop stage-by-stage timelines for up to ROWS uops.")
   in
-  let mk t_on t_start t_stop t_rip t_filter t_buf t_trigger t_out t_stream
+  let mk t_on t_start t_stop t_rip t_classes t_buf t_trigger t_out t_stream
       t_timeline =
-    {
-      t_on;
-      t_start;
-      t_stop;
-      t_rip;
-      t_filter;
-      t_buf;
-      t_trigger;
-      t_out;
-      t_stream;
-      t_timeline;
-    }
+    { t_on; t_start; t_stop; t_rip; t_classes; t_buf; t_trigger; t_out;
+      t_stream; t_timeline }
   in
   Term.(
-    const mk $ flag_on $ start $ stop $ rip $ filter $ buf $ trigger $ out
-    $ stream $ timeline)
+    const mk $ flag_on $ start $ stop $ rip $ trace_filter_arg
+    $ trace_buf_arg (1 lsl 20) $ trigger $ out $ stream $ timeline)
 
 (* ---------- guard rails (--guard family) ---------- *)
 
 (* Exit code for a simulator self-check failure (watchdog lockup or
-   structural invariant violation): distinct from flag errors (1, or
-   124 from cmdliner) and fuzz divergences (2). See README "Guard
-   rails". *)
+   structural invariant violation): distinct from usage errors (1) and
+   fuzz divergences (2). See README "Guard rails". *)
 let exit_sim_failure = 3
 
 (* Exit code for a degraded replay result (serve, replay, sweep,
@@ -240,32 +278,22 @@ let exit_sim_failure = 3
    surviving intervals only. See README "Failure modes & recovery". *)
 let exit_degraded = 4
 
-type guard_opts = {
-  g_on : bool;
-  g_interval : int;  (* invariant sweep every N core steps *)
-  g_checkpoint_every : int;  (* cycles between snapshots, 0 = start only *)
-  g_degrade : bool;  (* roll back + finish on the seq core on failure *)
-  g_strict_tlb : bool;  (* TLB/PWC vs pagetable agreement (vm family) *)
-}
-
-let guard_requested g = g.g_on || g.g_degrade || g.g_strict_tlb
-
-let guard_config g =
-  {
-    Guard.interval = max 1 g.g_interval;
-    checkpoint_every = g.g_checkpoint_every;
-    degrade = g.g_degrade;
-    strict_tlb = g.g_strict_tlb;
-  }
-
 (* Install the guard supervisor on every core instance the domain
    builds (mode switches rebuild the core, so the wrap must be a
    standing decorator rather than a one-shot). *)
-let install_guard g d =
-  if guard_requested g then
-    Domain.set_instance_wrap d (fun inst ->
-        Guard.wrap ~config:(guard_config g) ~env:d.Domain.env
-          ~ctx:d.Domain.ctx inst)
+let install_guard guard d =
+  Option.iter
+    (fun config ->
+      Domain.set_instance_wrap d (fun inst ->
+          Guard.wrap ~config ~env:d.Domain.env ~ctx:d.Domain.ctx inst))
+    guard
+
+(* Per-interval guard wrapping for fleet replays: every worker wraps
+   its private core instance, so a tripped invariant surfaces as a
+   typed Sim_failure (quarantine + degraded report) instead of
+   corrupting the merged estimates. *)
+let replay_wrap guard =
+  Option.map (fun config ~env ~ctx inst -> Guard.wrap ~config ~env ~ctx inst) guard
 
 (* Contain a simulator self-check failure at the driver: render the
    diagnostic bundle once, exit with the documented code. Without this
@@ -286,7 +314,12 @@ let catch_sim_failure f =
       fail.Sim_failure.subsystem exit_sim_failure;
     exit exit_sim_failure
 
-let guard_term =
+(* The --guard family as a supervisor config, None = unguarded.
+   [degrade] says whether the subcommand honours --guard-degrade: only
+   live runs do — fuzzing would make the model its own reference, and
+   a replayed interval degraded to the sequential core would silently
+   change its measurements (quarantine is the containment path). *)
+let guard_term ~degrade =
   let flag_on =
     Arg.(
       value & flag
@@ -300,20 +333,20 @@ let guard_term =
   in
   let interval =
     Arg.(
-      value & opt int 64
+      value & opt pos_int 64
       & info [ "guard-interval" ] ~docv:"STEPS"
           ~doc:"Run the invariant sweep every STEPS core steps (default 64).")
   in
   let checkpoint_every =
     Arg.(
       value
-      & opt int 1_000_000
+      & opt nat 1_000_000
       & info [ "guard-checkpoint-every" ] ~docv:"CYCLES"
           ~doc:
             "Cycles between rollback checkpoints (default 1000000); 0 \
              takes one checkpoint at simulation start only.")
   in
-  let degrade =
+  let degrade_arg =
     Arg.(
       value & flag
       & info [ "guard-degrade" ]
@@ -334,60 +367,53 @@ let guard_term =
              bugs; expensive, so it runs on a longer stride (implies \
              $(b,--guard)).")
   in
-  let mk g_on g_interval g_checkpoint_every g_degrade g_strict_tlb =
-    { g_on; g_interval; g_checkpoint_every; g_degrade; g_strict_tlb }
+  let mk on interval checkpoint_every degrade strict_tlb =
+    if on || degrade || strict_tlb then
+      Some { Guard.interval; checkpoint_every; degrade; strict_tlb }
+    else None
   in
   Term.(
-    const mk $ flag_on $ interval $ checkpoint_every $ degrade $ strict_tlb)
+    const mk $ flag_on $ interval $ checkpoint_every
+    $ (if degrade then degrade_arg else const false)
+    $ strict_tlb)
 
 (* ---------- sampled simulation (--sample family) ---------- *)
 
-type sample_opts = {
-  s_on : bool;
+type sample_flags = {
+  s_requested : bool;  (* any flag that implies --sample was given *)
   s_period : int option;  (* instructions per ff+warmup+measure period *)
   s_ff : int option;  (* explicit fast-forward length (excludes period) *)
   s_warmup : int;
   s_measure : int;
-  s_roi : bool;  (* gate on the guest's -startsample/-stopsample region *)
-  s_jobs : int option;  (* checkpoint-parallel workers; None = serial *)
-  s_offset : string;  (* interval placement: fixed | rand:SEED | stratified *)
+  s_roi : bool;
+  s_jobs : int option;
+  s_offset : Sample.placement option;
 }
 
-let sample_requested s =
-  s.s_on || s.s_period <> None || s.s_ff <> None || s.s_roi
-  || s.s_jobs <> None || s.s_offset <> ""
+(* A checked sampling plan. *)
+type sampling = {
+  schedule : Sample.schedule;
+  placement : Sample.placement;
+  roi : bool;  (* gate on the guest's -startsample/-stopsample region *)
+  jobs : int option;  (* checkpoint-parallel workers; None = serial *)
+}
 
-(* Validate the --sample flag combination against the rest of the
-   command line and derive the schedule + interval placement;
-   None = not sampling. *)
-let sample_schedule sample_opts guard_opts ~core ~commands =
-  if not (sample_requested sample_opts) then None
-  else begin
-    if commands <> "-run" then begin
-      prerr_endline
-        "optlsim: --sample-* cannot be combined with --commands: the \
-         sampling supervisor owns the run schedule (use --sample-roi with \
-         guest -startsample/-stopsample ptlcalls to scope it)";
-      exit 1
-    end;
-    let placement =
-      match Sample.parse_placement sample_opts.s_offset with
-      | Ok p -> p
-      | Error msg ->
-        prerr_endline ("optlsim: " ^ msg);
-        exit 1
-    in
-    match
-      Sample.check_flags ~core ~ff:sample_opts.s_ff
-        ~period:sample_opts.s_period ~warmup:sample_opts.s_warmup
-        ~measure:sample_opts.s_measure ~guard_degrade:guard_opts.g_degrade
-        ~fuzz:false ()
-    with
-    | Error msg ->
-      prerr_endline ("optlsim: " ^ msg);
-      exit 1
-    | Ok schedule -> Some (schedule, placement)
-  end
+(* The rules every sampled run obeys: a timed core, and one consistent
+   schedule (Sample.check_flags owns the ff/period arithmetic). *)
+let sampling_of ~core f =
+  let* () =
+    if core = "seq" then
+      Error
+        "--core seq cannot be sampled: the sequential core has no timed \
+         pipeline to measure (pick ooo, smt or inorder)"
+    else Ok ()
+  in
+  let* schedule =
+    Sample.check_flags ~ff:f.s_ff ~period:f.s_period ~warmup:f.s_warmup
+      ~measure:f.s_measure ()
+  in
+  let placement = Option.value f.s_offset ~default:Sample.Fixed in
+  Ok { schedule; placement; roi = f.s_roi; jobs = f.s_jobs }
 
 (* Run the domain under the sampling supervisor and print its report
    (the sampled replacement for Domain.submit + Domain.run). With
@@ -395,29 +421,17 @@ let sample_schedule sample_opts guard_opts ~core ~commands =
    supervisor (even at 1 job, so job counts are comparable) and, as in
    optlsim replay, a failing interval is quarantined into a DEGRADED
    report. Returns whether any interval was quarantined. *)
-let run_sampled sample_opts ~tracing ~schedule ~placement ~max_cycles d =
+let run_sampled s ~max_cycles d =
+  let roi = s.roi and placement = s.placement and schedule = s.schedule in
   catch_sim_failure (fun () ->
-      match sample_opts.s_jobs with
+      match s.jobs with
       | None ->
         Sample.report stdout
-          (Sample.run ~roi:sample_opts.s_roi ~placement ~max_cycles ~schedule
-             d);
+          (Sample.run ~roi ~placement ~max_cycles ~schedule d);
         false
       | Some jobs ->
-        (* 0 = one replay worker per recommended host core *)
-        let jobs =
-          if jobs = 0 then Stdlib.Domain.recommended_domain_count () else jobs
-        in
-        (match
-           Sample.check_jobs ~jobs ~kernel:(d.Domain.kernel <> None) ~tracing ()
-         with
-        | Error msg ->
-          prerr_endline ("optlsim: " ^ msg);
-          exit 1
-        | Ok () -> ());
         let rp =
-          Fleet.run_parallel ~roi:sample_opts.s_roi ~placement ~max_cycles
-            ~jobs ~schedule d
+          Fleet.run_parallel ~roi ~placement ~max_cycles ~jobs ~schedule d
         in
         let quarantined = rp.Fleet.rp_quarantined in
         Sample.report_degraded stdout
@@ -425,7 +439,9 @@ let run_sampled sample_opts ~tracing ~schedule ~placement ~max_cycles d =
           ~quarantined rp.Fleet.rp_result;
         quarantined <> [])
 
-let sample_term =
+(* The --sample family; [jobs] is --sample-jobs where the subcommand
+   honours it. *)
+let sample_term ~jobs =
   let flag_on =
     Arg.(
       value & flag
@@ -439,7 +455,7 @@ let sample_term =
   let period =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "sample-period" ] ~docv:"INSNS"
           ~doc:
             "Instructions per sampling period (fast-forward + warm-up + \
@@ -448,7 +464,7 @@ let sample_term =
   let ff =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some nat) None
       & info [ "sample-ff" ] ~docv:"INSNS"
           ~doc:
             "Explicit fast-forward length per period (mutually exclusive \
@@ -457,7 +473,7 @@ let sample_term =
   let warmup =
     Arg.(
       value
-      & opt int Sample.default_warmup
+      & opt nat Sample.default_warmup
       & info [ "sample-warmup" ] ~docv:"INSNS"
           ~doc:
             "Timed but unmeasured instructions before each measured \
@@ -466,7 +482,7 @@ let sample_term =
   let measure =
     Arg.(
       value
-      & opt int Sample.default_measure
+      & opt pos_int Sample.default_measure
       & info [ "sample-measure" ] ~docv:"INSNS"
           ~doc:"Measured instructions per interval (default 30000).")
   in
@@ -479,24 +495,15 @@ let sample_term =
              -startsample/-stopsample ptlcall region is open (fast-forward \
              and warming continue outside it). Implies $(b,--sample).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "sample-jobs" ] ~docv:"N"
-          ~doc:
-            "Checkpoint-parallel sampling: one native pass captures a base \
-             image and a delta checkpoint (dirty pages, architectural \
-             state, changed caches/TLBs/predictor) at each measured \
-             window, then N worker domains replay the intervals on private \
-             state. The merged report is bit-identical for any N; N = 0 \
-             auto-detects the host core count. A failing interval is \
-             quarantined (DEGRADED report, exit 4). Needs a bare-machine \
-             workload ($(b,compute --bare)). Implies $(b,--sample).")
-  in
   let offset =
     Arg.(
-      value & opt string ""
+      value
+      & opt
+          (some
+             (Arg.conv'
+                (Sample.parse_placement, fun ppf p ->
+                  Format.pp_print_string ppf (Sample.placement_to_string p))))
+          None
       & info [ "sample-offset" ] ~docv:"SPEC"
           ~doc:
             "Where each period's measured window sits: fixed (default, \
@@ -505,17 +512,59 @@ let sample_term =
              (deterministic sweep across the period). Implies \
              $(b,--sample).")
   in
-  let mk s_on s_period s_ff s_warmup s_measure s_roi s_jobs s_offset =
-    { s_on; s_period; s_ff; s_warmup; s_measure; s_roi; s_jobs; s_offset }
+  let mk on s_period s_ff s_warmup s_measure s_roi s_jobs s_offset =
+    let s_requested =
+      on || s_period <> None || s_ff <> None || s_roi || s_jobs <> None
+      || s_offset <> None
+    in
+    { s_requested; s_period; s_ff; s_warmup; s_measure; s_roi; s_jobs; s_offset }
   in
   Term.(
     const mk $ flag_on $ period $ ff $ warmup $ measure $ roi $ jobs $ offset)
 
-let machine_of_name = function
-  | "k8" | "k8-ptlsim" -> Config.k8_ptlsim
-  | "k8-silicon" -> Config.k8_silicon
-  | "tiny" -> Config.tiny
-  | other -> failwith ("unknown machine config: " ^ other)
+let sample_jobs_arg =
+  Arg.(
+    value
+    & opt (some jobs_conv) None
+    & info [ "sample-jobs" ] ~docv:"N"
+        ~doc:
+          "Checkpoint-parallel sampling: one native pass captures a base \
+           image and a delta checkpoint (dirty pages, architectural \
+           state, changed caches/TLBs/predictor) at each measured \
+           window, then N worker domains replay the intervals on private \
+           state. The merged report is bit-identical for any N; N = 0 \
+           auto-detects the host core count. A failing interval is \
+           quarantined (DEGRADED report, exit 4). Needs a bare-machine \
+           workload ($(b,compute --bare)). Implies $(b,--sample).")
+
+(* ---------- machines and cores ---------- *)
+
+(* the machine configs --machine accepts and optlsim stats lists *)
+let machines =
+  [ ("k8", Config.k8_ptlsim); ("k8-ptlsim", Config.k8_ptlsim);
+    ("k8-silicon", Config.k8_silicon); ("tiny", Config.tiny) ]
+
+let machine_arg ~default =
+  Arg.(
+    value & opt (enum machines) default
+    & info [ "machine" ] ~docv:"NAME"
+        ~doc:("Machine config: " ^ doc_alts_enum machines ^ "."))
+
+let core_names = List.sort compare (Registry.names ())
+
+(* [timed]: the subcommand needs a timed core, so seq is not offered *)
+let core_arg ~timed =
+  let names = List.filter (fun n -> not (timed && n = "seq")) core_names in
+  let alts = List.map (fun n -> (n, n)) names in
+  Arg.(
+    value & opt (enum alts) "ooo"
+    & info [ "core" ] ~docv:"MODEL"
+        ~doc:
+          ("Core model: " ^ doc_alts_enum alts
+          ^ if timed then " (seq is the reference and cannot be picked)." else "."))
+
+let max_mcycles_arg =
+  Arg.(value & opt nat 8000 & info [ "max-mcycles" ] ~doc:"Cycle budget, in millions.")
 
 let print_summary d k =
   let st = d.Domain.env.Env.stats in
@@ -545,10 +594,103 @@ let print_summary d k =
     (String.concat " "
        (List.map (fun (m, c) -> Printf.sprintf "%d@%d" m c) (Domain.markers d)))
 
-let run_rsync trace_opts guard_opts sample_opts core machine files commands
-    max_mcycles =
-  let sampled = sample_schedule sample_opts guard_opts ~core ~commands in
-  setup_trace trace_opts;
+(* ---------- timed runs (rsync, compute) ---------- *)
+
+type run_opts = {
+  core : string;
+  machine : Config.t;
+  commands : string;
+  max_cycles : int;
+  trace : trace_opts;
+  guard : Guard.config option;
+  sampling : sampling option;
+  bare : bool;  (* no minios kernel (compute --bare) *)
+}
+
+(* Every flag family of a timed run, with the cross-flag rules checked.
+   [bare] says whether the subcommand offers --bare, and with it
+   --sample-jobs: parallel replay needs a checkpointable bare machine. *)
+let run_term ~bare =
+  let commands =
+    Arg.(
+      value
+      & opt string "-run"
+      & info [ "commands" ] ~doc:"PTLsim-style command list (e.g. \"-core ooo -run\").")
+  in
+  let bare_arg =
+    Arg.(
+      value & flag
+      & info [ "bare" ]
+          ~doc:
+            "Run the compute workload on a bare machine (no minios kernel): \
+             the loop ends in hlt instead of a syscall. Required for \
+             $(b,--sample-jobs) — host-side kernel state is not \
+             checkpointable.")
+  in
+  let mk trace guard flags core machine commands max_mcycles bare =
+    let sampling =
+      if not flags.s_requested then Ok None
+      else if commands <> "-run" then
+        Error
+          "--sample-* cannot be combined with --commands: the sampling \
+           supervisor owns the run schedule (use --sample-roi with guest \
+           -startsample/-stopsample ptlcalls to scope it)"
+      else if Option.fold ~none:false ~some:(fun g -> g.Guard.degrade) guard then
+        Error
+          "--sample-* cannot be combined with --guard-degrade: degraded \
+           recovery switches core models under the sampler, which would \
+           silently change what the measured intervals measure"
+      else
+        let* s = sampling_of ~core flags in
+        match s.jobs with
+        | Some _ when not bare ->
+          Error
+            "--sample-jobs needs --bare: kernel-hosted domains carry \
+             host-side minios state (processes, descriptors, pending \
+             events) that cannot be checkpointed"
+        | Some j when j > 1 && trace_requested trace ->
+          Error
+            "--sample-jobs above 1 cannot be combined with \
+             --trace/--trace-stream/--trace-out/--trace-timeline: the event \
+             ring is process-global and parallel workers would interleave \
+             in it"
+        | _ -> Ok (Some s)
+    in
+    let max_cycles = max_mcycles * 1_000_000 in
+    checked
+      (Result.map
+         (fun sampling ->
+           { core; machine; commands; max_cycles; trace; guard; sampling; bare })
+         sampling)
+  in
+  let bare, jobs =
+    if bare then (bare_arg, sample_jobs_arg) else Term.(const false, const None)
+  in
+  Term.(
+    ret
+      (const mk $ trace_term $ guard_term ~degrade:true $ sample_term ~jobs
+     $ core_arg ~timed:false $ machine_arg ~default:Config.k8_ptlsim $ commands
+     $ max_mcycles_arg $ bare))
+
+(* Drive a built domain to completion — under the sampling supervisor or
+   the command list; true if a parallel sampled run quarantined an
+   interval. *)
+let drive o d =
+  install_guard o.guard d;
+  match o.sampling with
+  | Some s -> run_sampled s ~max_cycles:o.max_cycles d
+  | None ->
+    Domain.submit d o.commands;
+    catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles:o.max_cycles d));
+    false
+
+let finish o d k ~degraded =
+  print_summary d k;
+  finish_trace o.trace d.Domain.env.Env.stats;
+  if degraded then exit exit_degraded
+
+let run_rsync o files =
+  setup_trace o.trace;
   let fileset = { Fileset.default with Fileset.nfiles = files } in
   let d, k =
     Ptlmon.launch
@@ -556,26 +698,13 @@ let run_rsync trace_opts guard_opts sample_opts core machine files commands
         Ptlmon.default_spec with
         Ptlmon.programs = Rsync_progs.programs ();
         files = Fileset.generate fileset;
-        machine_config = machine_of_name machine;
-        core;
+        machine_config = o.machine;
+        core = o.core;
       }
   in
-  install_guard guard_opts d;
-  let max_cycles = max_mcycles * 1_000_000 in
-  let degraded =
-    match sampled with
-    | Some (schedule, placement) ->
-      run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
-        ~placement ~max_cycles d
-    | None ->
-      Domain.submit d commands;
-      catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d));
-      false
-  in
+  let degraded = drive o d in
   Printf.printf "synchronized correctly: %b\n" (Rsync_bench.verify_sync k);
-  print_summary d (Some k);
-  finish_trace trace_opts d.Domain.env.Env.stats;
-  if degraded then exit exit_degraded
+  finish o d (Some k) ~degraded
 
 (* The synthetic compute workload shared by the compute and capture
    subcommands: a pointer-chasing increment loop with a multiplicative
@@ -603,16 +732,13 @@ let compute_program ~iters ~bare =
   end;
   Gasm.assemble g
 
-let run_compute trace_opts guard_opts sample_opts core machine commands
-    max_mcycles iters bare =
-  let sampled = sample_schedule sample_opts guard_opts ~core ~commands in
-  setup_trace trace_opts;
-  let program = compute_program ~iters ~bare in
+let run_compute o iters =
+  setup_trace o.trace;
+  let program = compute_program ~iters ~bare:o.bare in
   let d, k =
-    if bare then begin
+    if o.bare then begin
       let m = Machine.create program in
-      ( Domain.create ~core ~config:(machine_of_name machine) m.Machine.env
-          m.Machine.ctx,
+      ( Domain.create ~core:o.core ~config:o.machine m.Machine.env m.Machine.ctx,
         None )
     end
     else begin
@@ -621,55 +747,25 @@ let run_compute trace_opts guard_opts sample_opts core machine commands
       let k = Kernel.create env ctx in
       Kernel.register_program k ~name:"init" program;
       Kernel.boot k;
-      ( Domain.create ~kernel:k ~core ~config:(machine_of_name machine) env ctx,
-        Some k )
+      (Domain.create ~kernel:k ~core:o.core ~config:o.machine env ctx, Some k)
     end
   in
-  install_guard guard_opts d;
-  let max_cycles = max_mcycles * 1_000_000 in
-  let degraded =
-    match sampled with
-    | Some (schedule, placement) ->
-      run_sampled sample_opts ~tracing:(trace_requested trace_opts) ~schedule
-        ~placement ~max_cycles d
-    | None ->
-      Domain.submit d commands;
-      catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d));
-      false
-  in
-  print_summary d k;
-  finish_trace trace_opts d.Domain.env.Env.stats;
-  if degraded then exit exit_degraded
+  finish o d k ~degraded:(drive o d)
 
 (* ---------- virtual-memory scenarios (optlsim vm) ---------- *)
-
-let vm_err msg =
-  prerr_endline ("optlsim vm: " ^ msg);
-  exit 1
 
 (* TLB-hostile workloads under the lib/vm scenario axes: GUPS random
    updates or streaming sweeps, on a bare machine (optionally with a
    2M-page heap) or demand-paged under minios with the CLOCK reclaimer. *)
-let run_vm trace_opts guard_opts core machine workload slots steps bytes
-    passes hugepages pwc demand watermark batch max_mcycles =
-  setup_trace trace_opts;
+let run_vm trace guard core machine (demand, workload, slots) steps bytes
+    passes hugepages pwc watermark batch max_mcycles =
+  setup_trace trace;
   let config =
-    let c = machine_of_name machine in
-    let c = if hugepages then { c with Config.tlb_hugepages = true } else c in
+    let c = if hugepages then { machine with Config.tlb_hugepages = true } else machine in
     match pwc with None -> c | Some n -> { c with Config.pwc_entries = n }
   in
   let d, k =
     if demand then begin
-      if workload <> "gups" then
-        vm_err
-          "--demand currently supports the gups workload only (stream \
-           targets the bare machine's high heap, which minios does not map)";
-      let heap_bytes = Abi.user_heap_pages * 4096 in
-      if slots * 8 > heap_bytes then
-        vm_err
-          (Printf.sprintf
-             "--slots %d needs %d bytes but the minios user heap holds %d"
-             slots (slots * 8) heap_bytes);
       let program =
         Microbench.gups ~base:Abi.user_code_base ~heap:Abi.user_heap_base
           ~user:true ~slots ~steps ()
@@ -692,18 +788,17 @@ let run_vm trace_opts guard_opts core machine workload slots steps bytes
     else begin
       let program, heap_pages =
         match workload with
-        | "gups" ->
+        | `Gups ->
           (Microbench.gups ~slots ~steps (), max 1 ((slots * 8 + 4095) / 4096))
-        | "stream" ->
+        | `Stream ->
           (Microbench.stream ~bytes ~passes, max 1 ((bytes + 4095) / 4096))
-        | other -> vm_err ("unknown workload: " ^ other ^ " (gups, stream)")
       in
       let m = Machine.create ~heap_pages ~huge_heap:hugepages program in
       ( Domain.create ~core ~config:config m.Machine.env m.Machine.ctx,
         None )
     end
   in
-  install_guard guard_opts d;
+  install_guard guard d;
   let max_cycles = max_mcycles * 1_000_000 in
   Domain.submit d "-run";
   catch_sim_failure (fun () -> ignore (Domain.run ~max_cycles d));
@@ -723,88 +818,62 @@ let run_vm trace_opts guard_opts core machine workload slots steps bytes
       if v > 0 then Printf.printf "%-22s%d\n" (p ^ ":") v)
     [ "vm.faults"; "vm.fills"; "vm.swap_ins"; "vm.swap_outs"; "vm.evictions";
       "vm.shootdowns"; "vm.promotions"; "vm.splits" ];
-  finish_trace trace_opts st
+  finish_trace trace st
 
 (* ---------- differential fuzzing (optlsim fuzz) ---------- *)
 
-let run_fuzz trace_opts guard_opts sample_opts core machine seed iters len
+let run_fuzz guard trace_classes trace_capacity core config seed iters len
     classes report_dir inject no_oracle =
-  let o = trace_opts in
-  if sample_requested sample_opts then begin
-    prerr_endline
-      "optlsim fuzz: --sample-* cannot be combined with the fuzz \
-       subcommand: fuzzing cosimulates every instruction on both engines, \
-       so there is nothing to fast-forward";
-    exit 1
+  let inject_fn = Option.map (fun n -> Fuzz.flags_bug ~after:n) inject in
+  let replay_extra =
+    (match inject with
+    | Some n -> Printf.sprintf " --fuzz-inject %d" n
+    | None -> "")
+    ^ if no_oracle then " --fuzz-no-oracle" else ""
+  in
+  (* An injected bug corrupts state between checkpoints, where later
+     writes can mask it; per-instruction checkpoints pin it reliably. *)
+  let check_every =
+    if inject = None then Fuzz.default_check_every else 1
+  in
+  let progress iter divs =
+    if (iter + 1) mod 100 = 0 then
+      Printf.printf "fuzz: %d/%d iterations, %d divergences\n%!" (iter + 1)
+        iters divs
+  in
+  (* Under --guard the supervisor rides along inside the cosim loop:
+     invariant violations and watchdog lockups become shrinkable,
+     reportable findings like any divergence. *)
+  let s =
+    Fuzz.run ~config ~core ?inject:inject_fn ?guard ~oracle:(not no_oracle)
+      ~classes ~len ~check_every ~trace_capacity ~trace_classes ~replay_extra
+      ~progress ~seed ~iters ()
+  in
+  Printf.printf
+    "fuzz: seed %d, %d iterations, %d instructions generated, core %s vs \
+     seq%s\n"
+    s.Fuzz.s_seed s.Fuzz.s_iters s.Fuzz.s_gen_insns s.Fuzz.s_core
+    (if no_oracle then "" else " vs oracle");
+  if not no_oracle then begin
+    Printf.printf "fuzz: %d programs cross-checked against the spec oracle\n"
+      s.Fuzz.s_oracle_checked;
+    if s.Fuzz.s_oracle_unsupported > 0 then
+      Printf.printf
+        "fuzz: WARNING: %d programs hit instructions with no spec row (run \
+         optlsim conformance --coverage)\n"
+        s.Fuzz.s_oracle_unsupported
   end;
-  match
-    Fuzz.check_flags ~iters ~len ~classes ~core ~inject
-      ~guard_degrade:guard_opts.g_degrade ~trace_start:o.t_start
-      ~trace_stop:o.t_stop ~trace_rip:o.t_rip ~trace_trigger:o.t_trigger
-      ~trace_out:o.t_out ~trace_timeline:o.t_timeline ()
-  with
-  | Error msg ->
-    prerr_endline ("optlsim fuzz: " ^ msg);
-    exit 1
-  | Ok () ->
-    let classes = Fuzzgen.parse_classes classes in
-    let config = machine_of_name machine in
-    let inject_fn = Option.map (fun n -> Fuzz.flags_bug ~after:n) inject in
-    let replay_extra =
-      (match inject with
-      | Some n -> Printf.sprintf " --fuzz-inject %d" n
-      | None -> "")
-      ^ if no_oracle then " --fuzz-no-oracle" else ""
-    in
-    (* An injected bug corrupts state between checkpoints, where later
-       writes can mask it; per-instruction checkpoints pin it reliably. *)
-    let check_every =
-      if inject = None then Fuzz.default_check_every else 1
-    in
-    let trace_capacity = if o.t_buf = 1 lsl 20 then 4096 else o.t_buf in
-    let progress iter divs =
-      if (iter + 1) mod 100 = 0 then
-        Printf.printf "fuzz: %d/%d iterations, %d divergences\n%!" (iter + 1)
-          iters divs
-    in
-    (* Under --guard the supervisor rides along inside the cosim loop:
-       invariant violations and watchdog lockups become shrinkable,
-       reportable findings like any divergence. *)
-    let guard =
-      if guard_requested guard_opts then Some (guard_config guard_opts)
-      else None
-    in
-    let s =
-      Fuzz.run ~config ~core ?inject:inject_fn ?guard ~oracle:(not no_oracle)
-        ~classes ~len ~check_every ~trace_capacity
-        ~trace_classes:(Trace.parse_classes o.t_filter) ~replay_extra
-        ~progress ~seed ~iters ()
-    in
-    Printf.printf
-      "fuzz: seed %d, %d iterations, %d instructions generated, core %s vs \
-       seq%s\n"
-      s.Fuzz.s_seed s.Fuzz.s_iters s.Fuzz.s_gen_insns s.Fuzz.s_core
-      (if no_oracle then "" else " vs oracle");
-    if not no_oracle then begin
-      Printf.printf "fuzz: %d programs cross-checked against the spec oracle\n"
-        s.Fuzz.s_oracle_checked;
-      if s.Fuzz.s_oracle_unsupported > 0 then
-        Printf.printf
-          "fuzz: WARNING: %d programs hit instructions with no spec row (run \
-           optlsim conformance --coverage)\n"
-          s.Fuzz.s_oracle_unsupported
-    end;
-    (match s.Fuzz.s_divergences with
-    | [] -> Printf.printf "fuzz: no divergences\n"
-    | ds ->
-      Printf.printf "fuzz: %d divergence(s)\n" (List.length ds);
-      (match report_dir with
-      | Some dir ->
-        List.iter
-          (fun f -> Printf.printf "fuzz: wrote %s\n" f)
-          (Fuzz.write_reports ~dir s)
-      | None -> List.iter (fun d -> print_string d.Fuzz.d_report) ds);
-      exit 2)
+  match s.Fuzz.s_divergences with
+  | [] -> Printf.printf "fuzz: no divergences\n"
+  | ds ->
+    Printf.printf "fuzz: %d divergence(s)\n" (List.length ds);
+    (match report_dir with
+    | Some dir ->
+      List.iter
+        (fun f -> Printf.printf "fuzz: wrote %s\n" f)
+        (Fuzz.write_reports ~dir s)
+    | None -> List.iter (fun d -> print_string d.Fuzz.d_report) ds);
+    exit 2
 
 (* ---------- the sampling fleet (capture / serve / work / replay) ---------- *)
 
@@ -814,46 +883,15 @@ let fleet_err msg =
 
 let fleet_log quiet = if quiet then fun _ -> () else Printf.eprintf "%s\n%!"
 
-(* Per-interval guard wrapping for fleet replays: every worker wraps
-   its private core instance, so a tripped invariant surfaces as a
-   typed Sim_failure (quarantine + degraded report) instead of
-   corrupting the merged estimates. --guard-degrade is refused here:
-   silently finishing a window on the sequential core would change its
-   measurements with no mark in the report. *)
-let fleet_guard_wrap ~cmd g =
-  if not (guard_requested g) then None
-  else if g.g_degrade then
-    fleet_err
-      (Printf.sprintf
-         "--guard-degrade cannot be combined with %s: degrading an \
-          interval to the sequential core would silently change its \
-          measurements; quarantine (exit %d) is the containment path"
-         cmd exit_degraded)
-  else
-    Some
-      (fun ~env ~ctx inst -> Guard.wrap ~config:(guard_config g) ~env ~ctx inst)
-
 (* capture: one native master pass over the bare compute workload,
    journaled to a durable interval store record by record, so an
    interrupted capture resumes from the last valid checkpoint *)
-let run_capture_cmd guard_opts sample_opts core machine iters max_mcycles
-    store_dir resume =
-  (match Fleet.check_capture ~store:store_dir ~jobs:sample_opts.s_jobs () with
-  | Error msg -> fleet_err msg
-  | Ok () -> ());
-  let sample_opts = { sample_opts with s_on = true } in
-  let schedule, placement =
-    match sample_schedule sample_opts guard_opts ~core ~commands:"-run" with
-    | Some sp -> sp
-    | None -> assert false (* s_on forces sampling *)
-  in
+let run_capture_cmd (s, core) config iters max_mcycles store_dir resume =
+  let schedule = s.schedule and placement = s.placement in
   let program = compute_program ~iters ~bare:true in
-  let config = machine_of_name machine in
   (* the store key: what program ran, not how it was simulated *)
   let workload = Store.digest_value ("bare-compute", program, iters) in
-  let placement_str =
-    if sample_opts.s_offset = "" then "fixed" else sample_opts.s_offset
-  in
+  let placement_str = Sample.placement_to_string placement in
   (* --resume: adopt the journal's longest valid prefix, but only if it
      was written by an identical capture — a journal from a different
      program, core, machine config, schedule or placement restarts
@@ -925,8 +963,8 @@ let run_capture_cmd guard_opts sample_opts core machine iters max_mcycles
   let max_cycles = max_mcycles * 1_000_000 in
   let cr =
     catch_sim_failure (fun () ->
-        Sample.run_capture ~roi:sample_opts.s_roi ~placement ~max_cycles
-          ~on_base ~on_window ?resume:rs ~schedule d)
+        Sample.run_capture ~roi:s.roi ~placement ~max_cycles ~on_base
+          ~on_window ?resume:rs ~schedule d)
   in
   match
     Store.finish_capture j ~total_insns:cr.Sample.cr_insns
@@ -947,11 +985,6 @@ let run_capture_cmd guard_opts sample_opts core machine iters max_mcycles
    stdout carries exactly the Sample.report so it can be byte-compared
    with a --sample-jobs run; progress goes to stderr. *)
 let run_serve_cmd store_dir socket lease_timeout max_failures quiet =
-  (match
-     Fleet.check_serve ~store:store_dir ~socket ~lease_timeout ~max_failures ()
-   with
-  | Error msg -> fleet_err msg
-  | Ok () -> ());
   match Store.open_store ~dir:store_dir with
   | Error e -> fleet_err (Store.error_to_string e)
   | Ok store ->
@@ -974,20 +1007,12 @@ let run_serve_cmd store_dir socket lease_timeout max_failures quiet =
     if sv.Fleet.sv_quarantined <> [] then exit exit_degraded
 
 (* work: one worker process leasing intervals from a server *)
-let run_work_cmd guard_opts connect retries chaos quiet =
-  (match Fleet.check_work ~connect () with
-  | Error msg -> fleet_err msg
-  | Ok () -> ());
-  let wrap = fleet_guard_wrap ~cmd:"work" guard_opts in
-  (match chaos with
-  | "" -> ()
-  | spec -> (
-    match Chaos.parse spec with
-    | Error msg -> fleet_err ("--chaos " ^ msg)
-    | Ok rules -> Chaos.arm rules));
+let run_work_cmd guard connect retries chaos quiet =
+  Chaos.arm chaos;
   match
     catch_sim_failure (fun () ->
-        Fleet.work ~retries ~log:(fleet_log quiet) ?wrap ~connect ())
+        Fleet.work ~retries ~log:(fleet_log quiet) ?wrap:(replay_wrap guard)
+          ~connect ())
   with
   | exception Chaos.Killed point ->
     Printf.eprintf "work: chaos killed at %s\n%!" point;
@@ -996,19 +1021,15 @@ let run_work_cmd guard_opts connect retries chaos quiet =
   | Ok n -> Printf.printf "work: replayed %d interval(s)\n" n
 
 (* replay: consume a store in-process (no server), cache-aware *)
-let run_replay_cmd guard_opts store_dir jobs quiet =
-  (match Fleet.check_replay ~store:store_dir ~jobs () with
-  | Error msg -> fleet_err msg
-  | Ok () -> ());
-  let wrap = fleet_guard_wrap ~cmd:"replay" guard_opts in
-  let jobs = if jobs = 0 then Stdlib.Domain.recommended_domain_count () else jobs in
+let run_replay_cmd guard store_dir jobs quiet =
   match Store.open_store ~dir:store_dir with
   | Error e -> fleet_err (Store.error_to_string e)
   | Ok store ->
     let log = fleet_log quiet in
     log (Store.describe store);
     (match
-       catch_sim_failure (fun () -> Fleet.replay ~jobs ~log ?wrap store)
+       catch_sim_failure (fun () ->
+           Fleet.replay ~jobs ~log ?wrap:(replay_wrap guard) store)
      with
     | Error e -> fleet_err (Store.error_to_string e)
     | Ok rp ->
@@ -1024,58 +1045,63 @@ let run_replay_cmd guard_opts store_dir jobs quiet =
 
 (* sweep: every leg of a design-space spec over the same store, with
    matched-pair statistics against the store's own configuration *)
-let run_sweep_cmd trace_opts guard_opts sample_opts store_dir spec_text jobs
-    quiet =
-  (match
-     Sweep.check_flags ~store:store_dir ~spec:spec_text ~jobs
-       ~guard_degrade:guard_opts.g_degrade
-       ~tracing:(trace_requested trace_opts)
-       ~sampling:(sample_requested sample_opts) ~fuzz:false ()
-   with
-  | Error msg -> fleet_err msg
-  | Ok () -> ());
-  match Sweep.parse spec_text with
-  | Error e -> fleet_err (Sweep.error_to_string e)
-  | Ok spec -> (
-    let wrap = fleet_guard_wrap ~cmd:"sweep" guard_opts in
-    let jobs =
-      if jobs = 0 then Stdlib.Domain.recommended_domain_count () else jobs
-    in
-    match Store.open_store ~dir:store_dir with
-    | Error e -> fleet_err (Store.error_to_string e)
-    | Ok store -> (
-      let log = fleet_log quiet in
-      log (Store.describe store);
-      match
-        catch_sim_failure (fun () -> Sweep.run ~jobs ~log ?wrap store spec)
-      with
-      | Error msg -> fleet_err msg
-      | Ok report ->
-        Sweep.render stdout report;
-        flush stdout;
-        if Sweep.degraded report <> [] then exit exit_degraded))
+let run_sweep_cmd guard store_dir spec jobs quiet =
+  match Store.open_store ~dir:store_dir with
+  | Error e -> fleet_err (Store.error_to_string e)
+  | Ok store -> (
+    let log = fleet_log quiet in
+    log (Store.describe store);
+    match
+      catch_sim_failure (fun () ->
+          Sweep.run ~jobs ~log ?wrap:(replay_wrap guard) store spec)
+    with
+    | Error msg -> fleet_err msg
+    | Ok report ->
+      Sweep.render stdout report;
+      flush stdout;
+      if Sweep.degraded report <> [] then exit exit_degraded)
 
 let store_arg =
   Arg.(
-    value & opt string ""
+    required
+    & opt (some string) None
     & info [ "store" ] ~docv:"DIR"
         ~doc:"Durable interval store directory (written by $(b,capture)).")
 
+(* a unix socket path within the sun_path budget *)
+let socket_conv =
+  conv_of
+    ~expected:
+      (Printf.sprintf "a unix socket path of 1 to %d bytes (e.g. under /tmp)"
+         Fleet.max_socket_path)
+    (fun s ->
+      if s <> "" && String.length s <= Fleet.max_socket_path then Some s else None)
+    Format.pp_print_string
+
 let socket_arg =
   Arg.(
-    value & opt string ""
+    required
+    & opt (some socket_conv) None
     & info [ "socket" ] ~docv:"PATH"
         ~doc:"Unix socket the job server listens on.")
 
 let connect_arg =
   Arg.(
-    value & opt string ""
+    required
+    & opt (some socket_conv) None
     & info [ "connect" ] ~docv:"PATH"
         ~doc:"Unix socket of the job server to lease intervals from.")
 
 let lease_timeout_arg =
   Arg.(
-    value & opt float 30.0
+    value
+    & opt
+        (conv_of ~expected:"a positive number of seconds"
+           (fun s ->
+             Option.bind (float_of_string_opt s) (fun x ->
+                 if x > 0.0 then Some x else None))
+           Format.pp_print_float)
+        30.0
     & info [ "lease-timeout" ] ~docv:"SECONDS"
         ~doc:
           "Re-queue an interval if its worker has not delivered within \
@@ -1083,7 +1109,7 @@ let lease_timeout_arg =
 
 let max_failures_arg =
   Arg.(
-    value & opt int 3
+    value & opt pos_int 3
     & info [ "max-failures" ] ~docv:"K"
         ~doc:
           "Quarantine an interval after K failed replay attempts: the run \
@@ -1092,7 +1118,7 @@ let max_failures_arg =
 
 let connect_retries_arg =
   Arg.(
-    value & opt int 50
+    value & opt pos_int 50
     & info [ "connect-retries" ] ~docv:"N"
         ~doc:
           "Connection attempts before giving up, with exponential backoff \
@@ -1101,13 +1127,17 @@ let connect_retries_arg =
 
 let chaos_arg =
   Arg.(
-    value & opt string ""
+    value
+    & opt
+        (Arg.conv'
+           (Chaos.parse, fun ppf rs -> Format.pp_print_string ppf (Chaos.to_string rs)))
+        []
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
           "Arm seeded fault injection against this worker's own I/O (for \
            testing the fleet's recovery paths): rules \
-           $(i,ACTION\\@POINT[:HIT]) joined by ';', e.g. \
-           \"kill\\@work.done:2\". Actions: kill, drop, truncate, fail, \
+           $(i,ACTION@POINT[:HIT]) joined by ';', e.g. \
+           \"kill@work.done:2\". Actions: kill, drop, truncate, fail, \
            delay=SECS, flip=BIT.")
 
 let capture_resume_arg =
@@ -1123,7 +1153,7 @@ let capture_resume_arg =
 
 let replay_jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Replay workers (in-process domains); 0 auto-detects the host \
@@ -1134,43 +1164,19 @@ let fleet_quiet_arg =
     value & flag
     & info [ "quiet" ] ~doc:"Suppress per-interval progress on stderr.")
 
-let core_arg =
-  Arg.(value & opt string "ooo" & info [ "core" ] ~doc:"Core model (ooo, smt, inorder, seq).")
-
-let machine_arg =
-  Arg.(value & opt string "k8" & info [ "machine" ] ~doc:"Machine config (k8, k8-silicon, tiny).")
-
 let files_arg =
-  Arg.(value & opt int 12 & info [ "files" ] ~doc:"Number of files in the rsync set.")
-
-let commands_arg =
-  Arg.(
-    value
-    & opt string "-run"
-    & info [ "commands" ] ~doc:"PTLsim-style command list (e.g. \"-core ooo -run\").")
-
-let max_mcycles_arg =
-  Arg.(value & opt int 8000 & info [ "max-mcycles" ] ~doc:"Cycle budget, in millions.")
+  Arg.(value & opt nat 12 & info [ "files" ] ~doc:"Number of files in the rsync set.")
 
 let iters_arg =
   Arg.(
     value
-    & opt int 500_000
+    & opt pos_int 500_000
     & info [ "iters" ] ~doc:"Compute workload loop iterations.")
-
-let bare_arg =
-  Arg.(
-    value & flag
-    & info [ "bare" ]
-        ~doc:
-          "Run the compute workload on a bare machine (no minios kernel): \
-           the loop ends in hlt instead of a syscall. Required for \
-           $(b,--sample-jobs) — host-side kernel state is not \
-           checkpointable.")
 
 let vm_workload_arg =
   Arg.(
-    value & opt string "gups"
+    value
+    & opt (enum [ ("gups", `Gups); ("stream", `Stream) ]) `Gups
     & info [ "workload" ] ~docv:"NAME"
         ~doc:
           "TLB-hostile workload: $(b,gups) (random read-modify-writes over \
@@ -1179,25 +1185,27 @@ let vm_workload_arg =
 let vm_slots_arg =
   Arg.(
     value
-    & opt int 65536
+    & opt
+        (int_where ~expected:"a power of two" (fun n -> n > 0 && n land (n - 1) = 0))
+        65536
     & info [ "slots" ] ~docv:"N"
         ~doc:"GUPS table size in 8-byte cells (power of two).")
 
 let vm_steps_arg =
   Arg.(
     value
-    & opt int 200_000
+    & opt pos_int 200_000
     & info [ "steps" ] ~docv:"N" ~doc:"GUPS random updates to perform.")
 
 let vm_bytes_arg =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt (int_where ~expected:"an integer >= 8" (fun n -> n >= 8)) (1 lsl 20)
     & info [ "bytes" ] ~docv:"BYTES" ~doc:"stream working-set size in bytes.")
 
 let vm_passes_arg =
   Arg.(
-    value & opt int 4
+    value & opt pos_int 4
     & info [ "passes" ] ~docv:"N" ~doc:"stream sweeps over the working set.")
 
 let vm_hugepages_arg =
@@ -1211,7 +1219,7 @@ let vm_hugepages_arg =
 let vm_pwc_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some nat) None
     & info [ "pwc" ] ~docv:"ENTRIES"
         ~doc:
           "Override the machine's page-walk-cache geometry: ENTRIES slots \
@@ -1226,9 +1234,27 @@ let vm_demand_arg =
            populated address space: every first touch takes a real #PF \
            through the simulated kernel entry path. Implies gups.")
 
+(* --demand runs GUPS as a minios user process, inside its user heap *)
+let vm_scenario_term =
+  let check demand workload slots =
+    let heap_bytes = Abi.user_heap_pages * 4096 in
+    checked
+      (if demand && workload <> `Gups then
+         Error
+           "--demand currently supports the gups workload only (stream \
+            targets the bare machine's high heap, which minios does not map)"
+       else if demand && slots * 8 > heap_bytes then
+         Error
+           (Printf.sprintf
+              "--slots %d needs %d bytes but the minios user heap holds %d"
+              slots (slots * 8) heap_bytes)
+       else Ok (demand, workload, slots))
+  in
+  Term.(ret (const check $ vm_demand_arg $ vm_workload_arg $ vm_slots_arg))
+
 let vm_watermark_arg =
   Arg.(
-    value & opt int 0
+    value & opt nat 0
     & info [ "watermark" ] ~docv:"PAGES"
         ~doc:
           "Resident user-frame budget for the CLOCK reclaimer (0 = \
@@ -1237,13 +1263,26 @@ let vm_watermark_arg =
 
 let vm_batch_arg =
   Arg.(
-    value & opt int 8
+    value & opt pos_int 8
     & info [ "batch" ] ~docv:"PAGES"
         ~doc:"Evictions per reclaim pass once over the watermark.")
 
+(* the exit codes every subcommand documents (README "Failure modes &
+   recovery"); usage errors of any kind exit 1, see the eval below *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"on a usage error (bad flag, value or flag combination) or an environment error.";
+      info 2 ~doc:"when differential fuzzing found a divergence.";
+      info exit_sim_failure ~doc:"on a simulator self-check failure.";
+      info exit_degraded ~doc:"when a replay quarantined intervals (DEGRADED report).";
+      info internal_error ~doc:"on an unexpected internal error (a bug).";
+    ]
+
 let vm_cmd =
   Cmd.v
-    (Cmd.info "vm"
+    (Cmd.info "vm" ~exits
        ~doc:
          "Run a TLB-hostile virtual-memory scenario: GUPS or streaming \
           over 4K or 2M pages, with configurable page-walk caches, \
@@ -1259,15 +1298,11 @@ let vm_cmd =
               sweep)). The trace classes pagefault/tlb record #PF, \
               shootdown and walk-cache events (see $(b,--trace-filter))." ])
     Term.(
-      const run_vm $ trace_term $ guard_term $ core_arg $ machine_arg
-      $ vm_workload_arg $ vm_slots_arg $ vm_steps_arg $ vm_bytes_arg
-      $ vm_passes_arg $ vm_hugepages_arg $ vm_pwc_arg $ vm_demand_arg
-      $ vm_watermark_arg $ vm_batch_arg $ max_mcycles_arg)
-
-let fuzz_machine_arg =
-  Arg.(
-    value & opt string "tiny"
-    & info [ "machine" ] ~doc:"Machine config (k8, k8-silicon, tiny).")
+      const run_vm $ trace_term $ guard_term ~degrade:true
+      $ core_arg ~timed:false $ machine_arg ~default:Config.k8_ptlsim
+      $ vm_scenario_term $ vm_steps_arg $ vm_bytes_arg $ vm_passes_arg
+      $ vm_hugepages_arg $ vm_pwc_arg $ vm_watermark_arg $ vm_batch_arg
+      $ max_mcycles_arg)
 
 let fuzz_seed_arg =
   Arg.(
@@ -1277,19 +1312,20 @@ let fuzz_seed_arg =
 
 let fuzz_iters_arg =
   Arg.(
-    value & opt int 500
+    value & opt pos_int 500
     & info [ "fuzz-iters" ] ~docv:"N" ~doc:"Random programs to generate and co-simulate.")
 
 let fuzz_len_arg =
   Arg.(
-    value & opt int 40
+    value & opt pos_int 40
     & info [ "fuzz-len" ] ~docv:"SLOTS"
         ~doc:"Instruction bundles (slots) per generated program.")
 
 let fuzz_classes_arg =
   Arg.(
-    value & opt string ""
-    & info [ "fuzz-classes" ] ~docv:"CLASSES"
+    value
+    & opt (classes_conv Fuzzgen.parse_classes Fuzzgen.cls_name) Fuzzgen.all_classes
+    & info [ "fuzz-classes" ] ~docv:"CLASSES" ~absent:"all"
         ~doc:
           "Comma-separated instruction classes to draw from: alu, mem, \
            branch, string, lock, muldiv, fp, stack, misc. Default: all.")
@@ -1306,7 +1342,7 @@ let fuzz_report_dir_arg =
 let fuzz_inject_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "fuzz-inject" ] ~docv:"N"
         ~doc:
           "Self-test: plant a mutated-flags-write bug in the model core \
@@ -1322,9 +1358,12 @@ let fuzz_no_oracle_arg =
            cross-check and fall back to two-way seq-vs-timed fuzzing \
            (divergence reports then carry no majority verdict).")
 
+(* Fuzz mode owns the trace subsystem (it arms capture around each
+   divergence replay and embeds the window in the report), so of the
+   --trace family it takes only the ring size and the class filter. *)
 let fuzz_cmd =
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:
          "Differential fuzzing: random programs co-simulated three ways — \
           timed core, sequential reference and the spec-table oracle — \
@@ -1348,26 +1387,33 @@ let fuzz_cmd =
               leading up to the mismatch, and the majority verdict naming \
               the odd model out." ])
     Term.(
-      const run_fuzz $ trace_term $ guard_term $ sample_term $ core_arg
-      $ fuzz_machine_arg $ fuzz_seed_arg $ fuzz_iters_arg $ fuzz_len_arg
-      $ fuzz_classes_arg $ fuzz_report_dir_arg $ fuzz_inject_arg
-      $ fuzz_no_oracle_arg)
+      const run_fuzz $ guard_term ~degrade:false $ trace_filter_arg
+      $ trace_buf_arg 4096 $ core_arg ~timed:true
+      $ machine_arg ~default:Config.tiny $ fuzz_seed_arg $ fuzz_iters_arg
+      $ fuzz_len_arg $ fuzz_classes_arg $ fuzz_report_dir_arg
+      $ fuzz_inject_arg $ fuzz_no_oracle_arg)
 
 let rsync_cmd =
-  Cmd.v (Cmd.info "rsync" ~doc:"Run the paper's rsync-over-ssh benchmark")
-    Term.(
-      const run_rsync $ trace_term $ guard_term $ sample_term $ core_arg
-      $ machine_arg $ files_arg $ commands_arg $ max_mcycles_arg)
+  Cmd.v (Cmd.info "rsync" ~exits ~doc:"Run the paper's rsync-over-ssh benchmark")
+    Term.(const run_rsync $ run_term ~bare:false $ files_arg)
 
 let compute_cmd =
-  Cmd.v (Cmd.info "compute" ~doc:"Run a synthetic compute workload")
-    Term.(
-      const run_compute $ trace_term $ guard_term $ sample_term $ core_arg
-      $ machine_arg $ commands_arg $ max_mcycles_arg $ iters_arg $ bare_arg)
+  Cmd.v (Cmd.info "compute" ~exits ~doc:"Run a synthetic compute workload")
+    Term.(const run_compute $ run_term ~bare:true $ iters_arg)
+
+(* capture always samples (the schedule defines the intervals) and is
+   the master pass only, so it takes neither --guard nor --sample-jobs *)
+let capture_sampling_term =
+  let core = core_arg ~timed:false in
+  Term.(
+    ret
+      (const (fun flags core ->
+           checked (Result.map (fun s -> (s, core)) (sampling_of ~core flags)))
+      $ sample_term ~jobs:(const None) $ core))
 
 let capture_cmd =
   Cmd.v
-    (Cmd.info "capture"
+    (Cmd.info "capture" ~exits
        ~doc:
          "Run the sampled master pass over the bare compute workload and \
           write a durable interval store: a shared base image plus one \
@@ -1375,13 +1421,13 @@ let capture_cmd =
           measured window. The store outlives this process; replay it \
           with $(b,replay) or distribute it with $(b,serve)/$(b,work).")
     Term.(
-      const run_capture_cmd $ guard_term $ sample_term $ core_arg
-      $ machine_arg $ iters_arg $ max_mcycles_arg $ store_arg
-      $ capture_resume_arg)
+      const run_capture_cmd $ capture_sampling_term
+      $ machine_arg ~default:Config.k8_ptlsim $ iters_arg $ max_mcycles_arg
+      $ store_arg $ capture_resume_arg)
 
 let serve_cmd =
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Serve a captured interval store over a unix-socket work queue: \
           $(b,optlsim work) processes lease intervals, dead workers' \
@@ -1394,19 +1440,25 @@ let serve_cmd =
 
 let work_cmd =
   Cmd.v
-    (Cmd.info "work"
+    (Cmd.info "work" ~exits
        ~doc:
          "Join a sampling fleet: connect to an $(b,optlsim serve) socket, \
           lease intervals, replay each from the store's base + delta \
           checkpoints on private state, and stream results back until the \
           server drains.")
     Term.(
-      const run_work_cmd $ guard_term $ connect_arg $ connect_retries_arg
-      $ chaos_arg $ fleet_quiet_arg)
+      const run_work_cmd $ guard_term ~degrade:false $ connect_arg
+      $ connect_retries_arg $ chaos_arg $ fleet_quiet_arg)
 
 let sweep_spec_arg =
   Arg.(
-    value & opt string ""
+    required
+    & opt
+        (some
+           (Arg.conv'
+              ( (fun s -> Result.map_error Sweep.error_to_string (Sweep.parse s)),
+                fun ppf spec -> Format.pp_print_string ppf (Sweep.to_string spec) )))
+        None
     & info [ "sweep" ] ~docv:"SPEC"
         ~doc:
           "Design-space spec: axes $(i,KEY=V1,V2,...) separated by a \
@@ -1417,7 +1469,7 @@ let sweep_spec_arg =
 
 let sweep_cmd =
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "sweep" ~exits
        ~doc:
          "Replay every leg of a design-space spec over the same captured \
           interval store and rank the legs with matched-pair statistics: \
@@ -1428,19 +1480,19 @@ let sweep_cmd =
           Results land in the store's per-config result cache, so \
           re-running a sweep (or widening it) only pays for new legs.")
     Term.(
-      const run_sweep_cmd $ trace_term $ guard_term $ sample_term $ store_arg
+      const run_sweep_cmd $ guard_term ~degrade:false $ store_arg
       $ sweep_spec_arg $ replay_jobs_arg $ fleet_quiet_arg)
 
 let replay_cmd =
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info "replay" ~exits
        ~doc:
          "Replay a captured interval store in this process (no server): \
           cache-aware, optionally parallel across domains, printing the \
           same merged report the fleet produces.")
     Term.(
-      const run_replay_cmd $ guard_term $ store_arg $ replay_jobs_arg
-      $ fleet_quiet_arg)
+      const run_replay_cmd $ guard_term ~degrade:false $ store_arg
+      $ replay_jobs_arg $ fleet_quiet_arg)
 
 (* ---------- conformance: spec-derived property + exception suites ---------- *)
 
@@ -1450,7 +1502,6 @@ let run_conformance level coverage_only =
   let cov_ok = cov.Spec.missing = [] in
   if coverage_only then (if not cov_ok then exit 1)
   else begin
-    let level = if level = "quick" then `Quick else `Full in
     let progress key = Printf.eprintf "  row %-10s\r%!" key in
     let rep = Conformance.run_properties ~level ~progress () in
     Printf.eprintf "%-20s\r%!" "";
@@ -1468,7 +1519,7 @@ let run_conformance level coverage_only =
 let conformance_level_arg =
   let doc = "Sweep depth: $(b,full) (every corner operand and form) or \
              $(b,quick) (reduced set)." in
-  Arg.(value & opt (enum [ ("full", "full"); ("quick", "quick") ]) "full"
+  Arg.(value & opt (enum [ ("full", `Full); ("quick", `Quick) ]) `Full
        & info [ "level" ] ~docv:"LEVEL" ~doc)
 
 let conformance_coverage_arg =
@@ -1478,7 +1529,7 @@ let conformance_coverage_arg =
 
 let conformance_cmd =
   Cmd.v
-    (Cmd.info "conformance"
+    (Cmd.info "conformance" ~exits
        ~doc:
          "Run the spec-derived conformance suites: per-row flag-lattice \
           property sweeps over corner operands (oracle vs sequential core \
@@ -1488,20 +1539,30 @@ let conformance_cmd =
     Term.(const run_conformance $ conformance_level_arg $ conformance_coverage_arg)
 
 let stats_cmd =
-  Cmd.v (Cmd.info "stats" ~doc:"List registered core models")
+  Cmd.v (Cmd.info "stats" ~exits ~doc:"List registered core models")
     Term.(
       const (fun () ->
-          Printf.printf "core models: %s\n" (String.concat ", " (Registry.names ()));
-          Printf.printf "machine configs: k8 (k8-ptlsim), k8-silicon, tiny\n")
+          Printf.printf "core models: %s\n" (String.concat ", " core_names);
+          Printf.printf "machine configs: %s\n"
+            (String.concat ", " (List.map fst machines)))
       $ const ())
 
+(* Every usage error — an unknown flag or bad value (cmdliner's parse
+   errors) or a refused flag combination (a Term.ret error) — exits 1,
+   like every other flag rejection. *)
 let () =
   exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "optlsim" ~doc:"Cycle-accurate full-system x86-64-style simulator")
-          [
-            rsync_cmd; compute_cmd; vm_cmd; fuzz_cmd; capture_cmd;
-            serve_cmd; work_cmd; replay_cmd; sweep_cmd; conformance_cmd;
-            stats_cmd;
-          ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group
+            (Cmd.info "optlsim" ~exits
+               ~doc:"Cycle-accurate full-system x86-64-style simulator")
+            [
+              rsync_cmd; compute_cmd; vm_cmd; fuzz_cmd; capture_cmd;
+              serve_cmd; work_cmd; replay_cmd; sweep_cmd; conformance_cmd;
+              stats_cmd;
+            ])
+     with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 1
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -136,59 +136,9 @@ let ignore_sigpipe () =
   if Sys.os_type = "Unix" then
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
 
-(* ---------------------------------------------------------------- *)
-(* Flag validation (CLI front line, mirrors Sample.check_flags)       *)
-(* ---------------------------------------------------------------- *)
-
-(* conservative sun_path budget; real limits are 104-108 bytes *)
+(* conservative sun_path budget for the CLI's socket paths; real
+   limits are 104-108 bytes *)
 let max_socket_path = 100
-
-let check_socket_path ~flag path =
-  if path = "" then
-    Error (Printf.sprintf "%s is required: the fleet meets at a unix socket" flag)
-  else if String.length path > max_socket_path then
-    Error
-      (Printf.sprintf
-         "%s path is %d bytes; unix socket paths are limited to %d \
-          (use a shorter path, e.g. under /tmp)"
-         flag (String.length path) max_socket_path)
-  else Ok ()
-
-let check_capture ~store ~jobs () =
-  if store = "" then
-    Error "--store is required: capture writes the durable interval store there"
-  else if jobs <> None then
-    Error
-      "--sample-jobs cannot be combined with capture: capture is the \
-       master pass only — attach workers afterwards with serve/work, or \
-       use replay --jobs for in-process parallelism"
-  else Ok ()
-
-let check_serve ~store ~socket ~lease_timeout ~max_failures () =
-  if store = "" then
-    Error "--store is required: serve hands out intervals from an existing store (run capture first)"
-  else
-    match check_socket_path ~flag:"--socket" socket with
-    | Error _ as e -> e
-    | Ok () ->
-      if lease_timeout <= 0.0 then
-        Error
-          "--lease-timeout must be positive: it bounds how long a dead \
-           worker can sit on an interval before it is re-queued"
-      else if max_failures < 1 then
-        Error
-          "--max-failures must be at least 1: it is the retry budget \
-           before a failing interval is quarantined"
-      else Ok ()
-
-let check_work ~connect () = check_socket_path ~flag:"--connect" connect
-
-let check_replay ~store ~jobs () =
-  if store = "" then
-    Error "--store is required: replay consumes an existing store (run capture first)"
-  else if jobs < 0 then
-    Error "--jobs must be at least 1 (or 0 to auto-detect host cores)"
-  else Ok ()
 
 (* ---------------------------------------------------------------- *)
 (* The replay pool                                                   *)
@@ -692,7 +642,7 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
     [rp_cached] is always 0. Bumps the [sample.intervals] /
     [sample.measured_*] counters of the domain's stats tree for the
     surviving intervals. Raises [Invalid_argument] on kernel-hosted
-    domains — see {!Sample.check_jobs}. *)
+    domains, whose host-side minios state is not checkpointable. *)
 let run_parallel ?(roi = false) ?(placement = Sample.Fixed)
     ?(max_insns = max_int) ?(max_cycles = max_int) ?(jobs = 1) ~schedule
     (d : Domain.t) =

@@ -26,7 +26,6 @@
 module Rng = Ptl_util.Rng
 module Context = Ptl_arch.Context
 module Config = Ptl_ooo.Config
-module Registry = Ptl_ooo.Registry
 module Trace = Ptl_trace.Trace
 module Cosim = Ptl_hyper.Cosim
 module Flags = Ptl_isa.Flags
@@ -331,88 +330,3 @@ let write_reports ~dir summary =
       close_out oc;
       file)
     summary.s_divergences
-
-(** Validate an [optlsim fuzz] invocation before any simulation runs.
-    Fuzz mode owns the trace subsystem (it arms capture around the
-    divergence replay and embeds the window in the report), so only
-    [--trace-buf] and [--trace-filter] are honoured; the other
-    [--trace-*] flags contradict it and are rejected with an
-    explanation. Returns the first problem as [Error msg]. *)
-let check_flags ~iters ~len ~classes ~core ~inject ~guard_degrade ~trace_start
-    ~trace_stop ~trace_rip ~trace_trigger ~trace_out ~trace_timeline () =
-  let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f () in
-  let* () =
-    if iters < 1 then Error "--fuzz-iters must be at least 1" else Ok ()
-  in
-  let* () = if len < 1 then Error "--fuzz-len must be at least 1" else Ok () in
-  let* () =
-    match Fuzzgen.parse_classes classes with
-    | _ -> Ok ()
-    | exception Invalid_argument msg -> Error ("--fuzz-classes: " ^ msg)
-  in
-  let* () =
-    if core = "seq" then
-      Error
-        "--core seq: the sequential core is the fuzzing reference; pick a \
-         timed core (ooo, inorder, smt)"
-    else if not (List.mem core (Registry.names ())) then
-      Error
-        (Printf.sprintf "--core %s: unknown core model (have: %s)" core
-           (String.concat ", " (List.sort compare (Registry.names ()))))
-    else Ok ()
-  in
-  let* () =
-    match inject with
-    | Some n when n < 1 -> Error "--fuzz-inject must be at least 1"
-    | _ -> Ok ()
-  in
-  let reject flag msg = Error (flag ^ " contradicts fuzz mode: " ^ msg) in
-  let* () =
-    if guard_degrade then
-      reject "--guard-degrade"
-        "degrading to the seq core would make the model its own reference \
-         and mask the very findings fuzzing exists to surface"
-    else Ok ()
-  in
-  let* () =
-    match trace_start with
-    | Some _ ->
-      reject "--trace-start"
-        "divergence replays re-simulate from cycle 0; the window is armed \
-         automatically"
-    | None -> Ok ()
-  in
-  let* () =
-    match trace_stop with
-    | Some _ ->
-      reject "--trace-stop"
-        "the capture window must extend to the mismatch; it cannot be cut \
-         off at a fixed cycle"
-    | None -> Ok ()
-  in
-  let* () =
-    if trace_rip <> "" then
-      reject "--trace-rip"
-        "the divergence window must show every instruction, not a single \
-         address"
-    else Ok ()
-  in
-  let* () =
-    match String.lowercase_ascii trace_trigger with
-    | "" | "immediate" -> Ok ()
-    | _ ->
-      reject "--trace-trigger"
-        "divergence replays capture from the start of the shrunk program"
-  in
-  let* () =
-    if trace_out <> [] then
-      reject "--trace-out"
-        "reports embed the trace window; use --fuzz-report-dir to write \
-         them to files"
-    else Ok ()
-  in
-  if trace_timeline > 0 then
-    reject "--trace-timeline"
-      "reports embed the trace window as event lines; timelines apply to \
-       rsync/compute runs"
-  else Ok ()

@@ -70,66 +70,27 @@ let default_measure = 30_000
 let period schedule =
   schedule.ff_insns + schedule.warmup_insns + schedule.measure_insns
 
-(** Validate the sampling CLI flag combination and derive the schedule.
-    [ff] and [period] are the raw [--sample-ff] / [--sample-period]
-    options (mutually exclusive; a period is converted to a
-    fast-forward length by subtracting warm-up and measure). Mirrors
-    {!Ptl_fuzz.Harness.check_flags}: returns [Error] with a
-    user-ranked message instead of raising. *)
-let check_flags ~core ~ff ~period ~warmup ~measure ~guard_degrade ~fuzz () :
-    (schedule, string) result =
-  let ( let* ) r f = match r with Error _ as e -> e | Ok x -> f x in
-  let* () =
-    if fuzz then
+(** Derive the schedule from the sampling flags. [ff] and [period] are
+    the raw [--sample-ff] / [--sample-period] options (mutually
+    exclusive; a period is converted to a fast-forward length by
+    subtracting warm-up and measure, and must leave some). Returns
+    [Error] with a user-ranked message instead of raising. *)
+let check_flags ~ff ~period ~warmup ~measure () : (schedule, string) result =
+  let schedule ff =
+    Ok { ff_insns = ff; warmup_insns = warmup; measure_insns = measure }
+  in
+  match (ff, period) with
+  | Some _, Some _ -> Error "give either --sample-ff or --sample-period, not both"
+  | Some ff, None -> schedule ff
+  | None, p ->
+    let p = Option.value p ~default:default_period in
+    if p <= warmup + measure then
       Error
-        "--sample-* cannot be combined with the fuzz subcommand: fuzzing \
-         cosimulates every instruction on both engines, so there is \
-         nothing to fast-forward"
-    else Ok ()
-  in
-  let* () =
-    if guard_degrade then
-      Error
-        "--sample-* cannot be combined with --guard-degrade: degraded \
-         recovery switches core models under the sampler, which would \
-         silently change what the measured intervals measure"
-    else Ok ()
-  in
-  let* () =
-    match core with
-    | "seq" ->
-      Error
-        "--core seq cannot be sampled: the sequential core has no timed \
-         pipeline to measure (pick ooo, smt or inorder)"
-    | c when not (List.mem c (Ptl_ooo.Registry.names ())) ->
-      Error (Printf.sprintf "--core %s: unknown core model" c)
-    | _ -> Ok ()
-  in
-  let* () =
-    if measure < 1 then
-      Error "--sample-measure must be at least 1 instruction"
-    else Ok ()
-  in
-  let* () =
-    if warmup < 0 then Error "--sample-warmup cannot be negative" else Ok ()
-  in
-  let* ff =
-    match (ff, period) with
-    | Some _, Some _ ->
-      Error "give either --sample-ff or --sample-period, not both"
-    | Some f, None ->
-      if f < 0 then Error "--sample-ff cannot be negative" else Ok f
-    | None, p ->
-      let p = Option.value p ~default:default_period in
-      if p <= warmup + measure then
-        Error
-          (Printf.sprintf
-             "--sample-period %d must exceed warmup+measure (%d) so some \
-              instructions are actually fast-forwarded"
-             p (warmup + measure))
-      else Ok (p - warmup - measure)
-  in
-  Ok { ff_insns = ff; warmup_insns = warmup; measure_insns = measure }
+        (Printf.sprintf
+           "--sample-period %d must exceed warmup+measure (%d) so some \
+            instructions are actually fast-forwarded"
+           p (warmup + measure))
+    else schedule (p - warmup - measure)
 
 (* ---------------------------------------------------------------- *)
 (* Interval placement                                                *)
@@ -168,14 +129,10 @@ let parse_placement = function
   | s when String.length s > 5 && String.sub s 0 5 = "rand:" -> (
     match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
     | Some seed -> Ok (Rand_offset seed)
-    | None ->
-      Error
-        (Printf.sprintf "--sample-offset %s: SEED must be an integer" s))
-  | "rand" -> Error "--sample-offset rand needs a seed: rand:SEED"
+    | None -> Error (Printf.sprintf "%s: SEED must be an integer" s))
+  | "rand" -> Error "rand needs a seed: rand:SEED"
   | other ->
-    Error
-      (Printf.sprintf
-         "--sample-offset %s: expected fixed, rand:SEED or stratified" other)
+    Error (Printf.sprintf "%s: expected fixed, rand:SEED or stratified" other)
 
 (** Offset generator for a run: maps the period index to that period's
     window offset in [0, ff_insns]. [Rand_offset] placers are stateful —
@@ -606,23 +563,6 @@ let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
 (* Checkpoint-parallel sampling                                      *)
 (* ---------------------------------------------------------------- *)
 
-(** Validate a [--sample-jobs] request. [kernel] says whether the domain
-    hosts a minios instance; [tracing] whether an event trace is armed.
-    Mirrors {!check_flags}: [Error] with a user-ranked message. *)
-let check_jobs ~jobs ~kernel ~tracing () : (unit, string) Stdlib.result =
-  if jobs < 1 then Error "--sample-jobs must be at least 1"
-  else if kernel then
-    Error
-      "--sample-jobs needs a bare-machine workload: kernel-hosted domains \
-       carry host-side minios state (processes, descriptors, pending \
-       events) that cannot be checkpointed (use compute --bare)"
-  else if tracing && jobs > 1 then
-    Error
-      "--sample-jobs above 1 cannot be combined with --trace/--trace-stream: \
-       the event ring is process-global and parallel workers would \
-       interleave in it"
-  else Ok ()
-
 (** Replay one measured interval from a delta checkpoint on completely
     private state: the memory is a copy-on-write clone of the shared
     base image overlaid with the interval's dirty pages — O(frames +
@@ -746,8 +686,8 @@ type resume_point = {
     insn/cycle/byte totals cover the whole pass.
 
     Raises [Invalid_argument] for kernel-hosted domains — host-side
-    minios state is not checkpointable ({!check_jobs} reports the same
-    condition as a CLI error). *)
+    minios state is not checkpointable (the CLI offers [--sample-jobs]
+    only with [compute --bare]). *)
 let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     ?(max_cycles = max_int) ?(on_base = fun _ -> ()) ?(on_window = fun _ -> ())
     ?resume ~schedule (d : Domain.t) =

@@ -25,20 +25,15 @@ val default_measure : int
 (** Total instructions in one period. *)
 val period : schedule -> int
 
-(** Validate the sampling flag combination and derive the schedule.
-    [ff]/[period] are the raw [--sample-ff] / [--sample-period] options
-    (mutually exclusive; a period converts to a fast-forward length by
-    subtracting warm-up and measure). Rejects the sequential core (no
-    timed pipeline), unknown cores, the fuzz subcommand and
-    [--guard-degrade]. *)
+(** Derive the schedule from the sampling flags. [ff]/[period] are the
+    raw [--sample-ff] / [--sample-period] options (mutually exclusive; a
+    period converts to a fast-forward length by subtracting warm-up and
+    measure, and must exceed their sum). *)
 val check_flags :
-  core:string ->
   ff:int option ->
   period:int option ->
   warmup:int ->
   measure:int ->
-  guard_degrade:bool ->
-  fuzz:bool ->
   unit ->
   (schedule, string) result
 
@@ -131,18 +126,6 @@ val run :
   schedule:schedule ->
   Ptl_hyper.Domain.t ->
   result
-
-(** Validate a [--sample-jobs] request ([kernel]: domain hosts a minios
-    instance; [tracing]: an event trace is armed). Parallel sampling
-    needs bare-machine workloads (host-side kernel state is not
-    checkpointable) and jobs > 1 cannot share the process-global trace
-    ring. *)
-val check_jobs :
-  jobs:int ->
-  kernel:bool ->
-  tracing:bool ->
-  unit ->
-  (unit, string) Stdlib.result
 
 (** Replay one measured interval from a delta checkpoint on completely
     private state: private memory is a copy-on-write clone of the shared

@@ -474,40 +474,6 @@ let area_kb (c : Config.t) =
   float_of_int (cache_bytes + bpred_bytes + tlb_bytes + core_bytes) /. 1024.0
 
 (* ---------------------------------------------------------------- *)
-(* Flag validation (CLI front line, in the Fleet.check_ style)       *)
-(* ---------------------------------------------------------------- *)
-
-let check_flags ~store ~spec ~jobs ~guard_degrade ~tracing ~sampling ~fuzz () =
-  if fuzz then
-    Error
-      "sweep cannot be combined with fuzzing: a sweep replays captured \
-       intervals, there is nothing to fuzz"
-  else if guard_degrade then
-    Error
-      "--guard-degrade cannot be combined with sweep: legs replay measured \
-       intervals from checkpoints, there is no live run to roll back and \
-       degrade"
-  else if tracing then
-    Error
-      "--trace-* cannot be combined with sweep: the process-global trace \
-       ring cannot be shared across sweep legs and replay jobs"
-  else if sampling then
-    Error
-      "--sample-* cannot be combined with sweep: the sampling schedule is \
-       pinned by the store manifest (re-capture to change it)"
-  else if store = "" then
-    Error
-      "--store is required: sweep replays every leg over one captured \
-       interval store (run capture first)"
-  else if spec = "" then
-    Error
-      "--sweep is required: give the design-space spec, e.g. \
-       \"cache.l2.size=256k,1m,4m x bpred=gshare,hybrid\""
-  else if jobs < 0 then
-    Error "--jobs must be at least 1 (or 0 to auto-detect host cores)"
-  else Ok ()
-
-(* ---------------------------------------------------------------- *)
 (* The driver: every leg over the same interval store                *)
 (* ---------------------------------------------------------------- *)
 

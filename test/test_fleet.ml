@@ -94,44 +94,6 @@ let test_lease_queue_release_touch () =
   Alcotest.(check bool) "decided after completion" true (Lq.is_decided q 0);
   Alcotest.(check bool) "out-of-range never decided" false (Lq.is_decided q 99)
 
-(* ---- flag validation ---- *)
-
-let check_err name = function
-  | Error (_ : string) -> ()
-  | Ok _ -> Alcotest.fail (name ^ ": accepted a contradictory flag combo")
-
-let test_check_flags () =
-  check_err "capture without store" (Fleet.check_capture ~store:"" ~jobs:None ());
-  check_err "capture with --sample-jobs"
-    (Fleet.check_capture ~store:"/tmp/s" ~jobs:(Some 4) ());
-  Alcotest.(check bool) "capture ok" true
-    (Fleet.check_capture ~store:"/tmp/s" ~jobs:None () = Ok ());
-  check_err "serve without store"
-    (Fleet.check_serve ~store:"" ~socket:"/tmp/s.sock" ~lease_timeout:30.0
-       ~max_failures:3 ());
-  check_err "serve without socket"
-    (Fleet.check_serve ~store:"/tmp/s" ~socket:"" ~lease_timeout:30.0
-       ~max_failures:3 ());
-  check_err "serve with absurd socket path"
-    (Fleet.check_serve ~store:"/tmp/s" ~socket:(String.make 200 'x')
-       ~lease_timeout:30.0 ~max_failures:3 ());
-  check_err "serve with nonpositive lease timeout"
-    (Fleet.check_serve ~store:"/tmp/s" ~socket:"/tmp/s.sock"
-       ~lease_timeout:0.0 ~max_failures:3 ());
-  check_err "serve with zero retry budget"
-    (Fleet.check_serve ~store:"/tmp/s" ~socket:"/tmp/s.sock"
-       ~lease_timeout:30.0 ~max_failures:0 ());
-  Alcotest.(check bool) "serve ok" true
-    (Fleet.check_serve ~store:"/tmp/s" ~socket:"/tmp/s.sock"
-       ~lease_timeout:30.0 ~max_failures:3 ()
-    = Ok ());
-  check_err "work without connect" (Fleet.check_work ~connect:"" ());
-  check_err "replay without store" (Fleet.check_replay ~store:"" ~jobs:1 ());
-  check_err "replay with negative jobs"
-    (Fleet.check_replay ~store:"/tmp/s" ~jobs:(-1) ());
-  Alcotest.(check bool) "replay jobs=0 means auto-detect" true
-    (Fleet.check_replay ~store:"/tmp/s" ~jobs:0 () = Ok ())
-
 (* ---- end to end over a real socket ---- *)
 
 let schedule =
@@ -534,7 +496,6 @@ let suite =
     Alcotest.test_case "lease queue timeout" `Quick test_lease_queue_timeout;
     Alcotest.test_case "lease queue worker death" `Quick
       test_lease_queue_worker_death;
-    Alcotest.test_case "flag validation" `Quick test_check_flags;
     Alcotest.test_case "fleet end to end (with worker death)" `Quick
       test_fleet_end_to_end;
     Alcotest.test_case "heartbeats keep a slow lease alive" `Quick

@@ -217,42 +217,6 @@ let test_injected_bug_deterministic () =
     (reports (injected_run ()))
     (reports (injected_run ()))
 
-(* --- CLI flag validation (must reject contradictions before any
-   simulation runs) --- *)
-
-let check ?(iters = 10) ?(len = 5) ?(classes = "") ?(core = "ooo")
-    ?inject ?(guard_degrade = false) ?trace_start ?trace_stop
-    ?(trace_rip = "") ?(trace_trigger = "") ?(trace_out = [])
-    ?(trace_timeline = 0) () =
-  Fuzz.check_flags ~iters ~len ~classes ~core ~inject ~guard_degrade
-    ~trace_start ~trace_stop ~trace_rip ~trace_trigger ~trace_out
-    ~trace_timeline ()
-
-let test_check_flags () =
-  Alcotest.(check bool) "plain invocation ok" true (check () = Ok ());
-  Alcotest.(check bool) "buf/filter-compatible trace flags ok" true
-    (check ~trace_trigger:"immediate" () = Ok ());
-  let rejected name r =
-    match r with
-    | Ok () -> Alcotest.failf "%s: expected rejection" name
-    | Error msg ->
-      Alcotest.(check bool) (name ^ " has a message") true
-        (String.length msg > 10)
-  in
-  rejected "iters" (check ~iters:0 ());
-  rejected "len" (check ~len:0 ());
-  rejected "classes" (check ~classes:"alu,nope" ());
-  rejected "seq core" (check ~core:"seq" ());
-  rejected "unknown core" (check ~core:"turbo9000" ());
-  rejected "inject" (check ~inject:0 ());
-  rejected "guard-degrade" (check ~guard_degrade:true ());
-  rejected "trace-start" (check ~trace_start:100 ());
-  rejected "trace-stop" (check ~trace_stop:100 ());
-  rejected "trace-rip" (check ~trace_rip:"0x400000" ());
-  rejected "trace-trigger" (check ~trace_trigger:"mispredict" ());
-  rejected "trace-out" (check ~trace_out:[ "t.json" ] ());
-  rejected "trace-timeline" (check ~trace_timeline:40 ())
-
 (* --- report files --- *)
 
 let test_write_reports () =
@@ -286,6 +250,5 @@ let suite =
     Alcotest.test_case "injected-bug reports deterministic" `Quick test_injected_bug_deterministic;
     Alcotest.test_case "planted spec bug attributed to oracle" `Quick
       test_planted_spec_bug_attributed;
-    Alcotest.test_case "flag validation" `Quick test_check_flags;
     Alcotest.test_case "report files" `Quick test_write_reports;
   ]

@@ -23,11 +23,10 @@ module Insn = Ptl_isa.Insn
 module Ooo = Ptl_ooo.Ooo_core
 module G = Ptl_workloads.Gasm
 
-(* ---------- flag validation ---------- *)
+(* ---------- schedule arithmetic ---------- *)
 
-let check ?(core = "ooo") ?ff ?period ?(warmup = 1_000) ?(measure = 2_000)
-    ?(guard_degrade = false) ?(fuzz = false) () =
-  Sample.check_flags ~core ~ff ~period ~warmup ~measure ~guard_degrade ~fuzz ()
+let check ?ff ?period ?(warmup = 1_000) ?(measure = 2_000) () =
+  Sample.check_flags ~ff ~period ~warmup ~measure ()
 
 let test_check_flags () =
   (match check ~period:100_000 () with
@@ -43,13 +42,8 @@ let test_check_flags () =
   let rejects name r =
     Alcotest.(check bool) name true (Result.is_error r)
   in
-  rejects "seq core" (check ~core:"seq" ~period:100_000 ());
-  rejects "unknown core" (check ~core:"nonsense" ~period:100_000 ());
-  rejects "fuzz" (check ~fuzz:true ~period:100_000 ());
-  rejects "guard degrade" (check ~guard_degrade:true ~period:100_000 ());
   rejects "ff and period" (check ~ff:1 ~period:100_000 ());
-  rejects "period too small" (check ~period:3_000 ());
-  rejects "measure < 1" (check ~measure:0 ~period:100_000 ())
+  rejects "period too small" (check ~period:3_000 ())
 
 (* ---------- aggregate arithmetic ---------- *)
 
@@ -336,21 +330,9 @@ let test_placement_offsets () =
 
 (* ---------- checkpoint-parallel sampling ---------- *)
 
-let test_check_jobs () =
-  let ok name r =
-    Alcotest.(check bool) name true (Result.is_ok r)
-  and rejects name r =
-    Alcotest.(check bool) name true (Result.is_error r)
-  in
-  ok "bare, no trace" (Sample.check_jobs ~jobs:4 ~kernel:false ~tracing:false ());
-  ok "1 job tolerates tracing"
-    (Sample.check_jobs ~jobs:1 ~kernel:false ~tracing:true ());
-  rejects "jobs < 1" (Sample.check_jobs ~jobs:0 ~kernel:false ~tracing:false ());
-  rejects "kernel domain"
-    (Sample.check_jobs ~jobs:2 ~kernel:true ~tracing:false ());
-  rejects "tracing with jobs > 1"
-    (Sample.check_jobs ~jobs:2 ~kernel:false ~tracing:true ());
-  (* and the engine itself refuses kernel-hosted domains *)
+(* the engine itself refuses kernel-hosted domains (the CLI offers
+   --sample-jobs only with compute --bare) *)
+let test_kernel_rejected () =
   let d, _, _ = loop_domain ~iters:100 () in
   Alcotest.check_raises "run_parallel rejects kernel domains"
     (Invalid_argument
@@ -514,7 +496,8 @@ let suite =
     Alcotest.test_case "roi-gated sampling" `Quick test_roi_gated_sampling;
     Alcotest.test_case "placement parse" `Quick test_placement_parse;
     Alcotest.test_case "placement offsets" `Quick test_placement_offsets;
-    Alcotest.test_case "jobs validation" `Quick test_check_jobs;
+    Alcotest.test_case "run_parallel rejects kernel domains" `Quick
+      test_kernel_rejected;
     Alcotest.test_case "jobs=1 vs jobs=4 byte-identical" `Quick
       test_parallel_equivalence;
     Alcotest.test_case "delta capture footprint" `Quick

@@ -146,33 +146,6 @@ let test_paired_fixtures () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted"
 
-(* ---- CLI flag validation ---- *)
-
-let flags ?(store = "s") ?(spec = "mem.latency=40") ?(jobs = 1)
-    ?(guard_degrade = false) ?(tracing = false) ?(sampling = false)
-    ?(fuzz = false) () =
-  Sweep.check_flags ~store ~spec ~jobs ~guard_degrade ~tracing ~sampling ~fuzz
-    ()
-
-let test_check_flags () =
-  (match flags () with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("valid flags rejected: " ^ m));
-  let reject name r =
-    match r with
-    | Ok () -> Alcotest.fail (name ^ ": contradictory flags accepted")
-    | Error m ->
-      Alcotest.(check bool) (name ^ ": explains itself") true
-        (String.length m > 0)
-  in
-  reject "sweep + fuzz" (flags ~fuzz:true ());
-  reject "sweep + guard degrade" (flags ~guard_degrade:true ());
-  reject "sweep + tracing" (flags ~tracing:true ());
-  reject "sweep + sampling flags" (flags ~sampling:true ());
-  reject "missing store" (flags ~store:"" ());
-  reject "missing spec" (flags ~spec:"" ());
-  reject "negative jobs" (flags ~jobs:(-1) ())
-
 (* ---- end to end over a phased capture ---- *)
 
 let schedule =
@@ -349,7 +322,6 @@ let suite =
       test_cross_product;
     Alcotest.test_case "typed spec errors" `Quick test_typed_errors;
     Alcotest.test_case "paired-CI fixtures" `Quick test_paired_fixtures;
-    Alcotest.test_case "contradictory flags rejected" `Quick test_check_flags;
     Alcotest.test_case "planted delta: paired sees, independent is blind"
       `Quick test_planted_delta;
     Alcotest.test_case "deterministic report, cached rerun" `Quick
