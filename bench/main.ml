@@ -194,10 +194,8 @@ let exp_fig3 () =
           (100. *. l) (String.make (min 20 (int_of_float (l *. 200.))) '#'))
       (List.map2 (fun a b -> (a, b)) (List.map2 (fun a b -> (a, b)) misp dtlb) l1)
 
-(* ---------------------------------------------------------------- *)
-(* Simulation throughput (the paper: 415,540 cycles/sec in 2007)     *)
-(* ---------------------------------------------------------------- *)
-
+(* A hot in-cache loop, the workload of the guard-overhead and
+   bbcache-ablation experiments. *)
 let hot_loop_machine () =
   let g = G.create ~base:0x40_0000L () in
   G.li g G.rbp Machine.heap_base;
@@ -211,115 +209,6 @@ let hot_loop_machine () =
   G.jne g "top";
   G.ins g Insn.Hlt;
   Machine.create (G.assemble g)
-
-let exp_speed () =
-  banner "Simulation throughput (paper: 415,540 simulated cycles/sec on 2006 HW)";
-  let measure name make_step =
-    let step = make_step () in
-    (* warm up, then measure with the host clock *)
-    for _ = 1 to 50_000 do step () done;
-    let t0 = Sys.time () in
-    let iters = 400_000 in
-    for _ = 1 to iters do step () done;
-    let dt = Sys.time () -. t0 in
-    Printf.printf "%-10s %10.0f simulated cycles/sec (host)\n%!" name
-      (float_of_int iters /. dt)
-  in
-  measure "ooo-k8" (fun () ->
-      let m = hot_loop_machine () in
-      let core = Ooo.create Config.k8_ptlsim m.Machine.env [| m.Machine.ctx |] in
-      fun () ->
-        Ooo.step core;
-        m.Machine.env.Env.cycle <- m.Machine.env.Env.cycle + 1);
-  measure "inorder" (fun () ->
-      let m = hot_loop_machine () in
-      let core = Inorder.create Config.k8_ptlsim m.Machine.env m.Machine.ctx in
-      fun () -> ignore (Inorder.step_block core));
-  measure "seq" (fun () ->
-      let m = hot_loop_machine () in
-      let core = Seqcore.create m.Machine.env m.Machine.ctx in
-      fun () -> ignore (Seqcore.step_block core));
-  (* a Bechamel microbenchmark of the single-cycle step primitive *)
-  let open Bechamel in
-  let test =
-    Test.make ~name:"ooo_step"
-      (let m = hot_loop_machine () in
-       let core = Ooo.create Config.k8_ptlsim m.Machine.env [| m.Machine.ctx |] in
-       Staged.stage (fun () ->
-           Ooo.step core;
-           m.Machine.env.Env.cycle <- m.Machine.env.Env.cycle + 1))
-  in
-  let benchmark =
-    Benchmark.all
-      (Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:(Some 1000) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"sim" [ test ])
-  in
-  let results =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock benchmark
-  in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "bechamel: %s = %.0f ns/cycle\n%!" name est
-      | _ -> ())
-    results
-
-(* ---------------------------------------------------------------- *)
-(* Trace overhead: the disabled event-trace path must cost nothing   *)
-(* ---------------------------------------------------------------- *)
-
-let exp_trace_overhead () =
-  banner "Trace overhead: disabled-path cost of the lib/trace instrumentation";
-  Printf.printf
-    "every pipeline stage is instrumented behind a single [!Trace.on] branch;\n\
-     with tracing off that branch must disappear into measurement noise.\n%!";
-  let measured_cycles = 300_000 in
-  let run_once () =
-    let m = hot_loop_machine () in
-    let core = Ooo.create Config.k8_ptlsim m.Machine.env [| m.Machine.ctx |] in
-    for _ = 1 to 30_000 do
-      Ooo.step core;
-      m.Machine.env.Env.cycle <- m.Machine.env.Env.cycle + 1
-    done;
-    let t0 = Sys.time () in
-    for _ = 1 to measured_cycles do
-      Ooo.step core;
-      m.Machine.env.Env.cycle <- m.Machine.env.Env.cycle + 1
-    done;
-    Sys.time () -. t0
-  in
-  (* several tracing-off runs establish the noise floor (the two fastest
-     of four, so one scheduling hiccup cannot fail the assertion) *)
-  let off = List.init 4 (fun _ -> run_once ()) in
-  List.iteri
-    (fun i t ->
-      Printf.printf "tracing off, run %d: %.3f s (%.0f cycles/s)\n%!" i t
-        (float_of_int measured_cycles /. t))
-    off;
-  let sorted = List.sort compare off in
-  let best, second =
-    match sorted with a :: b :: _ -> (a, b) | _ -> assert false
-  in
-  let spread = 100.0 *. (second -. best) /. best in
-  (* one run with capture live: ring armed, every event recorded *)
-  Trace.configure ~capacity:(1 lsl 16) ();
-  let on = run_once () in
-  let captured = Trace.captured () in
-  Trace.disable ();
-  Printf.printf "tracing on:          %.3f s (%d events captured)\n" on captured;
-  Printf.printf "off-path spread (two fastest off runs): %.2f%%\n" spread;
-  Printf.printf "tracing-on delta vs fastest off run:    %+.1f%%\n%!"
-    (100.0 *. (on -. best) /. best);
-  if spread >= 2.0 then begin
-    Printf.printf
-      "FAIL: tracing-off runs differ by %.2f%% (>= 2%%); the disabled path is \
-       not free\n%!"
-      spread;
-    exit 1
-  end;
-  Printf.printf "PASS: disabled trace path is within noise (< 2%%)\n%!"
 
 (* ---------------------------------------------------------------- *)
 (* Run-to-run variance (paper: <1% across perfctr re-runs)           *)
@@ -1575,8 +1464,6 @@ let experiments =
     ("table1", exp_table1);
     ("fig2", exp_fig2);
     ("fig3", exp_fig3);
-    ("speed", exp_speed);
-    ("trace-overhead", exp_trace_overhead);
     ("guard-overhead", exp_guard_overhead);
     ("variance", exp_variance);
     ("ablate-bbcache", exp_ablate_bbcache);

@@ -110,18 +110,53 @@ let trigger_conv =
       | Some Trace.On_sample -> Format.pp_print_string ppf "sample"
       | Some (Trace.At_cycle n) -> Format.fprintf ppf "cycle:%d" n)
 
+(* An environment error: exit 1 with a message. *)
+let fleet_err msg =
+  prerr_endline ("optlsim: " ^ msg);
+  exit 1
+
+(* Every output path is opened (a directory: created) before any
+   simulation runs, so an unwritable one is an environment error rather
+   than an uncaught exception once the run is over. *)
+let cannot_write path reason =
+  (* Sys_error messages usually repeat the path: "PATH: REASON" *)
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      String.sub reason (String.length prefix)
+        (String.length reason - String.length prefix)
+    else reason
+  in
+  fleet_err (Printf.sprintf "cannot write %s: %s" path reason)
+
+let open_output path =
+  if path = "-" then stdout
+  else try open_out path with Sys_error reason -> cannot_write path reason
+
+let ensure_dir dir =
+  match Sys.is_directory dir with
+  | true -> ()
+  | false -> cannot_write dir "Not a directory"
+  | exception Sys_error _ -> (
+    try Sys.mkdir dir 0o755 with Sys_error reason -> cannot_write dir reason)
+
 (* the channel behind --trace-stream, owned here; the trace module only
    borrows it while the streaming sink is attached *)
 let stream_channel : (string * out_channel) option ref = ref None
+
+(* the --trace-out sinks, opened by setup_trace and written at the end *)
+let sink_channels : (string * string * out_channel) list ref = ref []
 
 let setup_trace o =
   if trace_requested o then begin
     Trace.configure ~capacity:o.t_buf ?start_cycle:o.t_start
       ?stop_cycle:o.t_stop ?rip:o.t_rip ~classes:o.t_classes ?trigger:o.t_trigger
       ();
+    sink_channels :=
+      List.map (fun (format, path) -> (format, path, open_output path)) o.t_out;
     Option.iter
       (fun (format, path) ->
-        let oc = if path = "-" then stdout else open_out path in
+        let oc = open_output path in
         (* the sink's finalizer owns channel teardown so every exit path —
            including the Sim_failure unwind — leaves a complete file *)
         Trace.stream_to
@@ -135,8 +170,7 @@ let setup_trace o =
       o.t_stream
   end
 
-let write_sink (format, path) =
-  let oc = if path = "-" then stdout else open_out path in
+let write_sink (format, path, oc) =
   (match format with
   | "text" -> Trace.dump_text oc
   | "chrome" -> Trace.dump_chrome oc
@@ -154,7 +188,7 @@ let finish_trace o stats =
     | None -> ());
     Printf.printf "trace: %d events in window (%d captured, %d lost to wraparound)\n"
       (Trace.length ()) (Trace.captured ()) (Trace.overwritten ());
-    List.iter write_sink o.t_out;
+    List.iter write_sink !sink_channels;
     (* Cross-check: every committed x86 instruction emits exactly one
        tagged commit event, so with an unwrapped, unfiltered window the
        trace must agree with the counter tree. A restricted capture
@@ -824,6 +858,7 @@ let run_vm trace guard core machine (demand, workload, slots) steps bytes
 
 let run_fuzz guard trace_classes trace_capacity core config seed iters len
     classes report_dir inject no_oracle =
+  Option.iter ensure_dir report_dir;
   let inject_fn = Option.map (fun n -> Fuzz.flags_bug ~after:n) inject in
   let replay_extra =
     (match inject with
@@ -876,10 +911,6 @@ let run_fuzz guard trace_classes trace_capacity core config seed iters len
     exit 2
 
 (* ---------- the sampling fleet (capture / serve / work / replay) ---------- *)
-
-let fleet_err msg =
-  prerr_endline ("optlsim: " ^ msg);
-  exit 1
 
 let fleet_log quiet = if quiet then fun _ -> () else Printf.eprintf "%s\n%!"
 

@@ -286,4 +286,3 @@ let run t ~max_insns =
   !total
 
 let insns t = Stats.value t.c_insns
-let uops t = Stats.value t.c_uops

@@ -30,16 +30,6 @@ let translate env (ctx : Context.t) ~vaddr ~write ~fetch ~at_rip =
   | Error f ->
     page_fault ctx ~vaddr ~not_present:f.Pt.not_present ~write ~fetch ~at_rip
 
-(** Translation that also reports the page-walk PTE loads (for timing). *)
-let translate_with_walk env (ctx : Context.t) ~vaddr ~write ~fetch ~at_rip =
-  let user = ctx.Context.mode = Context.User in
-  match
-    Pt.walk env.mem ~cr3_mfn:ctx.Context.cr3 ~vaddr ~write ~user ~exec:fetch ()
-  with
-  | Ok tr -> (Pt.to_paddr tr vaddr, tr.Pt.pte_addrs)
-  | Error f ->
-    page_fault ctx ~vaddr ~not_present:f.Pt.not_present ~write ~fetch ~at_rip
-
 (* Split an access crossing a page boundary into per-page pieces. *)
 let crosses_page vaddr n =
   let off = Int64.to_int (Int64.logand vaddr (Int64.of_int Pm.page_mask)) in
@@ -81,15 +71,6 @@ let fetch_byte env ctx ~at_rip vaddr =
 let code_mfn env ctx ~at_rip vaddr =
   let paddr = translate env ctx ~vaddr ~write:false ~fetch:true ~at_rip in
   Pm.mfn_of_paddr paddr
-
-(** Copy a string into guest virtual memory (loader / kernel model use). *)
-let write_string env ctx ~vaddr s ~at_rip =
-  String.iteri
-    (fun i c ->
-      let va = Int64.add vaddr (Int64.of_int i) in
-      let pa = translate env ctx ~vaddr:va ~write:true ~fetch:false ~at_rip in
-      Pm.write8 env.mem pa (Char.code c))
-    s
 
 (** Read [n] bytes from guest virtual memory as a string. *)
 let read_string env ctx ~vaddr n ~at_rip =

@@ -387,7 +387,3 @@ let diff t snapshot =
     note
       (Printf.sprintf "bpred.ras_top: %d vs %d" t.ras_top snapshot.sn_ras_top);
   List.rev !out
-
-(* accessors for reports *)
-let predicts t = Stats.value t.s_predicts
-let mispredicts t = Stats.value t.s_mispredicts

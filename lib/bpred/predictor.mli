@@ -57,9 +57,6 @@ val ras_pop : t -> int64 option
 val ras_checkpoint : t -> ras_checkpoint
 val ras_restore : t -> ras_checkpoint -> unit
 
-val predicts : t -> int
-val mispredicts : t -> int
-
 (** Checkpoint of every table: direction counters, chooser, bimodal,
     global history, BTB (tags/targets/recency/tick) and the RAS with its
     cursor. Restores are in place; [diff] lists every mismatch between

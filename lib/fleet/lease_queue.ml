@@ -46,7 +46,6 @@ let total t = Array.length t.decided
 let is_decided t index =
   index >= 0 && index < Array.length t.decided && t.decided.(index)
 let decided_count t = t.decided_count
-let remaining t = total t - t.decided_count
 let leased t = Hashtbl.length t.leases
 let pending t = Queue.length t.pending
 let finished t = t.decided_count = total t

@@ -315,10 +315,9 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     s_divergences = List.rev !divs;
   }
 
-(** Write one report file per divergence under [dir] (created if absent),
-    named [div-seed<S>-iter<N>.txt]. Returns the paths written. *)
+(** Write one report file per divergence under the existing directory
+    [dir], named [div-seed<S>-iter<N>.txt]. Returns the paths written. *)
 let write_reports ~dir summary =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.map
     (fun d ->
       let file =

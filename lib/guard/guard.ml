@@ -397,9 +397,3 @@ let wrap ?(config = default_config) ?(out = stderr) ~env ~ctx inst =
     insns = (fun () -> s.inner.Registry.insns ());
     handle = inst.Registry.handle;
   }
-
-(** Whether a wrapped instance has fallen back to the seq core. *)
-let degraded (inst : Registry.instance) =
-  match find_supervisor inst.Registry.model_name with
-  | Some s -> s.degraded
-  | None -> false

@@ -24,9 +24,6 @@ type stop =
   | Out_of_budget
   | Hung of Ptl_ooo.Sim_failure.t
 
-(** Run the functional reference for exactly [n] committed instructions. *)
-val run_reference : Ptl_isa.Asm.image -> n:int -> Ptl_arch.Machine.t
-
 (** Run the timed core [core] for at least [n] committed instructions.
     [inject] is called after every step with the VCPU context (fault
     injection for harness self-tests); [wrap] decorates the built
@@ -45,15 +42,6 @@ val run_model :
   Ptl_isa.Asm.image ->
   n:int ->
   Ptl_arch.Machine.t * stop
-
-(** Architectural diff of two machines: registers/flags/rip plus the
-    given guest-virtual [mem_ranges] (vaddr, length-in-bytes), compared
-    quadword by quadword. *)
-val diff_machines :
-  ?mem_ranges:(int64 * int) list ->
-  Ptl_arch.Machine.t ->
-  Ptl_arch.Machine.t ->
-  string list
 
 (** Compare every [check_every] instructions up to [max_insns]. [inject]
     is a factory producing a fresh corruption callback per model run

@@ -18,7 +18,6 @@ val create : unit -> trace
 val record :
   trace -> Ptl_arch.Env.t -> ?vector:int -> ?dma:(int * string) list -> unit -> unit
 
-val events : trace -> event list
 val length : trace -> int
 
 (** A replay cursor over a trace. *)

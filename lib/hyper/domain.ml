@@ -354,4 +354,3 @@ let run ?(max_cycles = max_int) t =
 let submit t text = t.pending <- t.pending @ Ptlcall.parse text
 
 let insns t = t.ctx.Context.insns_committed
-let cycles t = Stats.value t.c_cycles

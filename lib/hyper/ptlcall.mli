@@ -20,9 +20,6 @@ type command =
 
 exception Parse_error of string
 
-(** Accepts PTLsim-style counts ("10m", "500k", "2g"). *)
-val parse_count : string -> int
-
 (** Parse a command list; phases separated by ":". Raises
     [Parse_error]. *)
 val parse : string -> command list

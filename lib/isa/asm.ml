@@ -39,9 +39,6 @@ let inss t is = List.iter (ins t) is
 (** Place a label at the current position. *)
 let label t name = emit t (Label name)
 
-(** Define an absolute symbol (an address outside this program). *)
-let define t name addr = t.defined <- (name, addr) :: t.defined
-
 (** Align the current position to [n] bytes (power of two). Padding bytes
     are 0x00, which is the [nop] opcode, so gaps are executable. *)
 let align t n =
@@ -51,19 +48,9 @@ let align t n =
 (** Raw data bytes. *)
 let bytes t s = emit t (Bytes s)
 
-let byte t b = bytes t (String.make 1 (Char.chr (b land 0xFF)))
-
 let quad t v =
   let b = Buffer.create 8 in
   for i = 0 to 7 do
-    Buffer.add_char b (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done;
-  bytes t (Buffer.contents b)
-
-let dword t v =
-  let b = Buffer.create 4 in
-  let v = Int64.of_int v in
-  for i = 0 to 3 do
     Buffer.add_char b (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
   done;
   bytes t (Buffer.contents b)

@@ -373,12 +373,3 @@ let decode ~fetch ~rip : Insn.t * int =
   in
   let insn = go ~locked:false ~rep:false in
   (insn, consumed cur)
-
-(** Decode from a flat string placed at base address 0 (test helper). *)
-let decode_string bytes ~at =
-  let fetch addr =
-    let i = Int64.to_int addr in
-    if i < 0 || i >= String.length bytes then raise (Invalid_opcode addr)
-    else Char.code bytes.[i]
-  in
-  decode ~fetch ~rip:(Int64.of_int at)

@@ -340,9 +340,6 @@ let rec encode ?(rip = 0L) ?(short_branches = true) (insn : Insn.t) : string =
     byte buf xb);
   Buffer.contents buf
 
-(** Encoded length of [insn] at [rip]. *)
-let length ?(rip = 0L) insn = String.length (encode ~rip insn)
-
 (** Canonical form of an instruction: immediates reduced to the
     representation the encoder actually emits. [decode (encode i)] equals
     [normalize i] for every encodable instruction — the round-trip property

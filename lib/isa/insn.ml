@@ -119,18 +119,6 @@ let lockable = function
   | Bittest ((Bts | Btr | Btc), _, Mem _, _) -> true
   | _ -> false
 
-(** Whether the instruction is a control transfer terminating a basic
-    block. *)
-let is_branch = function
-  | Call _ | CallInd _ | Ret | Jmp _ | JmpInd _ | Jcc _ | Syscall | Sysret
-  | Int _ | Iret | Ptlcall | Hlt -> true
-  | _ -> false
-
-(** Privileged instructions (#GP from user mode). *)
-let is_privileged = function
-  | MovToCr _ | MovFromCr _ | Invlpg _ | Cli | Sti | Hlt | Iret | Sysret -> true
-  | _ -> false
-
 let alu_name = function
   | Add -> "add" | Or -> "or" | Adc -> "adc" | Sbb -> "sbb"
   | And -> "and" | Sub -> "sub" | Xor -> "xor" | Cmp -> "cmp"

@@ -10,7 +10,6 @@ type xmm = int (* 0..15 *)
 
 let num_gprs = 16
 let num_xmms = 16
-let num_fprs = 8
 
 (* x86-64 encoding order. *)
 let rax = 0

@@ -61,7 +61,5 @@ let e_inval = -22
 let e_again = -11
 let e_child = -10
 
-(* open flags *)
-let o_rdonly = 0
 let o_wronly = 1
 let o_creat = 64

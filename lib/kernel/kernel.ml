@@ -292,6 +292,12 @@ let add_file t ~name ~contents = Ramfs.add_file t.fs ~name ~contents
 
 let find_proc t pid = List.find_opt (fun p -> p.pid = pid) t.procs
 
+let exit_codes t =
+  List.sort compare
+    (List.filter_map
+       (fun p -> if p.state = Zombie then Some (p.pid, p.exit_code) else None)
+       t.procs)
+
 (* ---- context switching ---- *)
 
 let boot_kstack_top = Int64.add Abi.kstack_base (Int64.of_int (Abi.kstack_pages * Pm.page_size))
@@ -1251,24 +1257,3 @@ let boot t =
   ctx.Context.running <- true
 
 let is_shutdown t = t.shutdown
-
-(** Simple standalone driver: run the kernel + workload on a core-model
-    instance until shutdown or [max_cycles]. Fast-forwards idle time to
-    the next event (counting the skipped cycles as idle). *)
-let run t (core : unit -> unit) (idle : unit -> bool) ~max_cycles =
-  let idle_counter = Stats.counter t.env.Env.stats "kernel.idle_skipped_cycles" in
-  let start = t.env.Env.cycle in
-  while (not t.shutdown) && t.env.Env.cycle - start < max_cycles do
-    if t.next_event_cycle <= t.env.Env.cycle then poll t;
-    if idle () then begin
-      (* nothing runnable: skip ahead to the next device event *)
-      if t.next_event_cycle = max_int then t.shutdown <- true
-      else begin
-        let skip = max 0 (t.next_event_cycle - t.env.Env.cycle) in
-        Stats.add idle_counter skip;
-        t.env.Env.cycle <- t.env.Env.cycle + skip;
-        poll t
-      end
-    end
-    else core ()
-  done

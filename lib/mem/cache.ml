@@ -220,23 +220,6 @@ let invalidate t paddr =
     t.lines.(s);
   !dirty
 
-let flush_all t =
-  Array.iter
-    (fun ways ->
-      Array.iter
-        (fun l ->
-          l.tag <- -1;
-          l.dirty <- false)
-        ways)
-    t.lines
-
-(** Number of valid lines (occupancy invariant checks in tests). *)
-let occupancy t =
-  Array.fold_left
-    (fun acc ways ->
-      acc + Array.fold_left (fun a l -> if l.tag >= 0 then a + 1 else a) 0 ways)
-    0 t.lines
-
 (** Tag/LRU structural consistency for the guard registry: no duplicate
     tags within a set, no garbage tags, and no recency stamp from the
     future. Returns a violation description, or None. *)
@@ -384,7 +367,3 @@ let debug_touch_lru t =
 
 (** Configured hit latency (cycles). *)
 let latency t = t.config.latency
-
-let hits t = Ptl_stats.Statstree.value t.hits
-let misses t = Ptl_stats.Statstree.value t.misses
-let accesses t = hits t + misses t

@@ -54,17 +54,8 @@ val fill : t -> int -> unit
 (** Invalidate a line; true when it was present and dirty. *)
 val invalidate : t -> int -> bool
 
-val flush_all : t -> unit
-
-(** Valid-line count (occupancy invariants in tests). *)
-val occupancy : t -> int
-
 (** Configured hit latency (cycles). *)
 val latency : t -> int
-
-val hits : t -> int
-val misses : t -> int
-val accesses : t -> int
 
 (** Guard hook: tag/LRU structural consistency (no duplicate tags in a
     set, no garbage tags, no recency stamp from the future). Returns a

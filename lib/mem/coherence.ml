@@ -124,15 +124,6 @@ let write_hit_penalty t ~core ~paddr =
       st.(core) <- M;
       !penalty)
 
-(** Record that [core] filled [paddr] on a read without contention (used
-    when no directory update happened through [miss_penalty]). *)
-let note_fill t ~core ~paddr ~write =
-  match t.mode with
-  | Instant -> ()
-  | Moesi _ ->
-    let st = states t (line_of t paddr) in
-    if st.(core) = I then st.(core) <- (if write then M else S)
-
 (** Drop a core's copy (eviction). *)
 let note_evict t ~core ~paddr =
   match t.mode with

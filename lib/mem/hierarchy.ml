@@ -80,8 +80,6 @@ let set_remote_penalty t f = t.remote_penalty <- f
 let set_remote_write_hit t f = t.remote_write_hit <- f
 
 let l1d t = t.l1d
-let l1i t = t.l1i
-let l2 t = t.l2
 
 (* Drop completed MSHR entries. *)
 let expire_mshrs t ~cycle =
@@ -280,8 +278,6 @@ let diff t snapshot =
 
 (* ---------- guard inspection hooks ---------- *)
 
-let mshr_occupancy t = Hashtbl.length t.mshr
-
 (** MSHR-leak check: a fill whose completion cycle lies beyond any
     latency the hierarchy can legitimately produce (worst-case miss chain
     through every level plus full-MSHR queueing and a generous coherence
@@ -316,12 +312,3 @@ let check t ~cycle =
   <|> (fun () -> Cache.check t.l2)
   <|> (fun () -> match t.l3 with Some l3 -> Cache.check l3 | None -> None)
   <|> (fun () -> mshr_check t ~cycle)
-
-(** Flush all levels (the paper's -perfctr option flushes all CPU caches
-    before switching to native mode). *)
-let flush t =
-  Cache.flush_all t.l1d;
-  Cache.flush_all t.l1i;
-  Cache.flush_all t.l2;
-  Option.iter Cache.flush_all t.l3;
-  Hashtbl.reset t.mshr

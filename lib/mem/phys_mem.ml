@@ -54,8 +54,6 @@ let mfn_of_paddr paddr = paddr lsr page_shift
 let offset_of_paddr paddr = paddr land page_mask
 let paddr_of_mfn mfn = mfn lsl page_shift
 
-let page_exists t mfn = Hashtbl.mem t.frames mfn
-
 (* Mark [mfn] dirty and break any copy-on-write sharing. Must run
    before the frame's bytes are fetched on a write path. *)
 let mark_dirty t mfn =
@@ -174,11 +172,7 @@ let write_n t paddr n v =
       write8 t (paddr + i) (Ptl_util.W64.byte v i)
     done
 
-let read16 t paddr = Int64.to_int (read_n t paddr 2)
-let read32 t paddr = read_n t paddr 4
 let read64 t paddr = read_n t paddr 8
-let write16 t paddr v = write_n t paddr 2 (Int64.of_int v)
-let write32 t paddr v = write_n t paddr 4 v
 let write64 t paddr v = write_n t paddr 8 v
 
 (** Sized access in terms of {!Ptl_util.W64.size}. *)
@@ -230,9 +224,6 @@ let restore t ~snapshot =
 let clear_dirty t =
   Hashtbl.reset t.dirty;
   t.last_dirty <- -1
-
-(** Pages written or allocated since {!clear_dirty}. *)
-let dirty_count t = Hashtbl.length t.dirty
 
 (** The pages written or allocated since {!clear_dirty} plus the
     allocator state — everything needed to rebuild this memory from the

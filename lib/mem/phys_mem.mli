@@ -13,10 +13,7 @@ val page_mask : int
 val create : ?first_mfn:int -> unit -> t
 
 val mfn_of_paddr : int -> int
-val offset_of_paddr : int -> int
 val paddr_of_mfn : int -> int
-
-val page_exists : t -> int -> bool
 
 (** Frame backing an MFN, allocating a zeroed frame on first touch. The
     returned bytes may be written, so the frame counts as dirty and any
@@ -35,11 +32,7 @@ val allocated_pages : t -> int
 
 val read8 : t -> int -> int
 val write8 : t -> int -> int -> unit
-val read16 : t -> int -> int
-val read32 : t -> int -> int64
 val read64 : t -> int -> int64
-val write16 : t -> int -> int -> unit
-val write32 : t -> int -> int64 -> unit
 val write64 : t -> int -> int64 -> unit
 
 (** Sized access in terms of {!Ptl_util.W64.size}. *)
@@ -71,9 +64,6 @@ val diff : t -> t -> int list
 
 (** Forget the dirty set: subsequent {!delta}s are relative to now. *)
 val clear_dirty : t -> unit
-
-(** Pages written or allocated since {!clear_dirty}. *)
-val dirty_count : t -> int
 
 (** Dirty pages (deep-copied, sorted by MFN) plus allocator state:
     everything needed to rebuild this memory from the base image the

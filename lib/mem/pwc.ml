@@ -142,30 +142,12 @@ let loads_left t vaddr ~walk_len =
   | None -> walk_len
   | Some depth -> max 1 (walk_len - (depths - depth))
 
-let hits t = t.hits
-let misses t = t.misses
-
 let flush t =
   Array.iter
     (fun lvl ->
       Array.fill lvl.tags 0 (Array.length lvl.tags) (-1L);
       Array.fill lvl.mfns 0 (Array.length lvl.mfns) 0;
       Array.fill lvl.lru 0 (Array.length lvl.lru) 0)
-    t.levels
-
-(** Drop any cached prefix covering [vaddr] (invlpg / shootdown). *)
-let flush_page t vaddr =
-  Array.iteri
-    (fun depth lvl ->
-      let tag = key_of vaddr depth in
-      Array.iteri
-        (fun i t' ->
-          if t' = tag then begin
-            lvl.tags.(i) <- -1L;
-            lvl.mfns.(i) <- 0;
-            lvl.lru.(i) <- 0
-          end)
-        lvl.tags)
     t.levels
 
 (* ---------- checkpointing (sampled/fleet replay) ---------- *)
@@ -236,30 +218,6 @@ let diff t s =
   List.rev !out
 
 (* ---------- guard inspection hooks ---------- *)
-
-(** Internal consistency: no duplicate tags within a depth, no LRU stamp
-    from the future. Returns a violation description, or [None]. *)
-let check t =
-  let violation = ref None in
-  let note fmt =
-    Printf.ksprintf (fun s -> if !violation = None then violation := Some s) fmt
-  in
-  Array.iteri
-    (fun d lvl ->
-      let seen = Hashtbl.create 8 in
-      Array.iteri
-        (fun i tag ->
-          if tag <> -1L then begin
-            if Hashtbl.mem seen tag then
-              note "%s depth %d: duplicate prefix %#Lx" t.name d tag;
-            Hashtbl.replace seen tag ();
-            if lvl.lru.(i) > t.tick then
-              note "%s depth %d slot %d: lru stamp %d from the future (tick %d)"
-                t.name d i lvl.lru.(i) t.tick
-          end)
-        lvl.tags)
-    t.levels;
-  !violation
 
 (** All valid entries as (depth, prefix, table mfn) triples — the guard's
     PWC↔pagetable agreement check walks these. *)

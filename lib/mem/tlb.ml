@@ -95,15 +95,6 @@ let level_flush level =
   Array.iter (fun row -> Array.fill row 0 (Array.length row) (-1L)) level.tags;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) None) level.data
 
-let level_flush_page level vpn =
-  let s = set_of level vpn in
-  for w = 0 to level.ways - 1 do
-    if level.tags.(s).(w) = vpn then begin
-      level.tags.(s).(w) <- -1L;
-      level.data.(s).(w) <- None
-    end
-  done
-
 type config = {
   l1_entries : int;
   l1_ways : int;
@@ -242,19 +233,6 @@ let flush t =
   level_flush t.l1;
   Option.iter level_flush t.l2;
   Option.iter level_flush t.pde
-
-(** Flush one page (invlpg): drops both the 4K entry for [vaddr] and any
-    huge entry covering it. *)
-let flush_page t vaddr =
-  let vpn = vpn_of_vaddr vaddr in
-  let hvpn = huge_tag_of_vaddr vaddr in
-  level_flush_page t.l1 vpn;
-  level_flush_page t.l1 hvpn;
-  Option.iter
-    (fun l2 ->
-      level_flush_page l2 vpn;
-      level_flush_page l2 hvpn)
-    t.l2
 
 (* ---------- checkpointing (sampled-simulation parallel workers) ---------- *)
 

@@ -11,9 +11,6 @@ type entry = {
   huge : bool;  (* entry spans 2M (a PS-set PDE mapping) *)
 }
 
-(** Whether a tag (as returned by {!entries}) names a 2M entry. *)
-val tag_is_huge : int64 -> bool
-
 (** Base virtual address covered by a tag (2M- or 4K-aligned). *)
 val vaddr_of_tag : int64 -> int64
 
@@ -62,10 +59,6 @@ val walk_loads : t -> int64 -> int
 
 (** Flush everything (CR3 reload; the K8 predates ASIDs). *)
 val flush : t -> unit
-
-(** Flush one page (invlpg): drops both the 4K entry and any huge entry
-    covering the address. *)
-val flush_page : t -> int64 -> unit
 
 (** Guard hook: internal tag/entry/LRU consistency of every level.
     Returns a violation description, or [None] when consistent. *)

@@ -196,17 +196,4 @@ let step_block t =
          insns_now);
   st
 
-(** Run until idle or [max_cycles] simulated cycles pass. *)
-let run t ~max_cycles =
-  let start = t.env.Env.cycle in
-  let stop = ref false in
-  while (not !stop) && t.env.Env.cycle - start < max_cycles do
-    match step_block t with
-    | Seqcore.Idle ->
-      if not (Context.interruptible t.ctx) then stop := true
-    | Seqcore.Executed _ | Seqcore.Interrupted -> ()
-  done;
-  t.env.Env.cycle - start
-
 let insns t = Seqcore.insns t.seq
-let cycles t = Stats.value t.c_cycles

@@ -133,8 +133,6 @@ let release_all t ~cycle ~core ~thread =
       if contended then Hashtbl.replace t.cooldown k (cycle + cooldown_cycles))
     mine
 
-let held t ~paddr = Hashtbl.mem t.locks (key paddr)
-
 (** Is [paddr] interlocked by someone other than (core, thread)? Plain
     loads and stores touching such an address must replay until the owner
     releases (paper §4.4). *)

@@ -37,8 +37,6 @@ val release : t -> cycle:int -> core:int -> thread:int -> paddr:int -> unit
 (** Release everything held by (core, thread) — pipeline flush path. *)
 val release_all : t -> cycle:int -> core:int -> thread:int -> unit
 
-val held : t -> paddr:int -> bool
-
 (** Whether someone other than (core, thread) holds the address: plain
     loads and stores touching it must replay. *)
 val locked_by_other : t -> core:int -> thread:int -> paddr:int -> bool

@@ -89,5 +89,3 @@ let run t ~max_cycles =
     if all_idle t then stop := true else step t
   done;
   t.env.Env.cycle - start
-
-let total_insns t = Array.fold_left (fun a c -> a + Ooo_core.insns c) 0 t.cores

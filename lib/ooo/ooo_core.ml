@@ -269,10 +269,6 @@ let trace_replay t (e : rob_entry) reason =
 
 let src_of th reg = if reg = Uop.reg_none then Arch else th.rat.(reg)
 
-let src_ready t = function
-  | Arch -> true
-  | Phys p -> Physreg.is_written t.prf p
-
 let src_value t th = function
   | Arch, reg -> if reg = Uop.reg_none then 0L else Context.get_reg th.ctx reg
   | Phys p, _ -> Physreg.value t.prf p
@@ -1439,8 +1435,6 @@ let commit_thread t th =
 
 (* ---------- the cycle loop ---------- *)
 
-type status = Running | All_idle
-
 let count_mode_cycles t =
   let ctx = t.threads.(0).ctx in
   if not ctx.Context.running then Stats.incr t.c_idle_cycles
@@ -1519,7 +1513,6 @@ let run t ~max_cycles =
   now t - start
 
 let insns t = Stats.value t.c_insns
-let cycles t = Stats.value t.c_cycles
 
 (* ---------- guard inspection hooks ----------
 

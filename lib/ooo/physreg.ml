@@ -73,22 +73,10 @@ let is_written t i = t.regs.(i).state = Written
 let value t i = t.regs.(i).value
 let flags t i = t.regs.(i).flags
 
-(** Invariant check for tests: free + live = capacity and no Free register
-    is referenced. *)
-let consistent t =
-  let free_marked =
-    Array.fold_left (fun a r -> a + if r.state = Free then 1 else 0) 0 t.regs
-  in
-  free_marked = Queue.length t.free
-
 (* ---------- guard inspection hooks ---------- *)
 
 let capacity t = Array.length t.regs
-let state t i = t.regs.(i).state
 let state_name = function Free -> "Free" | Pending -> "Pending" | Written -> "Written"
-
-(** Free-list contents, head first. *)
-let free_list t = List.rev (Queue.fold (fun acc i -> i :: acc) [] t.free)
 
 (** Conservation + leak check against the set of registers the pipeline
     references ([iter_referenced] visits each, see

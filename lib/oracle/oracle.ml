@@ -104,15 +104,3 @@ let run ?(max_insns = 1_000_000) t : outcome =
       | (Faulted _ | Undecodable _ | Unsupported _) as stop -> stop
   in
   go Stepped
-
-(** Predicted fault for the instruction at the current rip, or [None]
-    if it executes cleanly ([`Fault]s are not delivered by the oracle;
-    the caller compares the prediction against the machine's delivery
-    path). [Undecodable] maps to vector 6 (#UD). *)
-let predict_fault t : (int * int64 option) option =
-  match step t with
-  | Faulted (Spec.Access_fault { addr; _ } as f) ->
-      Some (Spec.fault_vector f, Some addr)
-  | Faulted f -> Some (Spec.fault_vector f, None)
-  | Undecodable _ -> Some (6, None)
-  | Stepped | Halted | Unsupported _ -> None

@@ -150,16 +150,6 @@ let make_placer placement schedule =
     let rng = Rng.create seed in
     fun _ -> if ff = 0 then 0 else Rng.int rng (ff + 1)
 
-(** The first [n] offsets a placement yields (tests and tooling); drawn
-    in period order, so deterministic per seed. *)
-let offsets placement schedule n =
-  let placer = make_placer placement schedule in
-  let out = Array.make (max n 0) 0 in
-  for i = 0 to n - 1 do
-    out.(i) <- placer i
-  done;
-  out
-
 (* ---------------------------------------------------------------- *)
 (* Results                                                           *)
 (* ---------------------------------------------------------------- *)
@@ -736,6 +726,10 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       rs.rs_count
   in
   let window base p period =
+    (* the native clock's sub-cycle remainder is harness state outside
+       the checkpoint: zero it at the capture point, matching a resumed
+       pass, which starts from a fresh domain *)
+    d.Domain.native_frac <- 0;
     let dk = Checkpoint.capture_delta ~base ~uarch:p.uarch env ctx in
     let db = Checkpoint.delta_page_bytes dk
     and fb = Checkpoint.full_page_bytes env in

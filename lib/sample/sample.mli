@@ -18,7 +18,6 @@ type schedule = {
   measure_insns : int;  (** timed and measured *)
 }
 
-val default_period : int
 val default_warmup : int
 val default_measure : int
 
@@ -46,23 +45,11 @@ val check_flags :
     remaining [ff_insns - offset] follow it. *)
 type placement = Fixed | Rand_offset of int | Stratified
 
-(** Strata a [Stratified] schedule rotates through. *)
-val strata : int
-
 val placement_to_string : placement -> string
 
 (** Parse a [--sample-offset] spec: ["fixed"] (or [""]), ["rand:SEED"]
     or ["stratified"]. *)
 val parse_placement : string -> (placement, string) result
-
-(** Offset generator: period index -> offset in [\[0, ff_insns\]].
-    [Rand_offset] placers are stateful — call once per period in
-    increasing order. *)
-val make_placer : placement -> schedule -> int -> int
-
-(** First [n] offsets a placement yields, in period order
-    (deterministic per seed). *)
-val offsets : placement -> schedule -> int -> int array
 
 (** One measured interval: its snapshot pair and the instruction /
     cycle deltas between them. *)
@@ -91,11 +78,6 @@ type result = {
 val aggregate :
   total_insns:int -> total_cycles:int -> interval list -> result
 
-(** Increase of a {!Ptl_stats.Statstree} counter path across one
-    measured interval (delta of its snapshot pair) — e.g.
-    ["ooo.mem.L1D.misses"] for per-interval MPKI. *)
-val interval_stat : interval -> string -> int
-
 (** Sum of {!interval_stat} over every measured interval of a result —
     whole-run counter deltas attributable to measured execution. *)
 val result_stat : result -> string -> int
@@ -107,8 +89,6 @@ val result_stat : result -> string -> int
     pass, whose freshly installed hooks start with cold memos, warms
     exactly as the uninterrupted pass did. *)
 val install_warming : Ptl_hyper.Domain.t -> Ptl_ooo.Uarch.t -> unit -> unit
-
-val remove_warming : Ptl_hyper.Domain.t -> unit
 
 (** Drive the domain to completion (guest shutdown / halt / [-kill] /
     budget) under [schedule]. Installs a shared {!Ptl_ooo.Uarch} via

@@ -66,11 +66,6 @@ let effect_of l = function
   | "OF" -> l.l_of
   | n -> invalid_arg ("Spec.effect_of: " ^ n)
 
-let effect_name = function
-  | Written -> "written"
-  | Preserved -> "preserved"
-  | Undefined -> "undefined"
-
 (* ------------------------------------------------------------------ *)
 (* Operand shapes and exception conditions                             *)
 (* ------------------------------------------------------------------ *)

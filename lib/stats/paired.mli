@@ -29,12 +29,6 @@ type t = {
           common-random-numbers payoff is [indep_ci95 / delta_ci95]. *)
 }
 
-(** Mean of an array; 0 on empty. *)
-val mean : float array -> float
-
-(** Unbiased sample standard deviation (n-1); 0 for n <= 1. *)
-val sd : float array -> float
-
 (** Compare matched pairs. Raises [Invalid_argument] if the arrays
     differ in length. *)
 val compare : baseline:float array -> candidate:float array -> t

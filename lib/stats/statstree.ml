@@ -40,7 +40,6 @@ let counter t path =
 
 let incr c = c.value <- c.value + 1
 let add c n = c.value <- c.value + n
-let set c n = c.value <- n
 let value c = c.value
 
 let find t path = Hashtbl.find_opt t.index path
@@ -74,14 +73,6 @@ let delta older newer path =
     go 0
   in
   look newer - look older
-
-let snapshot_get s path =
-  let rec go i =
-    if i >= Array.length s.snap_paths then None
-    else if String.equal s.snap_paths.(i) path then Some s.values.(i)
-    else go (i + 1)
-  in
-  go 0
 
 (** Render all counters whose path starts with [prefix] (default all). *)
 let dump ?(prefix = "") t =

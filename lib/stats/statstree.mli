@@ -19,9 +19,7 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set : counter -> int -> unit
 val value : counter -> int
-val find : t -> string -> counter option
 
 (** Current value at a path; 0 if never registered. *)
 val get : t -> string -> int
@@ -38,8 +36,6 @@ val snapshot : t -> cycle:int -> snapshot
 (** Increase of a path between two snapshots; counters registered after
     the older snapshot count from zero. *)
 val delta : snapshot -> snapshot -> string -> int
-
-val snapshot_get : snapshot -> string -> int option
 
 (** Text dump of all counters whose path starts with [prefix]. *)
 val dump : ?prefix:string -> t -> string

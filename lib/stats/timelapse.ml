@@ -50,24 +50,3 @@ let ratio_series t num den =
   List.map2
     (fun n d -> if d = 0 then 0.0 else float_of_int n /. float_of_int d)
     n d
-
-(** Number of completed intervals. *)
-let intervals t = max 0 (List.length t.snaps - 1)
-
-(** Render selected series as CSV: one row per interval, one column per
-    path (plus the interval-end cycle). Used to export Figure 2/3 data
-    for external plotting. *)
-let to_csv t ~paths =
-  let snaps = Array.of_list (snapshots t) in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("cycle," ^ String.concat "," paths ^ "\n");
-  for i = 0 to Array.length snaps - 2 do
-    Buffer.add_string buf (string_of_int snaps.(i + 1).Statstree.cycle);
-    List.iter
-      (fun p ->
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int (Statstree.delta snaps.(i) snaps.(i + 1) p)))
-      paths;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf

@@ -15,16 +15,9 @@ val tick : t -> cycle:int -> unit
     exists, no duplicate zero-length interval is appended. *)
 val finish : t -> cycle:int -> unit
 
-val snapshots : t -> Statstree.snapshot list
-
 (** Per-interval increases of a counter path. *)
 val series : t -> string -> int list
 
 (** Per-interval delta(num)/delta(den), 0 where the denominator did not
     move. *)
 val ratio_series : t -> string -> string -> float list
-
-val intervals : t -> int
-
-(** CSV export: one row per interval (cycle + one column per path). *)
-val to_csv : t -> paths:string list -> string

@@ -46,7 +46,6 @@ type error =
   | E_truncated of { path : string; wanted : int; got : int }
   | E_checksum of { path : string; stored : int32; computed : int32 }
   | E_bad_index of { index : int; count : int }
-  | E_mismatch of { path : string; field : string; found : string; expected : string }
 
 let error_to_string = function
   | E_io { path; reason } -> Printf.sprintf "store: %s: %s" path reason
@@ -71,9 +70,6 @@ let error_to_string = function
   | E_bad_index { index; count } ->
     Printf.sprintf "store: interval index %d out of range (store holds %d)"
       index count
-  | E_mismatch { path; field; found; expected } ->
-    Printf.sprintf "store: %s: %s is %s, expected %s" path field found
-      expected
 
 let ( let* ) r f = match r with Error _ as e -> e | Ok x -> f x
 
@@ -550,36 +546,23 @@ let put_result t ~config_digest ~index (iv : Sample.interval option) =
       ~kind:kind_result
       { sr_config_digest = config_digest; sr_index = index; sr_interval = iv }
 
-(** [Ok None] = not cached (including an unreadable or mismatched cache
-    entry: the cache is an optimization, so a bad entry means "replay
-    again", never "fail the run"). *)
-let get_result t ~config_digest ~index :
-    (Sample.interval option option, error) result =
-  if index < 0 || index >= t.manifest.m_count then
-    Error (E_bad_index { index; count = t.manifest.m_count })
-  else begin
-    let path = result_path t ~config_digest index in
-    if not (Sys.file_exists path) then Ok None
-    else
-      match read_value ~path ~kind:kind_result with
-      | Error _ -> Ok None
-      | Ok (sr : stored_result) ->
-        if sr.sr_config_digest = config_digest && sr.sr_index = index then
-          Ok (Some sr.sr_interval)
-        else Ok None
-  end
-
 (** Every cached result for [config_digest], by index — what a server
-    preloads so repeated runs of the same (store, config) are free. *)
+    preloads so repeated runs of the same (store, config) are free. An
+    unreadable or mismatched entry counts as not cached: the cache is an
+    optimization, so a bad entry means "replay again", never "fail the
+    run". *)
 let cached_results t ~config_digest =
-  let rec scan i acc =
-    if i >= t.manifest.m_count then List.rev acc
-    else
-      match get_result t ~config_digest ~index:i with
-      | Ok (Some iv) -> scan (i + 1) ((i, iv) :: acc)
-      | Ok None | Error _ -> scan (i + 1) acc
-  in
-  scan 0 []
+  List.filter_map
+    (fun index ->
+      let path = result_path t ~config_digest index in
+      if not (Sys.file_exists path) then None
+      else
+        match read_value ~path ~kind:kind_result with
+        | Ok (sr : stored_result)
+          when sr.sr_config_digest = config_digest && sr.sr_index = index ->
+          Some (index, sr.sr_interval)
+        | Ok _ | Error _ -> None)
+    (List.init t.manifest.m_count Fun.id)
 
 (** Every distinct config digest with at least one readable result-cache
     entry, sorted — how a sweep reports which legs are already paid for.

@@ -260,7 +260,6 @@ let clear () =
 (** Cores store the simulated cycle here once per step so leaf emitters
     (caches, TLBs, the predictor) need not thread it through. *)
 let set_cycle c = st.cycle <- c
-let now () = st.cycle
 
 let captured () = st.captured
 let overwritten () = st.overwritten
@@ -306,9 +305,6 @@ let emit ?(core = 0) ?(thread = 0) ?(uuid = -1) ?(rip = 0L) ?(slot = -1)
       match st.stream with Some f -> f ev | None -> ()
     end
   end
-
-(** Oldest-to-youngest snapshot of the captured window. *)
-let events () = Ring.to_list st.ring
 
 let count pred = Ring.fold st.ring 0 (fun acc ev -> if pred ev then acc + 1 else acc)
 
@@ -644,8 +640,6 @@ let stream_to ?on_stop fmt oc =
 
 (** Finalize and detach the streaming sink, if any. Idempotent. *)
 let stream_stop () = close_stream ()
-
-let streaming () = st.stream <> None
 
 (* ---------------------------------------------------------------- *)
 (* Per-instruction timelines                                         *)

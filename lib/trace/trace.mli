@@ -38,15 +38,12 @@ type kind =
   | Pwc_hit        (** page-walk-cache hit (slot = depth) *)
   | Pwc_miss
 
-val kind_name : kind -> string
-
 (** Coarse event classes, the unit of [-trace-filter] selection:
     [Pipe] fetch..mispredict, [Retire] commit events, [Mem] caches,
     [Tlb], [Bb] basic-block cache, [Bpred] predictor, [Vm] virtual
     memory (page faults, shootdowns, page-walk caches). *)
 type cls = Pipe | Retire | Mem | Tlb | Bb | Bpred | Vm
 
-val class_of : kind -> cls
 val class_name : cls -> string
 val all_classes : cls list
 
@@ -111,8 +108,6 @@ val clear : unit -> unit
     (caches, TLBs, the predictor) need not thread it through. *)
 val set_cycle : int -> unit
 
-val now : unit -> int
-
 (** Record one event; a no-op unless {!on} (but call sites should guard
     themselves for zero disabled-path cost). Defaults: [core=0]
     [thread=0] [uuid=-1] [rip=0L] [slot=-1] [info=0L] [tag=""]. *)
@@ -127,9 +122,6 @@ val emit :
   kind ->
   unit
 
-(** Oldest-to-youngest snapshot of the captured window. *)
-val events : unit -> event list
-
 (** Events accepted into the ring over the whole run (including ones
     since lost to wraparound). *)
 val captured : unit -> int
@@ -139,8 +131,6 @@ val overwritten : unit -> int
 
 (** Events currently in the window. *)
 val length : unit -> int
-
-val count : (event -> bool) -> int
 
 (** Committed x86 instructions in the window, optionally restricted to
     one core model's commit [tag] (e.g. ["ooo"]). *)
@@ -188,9 +178,6 @@ val stream_to : ?on_stop:(unit -> unit) -> stream_format -> out_channel -> unit
 
 (** Finalize and detach the streaming sink, if any. Idempotent. *)
 val stream_stop : unit -> unit
-
-(** Whether a streaming sink is currently attached. *)
-val streaming : unit -> bool
 
 (** Render per-uop timelines, one row per uop in fetch (uuid) order, one
     column per stage holding the cycle the uop reached it, with notes for

@@ -167,8 +167,6 @@ let store_committed t mfn =
   end
   else false
 
-let size t = Hashtbl.length t.blocks
-
 let clear t =
   Hashtbl.reset t.blocks;
   Hashtbl.reset t.by_mfn

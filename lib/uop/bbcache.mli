@@ -19,18 +19,6 @@ type t
 
 val create : ?max_insns:int -> ?max_uops:int -> Ptl_stats.Statstree.t -> t
 
-(** Translate a block at [rip] (not cached yet). [fetch] supplies
-    instruction bytes by virtual address; [mfn_of] maps a virtual address
-    to its frame. Faults on the first instruction propagate; mid-block
-    faults cut the block so the fault is taken when fetch reaches it. *)
-val build :
-  t ->
-  rip:int64 ->
-  kernel:bool ->
-  fetch:(int64 -> int) ->
-  mfn_of:(int64 -> int) ->
-  bb
-
 (** Look up, building and caching on miss. *)
 val lookup :
   t ->
@@ -40,15 +28,8 @@ val lookup :
   mfn_of:(int64 -> int) ->
   bb
 
-(** Invalidate every block decoded from a frame; returns the count. *)
-val invalidate_mfn : t -> int -> int
-
-(** Does the frame back any cached code? (cheap store-commit check) *)
-val mfn_has_code : t -> int -> bool
-
 (** A committed store hit this frame: invalidates its blocks and returns
     true when the caller must flush its pipeline (the SMC protocol). *)
 val store_committed : t -> int -> bool
 
-val size : t -> int
 val clear : t -> unit

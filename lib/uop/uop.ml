@@ -16,7 +16,6 @@ open Ptl_util
 
 (* ---- uop-level architectural register numbering ---- *)
 
-let reg_gpr_base = 0 (* 0..15: rax..r15 *)
 let reg_temp_base = 16 (* 16..23: translator temporaries t0..t7 *)
 let reg_flags = 24
 let reg_zero = 25
@@ -229,21 +228,3 @@ let is_assist u = match u.op with Assist _ -> true | _ -> false
 
 (** Whether this uop ends a basic block (branch or serializing assist). *)
 let ends_block u = is_branch u || is_assist u
-
-let to_string u =
-  let buf = Buffer.create 48 in
-  Buffer.add_string buf (opcode_name u.op);
-  Buffer.add_string buf (Printf.sprintf ".%s" (W64.size_to_string u.size));
-  if u.rd <> reg_none then Buffer.add_string buf (" " ^ reg_name u.rd ^ " <-");
-  if u.ra <> reg_none then Buffer.add_string buf (" " ^ reg_name u.ra);
-  if u.rb <> reg_none then
-    Buffer.add_string buf
-      (Printf.sprintf " %s%s" (reg_name u.rb)
-         (if u.scale <> 1 then Printf.sprintf "*%d" u.scale else ""));
-  if u.rc <> reg_none then Buffer.add_string buf (" " ^ reg_name u.rc);
-  if u.imm <> 0L || (u.ra = reg_none && u.rb = reg_none) then
-    Buffer.add_string buf (Printf.sprintf " $%Ld" u.imm);
-  if is_branch u then Buffer.add_string buf (Printf.sprintf " -> %#Lx" u.br_target);
-  if u.som then Buffer.add_string buf " [som]";
-  if u.eom then Buffer.add_string buf " [eom]";
-  Buffer.contents buf

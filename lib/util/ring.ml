@@ -15,11 +15,9 @@ let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create";
   { slots = Array.make capacity None; head = 0; count = 0 }
 
-let capacity t = Array.length t.slots
 let length t = t.count
 let is_empty t = t.count = 0
 let is_full t = t.count = Array.length t.slots
-let remaining t = Array.length t.slots - t.count
 
 (** Append at the tail. Raises [Failure] when full. *)
 let push t v =
@@ -96,15 +94,5 @@ let fold t init f =
   let acc = ref init in
   iter t (fun v -> acc := f !acc v);
   !acc
-
-(** First element (oldest-first) satisfying [f], with its age index. *)
-let find_first t f =
-  let rec go i =
-    if i >= t.count then None
-    else
-      let v = get t i in
-      if f v then Some (i, v) else go (i + 1)
-  in
-  go 0
 
 let to_list t = List.rev (fold t [] (fun acc v -> v :: acc))

@@ -9,13 +9,9 @@ type 'a t
 (** [create capacity] raises [Invalid_argument] when [capacity <= 0]. *)
 val create : int -> 'a t
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-
-(** Free slots remaining. *)
-val remaining : 'a t -> int
 
 (** Append at the tail; raises [Failure] when full. *)
 val push : 'a t -> 'a -> unit
@@ -41,14 +37,7 @@ val drop_youngest : 'a t -> int -> unit
 
 val clear : 'a t -> unit
 
-(** Oldest-to-youngest iteration. *)
-val iteri : 'a t -> (int -> 'a -> unit) -> unit
-
 val iter : 'a t -> ('a -> unit) -> unit
 val fold : 'a t -> 'b -> ('b -> 'a -> 'b) -> 'b
-
-(** First element (oldest first) satisfying the predicate, with its age
-    index. *)
-val find_first : 'a t -> ('a -> bool) -> (int * 'a) option
 
 val to_list : 'a t -> 'a list

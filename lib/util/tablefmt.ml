@@ -54,18 +54,3 @@ let pct_diff reference value =
   else
     let d = (value -. reference) /. reference *. 100.0 in
     Printf.sprintf "%+.2f%%" d
-
-(** An ASCII sparkline-style plot: one output line per series row, where the
-    value is scaled into [width] columns. Used for Figures 2 and 3. *)
-let ascii_series ~label ~width ~max_value values =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "%s (max=%.3f)\n" label max_value);
-  List.iteri
-    (fun i v ->
-      let n =
-        if max_value <= 0.0 then 0
-        else int_of_float (Float.min 1.0 (v /. max_value) *. float_of_int width)
-      in
-      Buffer.add_string buf (Printf.sprintf "%5d |%s%s| %.4f\n" i (String.make n '#') (String.make (width - n) ' ') v))
-    values;
-  Buffer.contents buf

@@ -8,10 +8,6 @@
 
 type t = int64
 
-let zero = 0L
-let one = 1L
-let minus_one = -1L
-
 (* Operand widths of the guest ISA, in bytes. *)
 type size = B1 | B2 | B4 | B8
 
@@ -54,7 +50,6 @@ let is_zero size v = truncate size v = 0L
 let ucompare a b = Int64.unsigned_compare a b
 
 let ult a b = ucompare a b < 0
-let ule a b = ucompare a b <= 0
 
 (** Parity flag of the low byte (set when the low 8 bits have even parity),
     matching the x86 PF definition. *)
@@ -213,6 +208,3 @@ let of_bytes n f =
     else go (i + 1) (Int64.logor acc (Int64.shift_left (Int64.of_int (f i land 0xFF)) (8 * i)))
   in
   go 0 0L
-
-let to_hex v = Printf.sprintf "0x%Lx" v
-let pp fmt v = Format.fprintf fmt "%#Lx" v

@@ -8,10 +8,6 @@
 
 type t = int64
 
-val zero : t
-val one : t
-val minus_one : t
-
 (** Operand widths of the guest ISA, in bytes. *)
 type size = B1 | B2 | B4 | B8
 
@@ -40,9 +36,6 @@ val is_zero : size -> t -> bool
 
 (** Unsigned comparison with the [compare] convention. *)
 val ucompare : t -> t -> int
-
-val ult : t -> t -> bool
-val ule : t -> t -> bool
 
 (** x86 PF: true when the low 8 bits have even parity. *)
 val parity : t -> bool
@@ -76,6 +69,3 @@ val byte : t -> int -> int
 (** Assemble a word from [n] little-endian bytes produced by the
     function. *)
 val of_bytes : int -> (int -> int) -> t
-
-val to_hex : t -> string
-val pp : Format.formatter -> t -> unit

@@ -122,11 +122,6 @@ let find_vma t ~cr3 ~vaddr =
            < Int64.of_int (v.vma_pages * Pm.page_size))
       sp.sp_vmas
 
-let resident_pages t = Hashtbl.length t.resident
-let faults t = Stats.value t.c_faults
-let evictions t = Stats.value t.c_evictions
-let shootdowns t = Stats.value t.c_shootdowns
-
 (* ---- TLB invalidation ---- *)
 
 (** Invalidate the translation structures of every VCPU on address space

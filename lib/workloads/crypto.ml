@@ -8,8 +8,6 @@
 
 module G = Gasm
 
-let state_size = 258
-
 (** rc4_init(rdi=state, rsi=key, rdx=keylen). Clobbers caller-saved. *)
 let emit_init_fn g =
   G.label g "rc4_init";

@@ -254,7 +254,6 @@ let stx t ~base ~index ?(scale = 8) ?(disp = 0) rs () =
        (W64.B8, Insn.Mem (Insn.mem ~base ~index ~scale ~disp:(Int64.of_int disp) ()),
         Insn.RM (Insn.Reg rs)))
 
-let ori t rd v = ins t (Insn.Alu (Insn.Or, W64.B8, Insn.Reg rd, Insn.Imm (Int64.of_int v)))
 let orr t rd rs = ins t (Insn.Alu (Insn.Or, W64.B8, Insn.Reg rd, Insn.RM (Insn.Reg rs)))
 let inc t rd = ins t (Insn.Unary (Insn.Inc, W64.B8, Insn.Reg rd))
 let dec t rd = ins t (Insn.Unary (Insn.Dec, W64.B8, Insn.Reg rd))

@@ -10,17 +10,14 @@
     gzip-class dictionary state, and the source of the benchmark's DTLB
     pressure) that the caller provides zeroed once per buffer; stale
     entries from earlier regions are rejected by the 3-byte verify, so
-    re-zeroing per block is unnecessary. Compressed output is bounded by
-    [max_compressed_size]. *)
+    re-zeroing per block is unnecessary. Compressed output of [n] bytes
+    is at most [n + 2n/255 + 8] bytes. *)
 
 module G = Gasm
 module Flags = Ptl_isa.Flags
 
 let hash_table_entries = 32768
 let hash_table_size = hash_table_entries * 8
-
-(* worst case: every byte a literal, 2 bytes of header per 255 *)
-let max_compressed_size n = n + (n / 255 * 2) + 8
 
 (** lz_compress(rdi=src, rsi=len, rdx=dst, rcx=hashtbl) -> rax = outlen.
     The hash table must be zeroed by the caller. *)

@@ -31,15 +31,6 @@ let spec ?(fileset = Fileset.default) ?(machine = Config.k8_ptlsim)
     snapshot_interval;
   }
 
-(** Run the benchmark fully in simulation mode; returns the domain (with
-    stats, timelapse and markers populated) and the kernel. *)
-let run ?fileset ?machine ?snapshot_interval ?(max_cycles = 4_000_000_000) () =
-  let d, k = Ptlmon.launch (spec ?fileset ?machine ?snapshot_interval ()) in
-  (* the whole run is cycle-accurate: enter simulation before boot *)
-  Domain.submit d "-core ooo -run";
-  ignore (Domain.run ~max_cycles d);
-  (d, k)
-
 (** The Table 1 metrics extracted from a finished run's statistics tree.
     All counts are raw (the table formatter scales to thousands). *)
 type metrics = {

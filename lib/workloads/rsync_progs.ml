@@ -50,8 +50,6 @@ let op_block = 2
 let op_filedone = 3
 let op_quit = 4
 
-let name_stride = 64
-
 (* rbp <- heap base; every program keeps it there *)
 let load_heap g = G.li g G.rbp Abi.user_heap_base
 

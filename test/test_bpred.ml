@@ -116,10 +116,14 @@ let test_ras_checkpoint_repair () =
   Alcotest.(check (option int64)) "pop undone" (Some 0x3000L) (P.ras_pop p)
 
 let test_mispredict_counter () =
-  let p = make (P.Bimodal 10) in
+  let stats = Stats.create () in
+  let p =
+    P.create stats
+      { P.direction = P.Bimodal 10; btb_entries = 64; btb_ways = 4; ras_entries = 8 }
+  in
   P.update_cond p ~rip:0x400500L ~taken:true ~mispredicted:true;
   P.update_cond p ~rip:0x400500L ~taken:true ~mispredicted:false;
-  Alcotest.(check int) "counted once" 1 (P.mispredicts p)
+  Alcotest.(check int) "counted once" 1 (Stats.get stats "bpred.mispredicts")
 
 (* --- disassembler smoke checks --- *)
 

@@ -43,8 +43,7 @@ let test_parse () =
   bad "bad flip" "flip=-1@store.write"
 
 let test_fire_exact_hit () =
-  Chaos.arm
-    [ { Chaos.r_point = "p"; r_hit = 2; r_action = Chaos.Kill } ];
+  Chaos.arm (Result.get_ok (Chaos.parse "kill@p:2"));
   Alcotest.(check bool) "first pass clean" true (Chaos.fire "p" = None);
   Alcotest.(check bool) "second pass fires" true
     (Chaos.fire "p" = Some Chaos.Kill);

@@ -59,7 +59,8 @@ let warmed_machine ?(insns = 20_000) () =
   while !alive && d.Domain.ctx.Context.insns_committed < target do
     alive := Domain.drive_once d
   done;
-  Sample.remove_warming d;
+  (* warming off: drop the functional core's hooks *)
+  d.Domain.native.Ptl_arch.Seqcore.hooks <- None;
   (d, u, m)
 
 let no_diff name diff =
@@ -288,13 +289,15 @@ let test_pwc_hugepage_checkpoint () =
     Alcotest.(check bool) "restored entry still huge" true e.Tlb.huge
   | Tlb.Tlb_miss -> Alcotest.fail "huge entry lost in the round trip");
   (* a PWC of different geometry refuses the snapshot (fit-tolerant
-     callers then start it cold instead) *)
-  let other = Pwc.create ~entries:16 () in
-  match r.r_uarch.Uarch.sn_pwc with
-  | Some psnap ->
-    Alcotest.(check bool) "geometry mismatch does not fit" false
-      (Pwc.fits other psnap)
-  | None -> Alcotest.fail "checkpoint lost the PWC snapshot"
+     restores then start it cold instead) *)
+  let restore_into cfg =
+    let fresh = Uarch.create ~prefix:"ooo" cfg (Ptl_stats.Statstree.create ()) in
+    Uarch.restore fresh ~base:r.r_uarch ~delta:(Uarch.delta u ~base:r.r_uarch)
+  in
+  Alcotest.(check (list string)) "checkpoint kept the PWC snapshot" []
+    (restore_into cfg);
+  Alcotest.(check (list string)) "geometry mismatch does not fit" [ "pwc" ]
+    (restore_into { cfg with Config.pwc_entries = 16 })
 
 let suite =
   [

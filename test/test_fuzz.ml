@@ -222,6 +222,7 @@ let test_injected_bug_deterministic () =
 let test_write_reports () =
   let s = injected_run () in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "optlsim-fuzz-test" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let files = Fuzz.write_reports ~dir s in
   Alcotest.(check int) "one file per divergence"
     (List.length s.Fuzz.s_divergences)

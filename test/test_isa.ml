@@ -113,7 +113,7 @@ let test_invalid_encodings () =
    with Invalid_argument _ -> ());
   (* undefined opcode decodes to Invalid_opcode *)
   (try
-     ignore (Decode.decode_string "\xEE" ~at:0);
+     ignore (Decode.decode ~fetch:(fun _ -> 0xEE) ~rip:0L);
      Alcotest.fail "expected Invalid_opcode"
    with Decode.Invalid_opcode _ -> ())
 
@@ -320,70 +320,6 @@ let test_asm_quad_ref () =
   let v = W64.of_bytes 8 (fun i -> Char.code img.Asm.code.[off + i]) in
   Alcotest.(check int64) "table entry" (Asm.symbol img "handler") v
 
-(* --- table-driven exception conditions: hand-written #DE/#GP/#PF
-   triggers must fault identically in two independent worlds — the spec
-   oracle's prediction, and real IDT delivery through the sequential
-   core's fault machinery (lib/arch/fault.ml + assists.ml). The
-   conformance suite derives such triggers from the spec table; this is
-   the hand-curated regression set pinning the architectural contract
-   itself --- *)
-
-module Spec = Ptl_spec.Spec
-module Conformance = Ptl_oracle.Conformance
-
-let test_exception_table () =
-  let mbad = Insn.Mem (Insn.mem_bd Regs.r15 Conformance.bad_disp) in
-  let cases =
-    [
-      ( "div-by-zero", 0, None, Spec.Kernel,
-        [ Insn.Movabs (Regs.rdx, 0L); Insn.Movabs (Regs.rax, 7L);
-          Insn.Movabs (Regs.rbx, 0L);
-          Insn.Muldiv (Insn.Div, W64.B8, Insn.Reg Regs.rbx) ] );
-      (* quotient overflow: rdx:rax / rbx does not fit 64 bits *)
-      ( "div-overflow", 0, None, Spec.Kernel,
-        [ Insn.Movabs (Regs.rdx, 5L); Insn.Movabs (Regs.rax, 0L);
-          Insn.Movabs (Regs.rbx, 2L);
-          Insn.Muldiv (Insn.Div, W64.B8, Insn.Reg Regs.rbx) ] );
-      ( "idiv-min-by-minus-one", 0, None, Spec.Kernel,
-        [ Insn.Movabs (Regs.rdx, -1L); Insn.Movabs (Regs.rax, Int64.min_int);
-          Insn.Movabs (Regs.rbx, -1L);
-          Insn.Muldiv (Insn.Idiv, W64.B8, Insn.Reg Regs.rbx) ] );
-      ( "hlt-in-user-mode", 13, None, Spec.User, [ Insn.Hlt ] );
-      ( "load-unmapped", 14, Some Conformance.bad_addr, Spec.Kernel,
-        [ Insn.Movabs (Regs.r15, Conformance.scratch);
-          Insn.Mov (W64.B8, Insn.Reg Regs.rax, Insn.RM mbad) ] );
-      ( "store-unmapped", 14, Some Conformance.bad_addr, Spec.Kernel,
-        [ Insn.Movabs (Regs.r15, Conformance.scratch);
-          Insn.Mov (W64.B8, mbad, Insn.RM (Insn.Reg Regs.rax)) ] );
-    ]
-  in
-  List.iter
-    (fun (name, vector, addr, mode, insns) ->
-      let c =
-        { Conformance.e_name = name; e_vector = vector; e_addr = addr;
-          e_mode = mode; e_body = (fun a -> Asm.inss a insns) }
-      in
-      let image = Conformance.build_exc_image c in
-      (match Conformance.predict Spec.table mode image with
-      | Some (v, pa) ->
-        Alcotest.(check int) (name ^ ": oracle vector") vector v;
-        (match (addr, pa) with
-        | Some want, Some got ->
-          Alcotest.(check int64) (name ^ ": oracle fault addr") want got
-        | Some _, None ->
-          Alcotest.failf "%s: oracle predicted no faulting address" name
-        | None, _ -> ())
-      | None -> Alcotest.failf "%s: oracle predicted no fault" name);
-      let got, cr2 = Conformance.deliver mode image in
-      Alcotest.(check int)
-        (name ^ ": delivered to handler")
-        (Conformance.marker vector) got;
-      match addr with
-      | Some want when vector = 14 ->
-        Alcotest.(check int64) (name ^ ": cr2") want cr2
-      | _ -> ())
-    cases
-
 let suite =
   [
     Alcotest.test_case "unit roundtrips" `Quick unit_roundtrips;
@@ -399,6 +335,4 @@ let suite =
     Alcotest.test_case "asm align + data" `Quick test_asm_align_and_data;
     Alcotest.test_case "asm undefined label" `Quick test_asm_undefined_label;
     Alcotest.test_case "asm quad_ref" `Quick test_asm_quad_ref;
-    Alcotest.test_case "exception table: oracle + delivery" `Quick
-      test_exception_table;
   ]

@@ -25,7 +25,23 @@ let boot_and_run ?(core = "seq") ?(max_cycles = 200_000_000) ?(files = [])
   List.iter (fun (name, image) -> Kernel.register_program k ~name image) programs;
   Kernel.boot k;
   let inst = Registry.build core Config.tiny env [| ctx |] in
-  Kernel.run k inst.Registry.step inst.Registry.idle ~max_cycles;
+  (* the standalone drive loop: step the core, polling device events,
+     and skip idle gaps to the next event (counted as idle) *)
+  let idle_skipped = Stats.counter env.Env.stats "kernel.idle_skipped_cycles" in
+  let start = env.Env.cycle in
+  while (not (Kernel.is_shutdown k)) && env.Env.cycle - start < max_cycles do
+    if Kernel.next_event_cycle k <= env.Env.cycle then Kernel.poll k;
+    if inst.Registry.idle () then begin
+      if Kernel.next_event_cycle k = max_int then k.Kernel.shutdown <- true
+      else begin
+        let skip = max 0 (Kernel.next_event_cycle k - env.Env.cycle) in
+        Stats.add idle_skipped skip;
+        env.Env.cycle <- env.Env.cycle + skip;
+        Kernel.poll k
+      end
+    end
+    else inst.Registry.step ()
+  done;
   (k, env)
 
 let test_file_write_read () =
@@ -79,9 +95,9 @@ let test_file_write_read () =
   G.syscall g Abi.sys_exit;
   let k, _ = boot_and_run [ ("init", G.assemble g) ] in
   (* mismatches = exit code of init (pid 1) *)
-  (match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "no mismatches" 0 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "no mismatches" 0 code
+  | None -> Alcotest.fail "init did not exit");
   Alcotest.(check bool) "file persisted" true (Ramfs.exists k.Kernel.fs "out")
 
 let test_disk_page_in () =
@@ -111,9 +127,9 @@ let test_disk_page_in () =
   G.mov g G.rdi G.r12;
   G.syscall g Abi.sys_exit;
   let k, env = boot_and_run ~files:[ ("data", contents) ] [ ("init", G.assemble g) ] in
-  (match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "read 8192 bytes" 8192 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "read 8192 bytes" 8192 code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   Alcotest.(check bool) "disk reads happened" true (Stats.get stats "kernel.disk_reads" >= 2);
   Alcotest.(check bool) "idle time while waiting on disk" true
@@ -215,9 +231,9 @@ let test_pipe_parent_child () =
   let k, _ =
     boot_and_run [ ("init", G.assemble parent); ("child", G.assemble child) ]
   in
-  match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "sum via pipe" 48 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished"
+  match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "sum via pipe" 48 code
+  | None -> Alcotest.fail "init did not exit"
 
 let test_sockets_loopback () =
   (* server listens on port 7; client connects, sends 100 bytes of 7s;
@@ -304,9 +320,9 @@ let test_sockets_loopback () =
     boot_and_run
       [ ("init", G.assemble init); ("server", G.assemble server); ("client", G.assemble client) ]
   in
-  (match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "sum over socket" 700 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "sum over socket" 700 code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   Alcotest.(check bool) "packets flowed" true (Stats.get stats "kernel.packets" > 0)
 
@@ -350,9 +366,9 @@ let test_preemption () =
   let k, env =
     boot_and_run ~kconfig [ ("init", G.assemble init); ("spin", G.assemble spinner) ]
   in
-  (match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "both spinners finished" 14 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "both spinners finished" 14 code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   Alcotest.(check bool) "context switches" true (Stats.get stats "kernel.context_switches" > 4);
   Alcotest.(check bool) "timer ticked" true (Stats.get stats "kernel.timer_ticks" > 0)
@@ -391,9 +407,9 @@ let test_readdir_stat () =
       G.mov g G.rdi G.rax;
       G.syscall g Abi.sys_exit);
   let k, _ = boot_and_run ~files [ ("init", G.assemble g) ] in
-  match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "2 entries, 6 bytes" 206 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished"
+  match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "2 entries, 6 bytes" 206 code
+  | None -> Alcotest.fail "init did not exit"
 
 let test_kernel_on_ooo_core () =
   (* the same file test must pass on the cycle-accurate core *)
@@ -418,9 +434,9 @@ let test_kernel_on_ooo_core () =
       G.mov g G.rdi G.rax;
       G.syscall g Abi.sys_exit);
   let k, env = boot_and_run ~core:"ooo" [ ("init", G.assemble g) ] in
-  (match Kernel.find_proc k 1 with
-  | Some p -> Alcotest.(check int) "wrote 32" 32 p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code -> Alcotest.(check int) "wrote 32" 32 code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   Alcotest.(check bool) "kernel cycles counted" true
     (Stats.get stats "ooo.cycles_in_mode.kernel" > 0);
@@ -461,11 +477,11 @@ let heap_sweep ~pages =
 let test_demand_paging () =
   let kconfig = { Kernel.default_config with Kernel.demand_paging = true } in
   let k, env = boot_and_run ~kconfig [ ("init", heap_sweep ~pages:24) ] in
-  (match Kernel.find_proc k 1 with
-  | Some p ->
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code ->
     Alcotest.(check int) "sum over 24 demand-paged pages" (24 * 25 / 2)
-      p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+      code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   (* at least the touched heap pages plus code and stack faulted in *)
   Alcotest.(check bool)
@@ -488,11 +504,11 @@ let test_demand_paging_reclaim () =
     }
   in
   let k, env = boot_and_run ~kconfig [ ("init", heap_sweep ~pages:48) ] in
-  (match Kernel.find_proc k 1 with
-  | Some p ->
+  (match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code ->
     Alcotest.(check int) "sum survives eviction and swap-in" (48 * 49 / 2)
-      p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished");
+      code
+  | None -> Alcotest.fail "init did not exit");
   let stats = env.Env.stats in
   Alcotest.(check bool) "evictions happened" true
     (Stats.get stats "vm.evictions" > 0);
@@ -512,10 +528,10 @@ let test_demand_paging_segv () =
   G.syscall g Abi.sys_exit;
   let kconfig = { Kernel.default_config with Kernel.demand_paging = true } in
   let k, _ = boot_and_run ~kconfig [ ("init", G.assemble g) ] in
-  match Kernel.find_proc k 1 with
-  | Some p ->
-    Alcotest.(check int) "killed with -1, not exit 0" (-1) p.Kernel.exit_code
-  | None -> Alcotest.fail "init vanished"
+  match List.assoc_opt 1 (Kernel.exit_codes k) with
+  | Some code ->
+    Alcotest.(check int) "killed with -1, not exit 0" (-1) code
+  | None -> Alcotest.fail "init did not exit"
 
 let suite =
   [

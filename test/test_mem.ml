@@ -12,7 +12,6 @@ let test_phys_rw () =
   Alcotest.(check int64) "read64" 0x1122334455667788L (Phys_mem.read64 m 0x1000);
   Alcotest.(check int) "read8" 0x88 (Phys_mem.read8 m 0x1000);
   Alcotest.(check int) "read8 high" 0x11 (Phys_mem.read8 m 0x1007);
-  Alcotest.(check int) "read16" 0x5566 (Phys_mem.read16 m 0x1002);
   Phys_mem.write8 m 0x1003 0xAB;
   Alcotest.(check int64) "modified" 0x11223344AB667788L (Phys_mem.read64 m 0x1000)
 
@@ -149,10 +148,6 @@ let test_tlb_pde_cache () =
 let test_tlb_flush () =
   let tlb = Tlb.create Tlb.k8_config in
   Tlb.insert tlb 0x400000L (tlb_entry 1);
-  Tlb.flush_page tlb 0x400000L;
-  (* flush_page clears L1 and L2 *)
-  Alcotest.(check bool) "page flushed" true (Tlb.lookup tlb 0x400000L = Tlb.Tlb_miss);
-  Tlb.insert tlb 0x400000L (tlb_entry 1);
   Tlb.flush tlb;
   Alcotest.(check bool) "all flushed" true (Tlb.lookup tlb 0x400000L = Tlb.Tlb_miss)
 
@@ -176,8 +171,8 @@ let test_cache_hit_miss () =
   (match Cache.access c 0x1008 ~write:false with
   | Cache.Hit -> ()
   | _ -> Alcotest.fail "same line should hit");
-  Alcotest.(check int) "hits" 1 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c)
+  Alcotest.(check int) "hits" 1 (Stats.get stats "cache.t.hits");
+  Alcotest.(check int) "misses" 1 (Stats.get stats "cache.t.misses")
 
 let test_cache_eviction_writeback () =
   let stats = Stats.create () in
@@ -215,7 +210,11 @@ let test_cache_occupancy_bound () =
   for i = 0 to 999 do
     ignore (Cache.access c (i * 64) ~write:(i mod 3 = 0))
   done;
-  Alcotest.(check bool) "occupancy within capacity" true (Cache.occupancy c <= 16)
+  (* only touched lines can be resident *)
+  let resident =
+    List.length (List.filter (Cache.probe c) (List.init 1000 (fun i -> i * 64)))
+  in
+  Alcotest.(check bool) "occupancy within capacity" true (resident <= 16)
 
 let test_hierarchy_latencies () =
   let stats = Stats.create () in
@@ -331,14 +330,16 @@ let test_phys_dirty_tracking () =
   Phys_mem.write64 m 0x5000 0xBBL;
   let base = Phys_mem.copy m in
   Phys_mem.clear_dirty m;
-  Alcotest.(check int) "clean after clear_dirty" 0 (Phys_mem.dirty_count m);
+  (* the dirty set is what a delta carries *)
+  let dirty_count m = Phys_mem.delta_pages (Phys_mem.delta m) in
+  Alcotest.(check int) "clean after clear_dirty" 0 (dirty_count m);
   ignore (Phys_mem.read64 m 0x1000);
-  Alcotest.(check int) "plain read stays clean" 0 (Phys_mem.dirty_count m);
+  Alcotest.(check int) "plain read stays clean" 0 (dirty_count m);
   Phys_mem.write8 m 0x5004 0xCC;
-  Alcotest.(check int) "write dirties one page" 1 (Phys_mem.dirty_count m);
+  Alcotest.(check int) "write dirties one page" 1 (dirty_count m);
   (* a read that allocates a zero page is allocation-state mutation *)
   ignore (Phys_mem.read64 m 0x9000);
-  Alcotest.(check int) "allocating read dirties" 2 (Phys_mem.dirty_count m);
+  Alcotest.(check int) "allocating read dirties" 2 (dirty_count m);
   let d = Phys_mem.delta m in
   Alcotest.(check int) "delta carries the footprint" 2
     (Phys_mem.delta_pages d);
@@ -551,11 +552,7 @@ let test_tlb_huge_entry () =
   | _ -> Alcotest.fail "expected a huge hit across the region");
   (* ...but not the neighbouring region *)
   Alcotest.(check bool) "next 2M region misses" true
-    (Tlb.lookup tlb 0x40200000L = Tlb.Tlb_miss);
-  (* flushing any page of the region drops the single huge entry *)
-  Tlb.flush_page tlb 0x40000000L;
-  Alcotest.(check bool) "flush_page drops the huge entry" true
-    (Tlb.lookup tlb 0x40057123L = Tlb.Tlb_miss)
+    (Tlb.lookup tlb 0x40200000L = Tlb.Tlb_miss)
 
 (* ---- page-walk caches ---- *)
 
@@ -573,16 +570,21 @@ let test_pwc_basics () =
     | Error _ -> Alcotest.fail "walk failed"
   in
   Pwc.insert pwc 0x400000L ~pte_addrs:tr.Pagetable.pte_addrs;
+  let before_hit = Pwc.snapshot pwc in
   (* same 2M region: the deepest (PT) cache cuts the walk to one load *)
   Alcotest.(check int) "warm same region: 1 load" 1
     (Pwc.loads_left pwc 0x401000L ~walk_len:4);
+  (* the hit moved the hit counter (a pure hit leaves misses alone) *)
+  Alcotest.(check bool) "hits counted" true
+    (List.exists
+       (fun l -> Test_checkpoint.contains l "hit/miss counters")
+       (Pwc.diff pwc before_hit));
   (* same 1G region, different 2M: the PD-table cache leaves two loads *)
   Alcotest.(check int) "same 1G region: 2 loads" 2
     (Pwc.loads_left pwc 0x10200000L ~walk_len:4);
   (* a different 512G slot misses every depth *)
   Alcotest.(check int) "far away: all 4 loads" 4
     (Pwc.loads_left pwc 0x80_0000_0000L ~walk_len:4);
-  Alcotest.(check bool) "hits counted" true (Pwc.hits pwc > 0);
   Pwc.flush pwc;
   Alcotest.(check int) "flush empties every depth" 4
     (Pwc.loads_left pwc 0x401000L ~walk_len:4);

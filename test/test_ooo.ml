@@ -43,7 +43,7 @@ let test_ooo_mov_add () =
       @ halt)
   in
   Alcotest.(check int64) "rax" 42L (Machine.gpr m (reg "rax"));
-  Alcotest.(check bool) "cycles counted" true (Ooo.cycles core > 0);
+  Alcotest.(check bool) "cycles counted" true (Stats.get m.Machine.env.Ptl_arch.Env.stats "ooo.cycles" > 0);
   Alcotest.(check int) "3 insns" 3 (Ooo.insns core)
 
 let test_ooo_loop () =
@@ -228,7 +228,7 @@ let test_ooo_k8_config_runs () =
   Alcotest.(check int64) "sum" 500500L (Machine.gpr m (reg "rax"));
   (* superscalar: a 3-wide K8 should beat 1 IPC-equivalent on this loop? the
      dec->jcc chain limits it; just sanity-check CPI is reasonable *)
-  let cpi = float_of_int (Ooo.cycles core) /. float_of_int (Ooo.insns core) in
+  let cpi = float_of_int (Stats.get m.Machine.env.Ptl_arch.Env.stats "ooo.cycles") /. float_of_int (Ooo.insns core) in
   Alcotest.(check bool) "cpi sane" true (cpi < 3.0 && cpi > 0.2)
 
 (* --- the co-simulation property: random straight-line programs give the

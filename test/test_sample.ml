@@ -184,7 +184,7 @@ let test_sampled_cpi_accuracy () =
   let d_full, _, _ = loop_domain ~iters () in
   Domain.submit d_full "-core ooo -run";
   ignore (Domain.run ~max_cycles:1_000_000_000 d_full);
-  let full_cycles = float_of_int (Domain.cycles d_full) in
+  let full_cycles = float_of_int (S.get d_full.Domain.env.Env.stats "domain.cycles") in
   let d, _, _ = loop_domain ~iters () in
   let r = Sample.run ~schedule:small_schedule d in
   let err = abs_float (r.Sample.est_cycles -. full_cycles) /. full_cycles in
@@ -279,50 +279,66 @@ let test_placement_offsets () =
   let schedule =
     { Sample.ff_insns = 10_000; warmup_insns = 500; measure_insns = 700 }
   in
-  let n = 64 in
+  let n = 16 in
+  let period = Sample.period schedule in
+  let window = schedule.Sample.warmup_insns + schedule.Sample.measure_insns in
+  (* where each capture pass opens its windows: the instruction count at
+     every capture point, and the offset that implies *)
+  let points placement =
+    let d, _ = Test_checkpoint.bare_loop ~iters:30_000 () in
+    let ctx = d.Domain.ctx in
+    let at = ref [] in
+    let on_window _ = at := ctx.Context.insns_committed :: !at in
+    ignore (Sample.run_capture ~placement ~on_window ~schedule d);
+    let at = Array.of_list (List.rev !at) in
+    Alcotest.(check bool) "enough windows" true (Array.length at >= n);
+    Array.sub at 0 n
+  in
+  let offsets pts = Array.mapi (fun i p -> p - (i * period)) pts in
+  (* fast-forwards end on basic-block boundaries (7-instruction blocks
+     here), so each of a period's three drives may overshoot by up to 6
+     instructions, and the drift accumulates over the periods *)
+  let tol i = 18 * (i + 1) in
   let bounds name offs =
-    Array.iter
-      (fun o ->
+    Array.iteri
+      (fun i o ->
         Alcotest.(check bool)
           (Printf.sprintf "%s offset %d in [0, ff]" name o)
           true
-          (0 <= o && o <= schedule.Sample.ff_insns))
+          (-tol i <= o && o <= schedule.Sample.ff_insns + tol i))
       offs
   in
-  let fixed = Sample.offsets Sample.Fixed schedule n in
-  Array.iter (fun o -> Alcotest.(check int) "fixed = ff" 10_000 o) fixed;
+  let fixed = points Sample.Fixed in
+  Array.iteri
+    (fun i o ->
+      Alcotest.(check bool) "fixed = ff" true (abs (o - 10_000) <= tol i))
+    (offsets fixed);
   let seed = Test_seed.seed + 5 in
-  let r1 = Sample.offsets (Sample.Rand_offset seed) schedule n in
-  let r2 = Sample.offsets (Sample.Rand_offset seed) schedule n in
-  bounds "rand" r1;
+  let r1 = points (Sample.Rand_offset seed) in
+  let r2 = points (Sample.Rand_offset seed) in
+  bounds "rand" (offsets r1);
   Alcotest.(check bool) "rand per-seed deterministic" true (r1 = r2);
   Alcotest.(check bool) "rand differs across seeds" true
-    (r1 <> Sample.offsets (Sample.Rand_offset (seed + 1)) schedule n);
+    (r1 <> points (Sample.Rand_offset (seed + 1)));
   Alcotest.(check bool) "rand offsets actually vary" true
-    (Array.exists (fun o -> o <> r1.(0)) r1);
-  let s = Sample.offsets Sample.Stratified schedule n in
-  bounds "stratified" s;
-  for i = 0 to Sample.strata - 2 do
-    Alcotest.(check bool) "strata sweep ascends" true (s.(i) < s.(i + 1))
+    (Array.exists (fun o -> abs (o - (offsets r1).(0)) > 1_000) (offsets r1));
+  let s = points Sample.Stratified in
+  let so = offsets s in
+  bounds "stratified" so;
+  (* eight strata spaced ff/8 apart, then the sweep repeats *)
+  for i = 0 to 6 do
+    Alcotest.(check bool) "strata sweep ascends" true (so.(i) < so.(i + 1))
   done;
-  Alcotest.(check int) "strata cycle repeats" s.(0) s.(Sample.strata);
+  Alcotest.(check bool) "strata cycle repeats" true (abs (so.(0) - so.(8)) <= tol 8);
   (* windows never overlap: each period's window fits before the next
-     period starts, for every placement *)
-  let no_overlap name offs =
-    let window =
-      schedule.Sample.warmup_insns + schedule.Sample.measure_insns
-    in
-    let period = Sample.period schedule in
-    let last_end = ref 0 in
-    Array.iteri
-      (fun i o ->
-        let start = (i * period) + o in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s window %d disjoint from previous" name i)
-          true
-          (start >= !last_end);
-        last_end := start + window)
-      offs
+     one opens, for every placement *)
+  let no_overlap name pts =
+    for i = 1 to n - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s window %d disjoint from previous" name i)
+        true
+        (pts.(i) >= pts.(i - 1) + window)
+    done
   in
   no_overlap "fixed" fixed;
   no_overlap "rand" r1;

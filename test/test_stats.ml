@@ -50,7 +50,7 @@ let test_timelapse_series () =
     if cycle mod 2 = 0 then S.incr ev;
     T.tick tl ~cycle
   done;
-  Alcotest.(check int) "intervals" 10 (T.intervals tl);
+  Alcotest.(check int) "intervals" 10 (List.length (T.series tl "events"));
   let series = T.series tl "events" in
   List.iter (fun d -> Alcotest.(check int) "50 per interval" 50 d) series;
   let ratios = T.ratio_series tl "events" "cycles" in
@@ -74,19 +74,19 @@ let test_timelapse_finish_boundary () =
     S.incr c;
     T.tick tl ~cycle
   done;
-  Alcotest.(check int) "two intervals" 2 (T.intervals tl);
+  Alcotest.(check int) "two intervals" 2 (List.length (T.series tl "n"));
   T.finish tl ~cycle:200;
-  Alcotest.(check int) "finish at boundary is idempotent" 2 (T.intervals tl);
+  Alcotest.(check int) "finish at boundary is idempotent" 2 (List.length (T.series tl "n"));
   T.finish tl ~cycle:200;
-  Alcotest.(check int) "repeated finish still idempotent" 2 (T.intervals tl);
+  Alcotest.(check int) "repeated finish still idempotent" 2 (List.length (T.series tl "n"));
   S.add c 5;
   T.finish tl ~cycle:250;
-  Alcotest.(check int) "later finish appends" 3 (T.intervals tl);
+  Alcotest.(check int) "later finish appends" 3 (List.length (T.series tl "n"));
   Alcotest.(check (list int)) "deltas" [ 100; 100; 5 ] (T.series tl "n")
 
 (* The snapshot bracketing the sampling supervisor performs around each
    measured interval: deltas across several paths, late registration,
-   and snapshot_get. *)
+   and absolute values. *)
 let test_snapshot_bracketing () =
   let t = S.create () in
   let cyc = S.counter t "core.cycles" in
@@ -105,32 +105,19 @@ let test_snapshot_bracketing () =
   Alcotest.(check int) "cycles" 640 (S.delta s0 s1 "core.cycles");
   Alcotest.(check int) "insns" 1000 (S.delta s0 s1 "core.commit.insns");
   Alcotest.(check int) "late counter from zero" 7 (S.delta s0 s1 "core.replays");
-  Alcotest.(check (option int)) "snapshot_get present" (Some 1640)
-    (S.snapshot_get s1 "core.cycles");
-  Alcotest.(check (option int)) "snapshot_get absent in older" None
-    (S.snapshot_get s0 "core.replays");
+  let at (s : S.snapshot) path =
+    Option.map (fun i -> s.S.values.(i)) (Array.find_index (String.equal path) s.S.snap_paths)
+  in
+  Alcotest.(check (option int)) "absolute value present" (Some 1640)
+    (at s1 "core.cycles");
+  Alcotest.(check (option int)) "late path absent in older" None
+    (at s0 "core.replays");
   (* re-registering an existing path returns the same counter, so the
      delta keeps accumulating across rebuilds *)
   let again = S.counter t "core.cycles" in
   S.add again 10;
   let s2 = S.snapshot t ~cycle:1650 in
   Alcotest.(check int) "rebuild accumulates" 650 (S.delta s0 s2 "core.cycles")
-
-let test_timelapse_csv () =
-  let t = S.create () in
-  let a = S.counter t "a" in
-  let b = S.counter t "b" in
-  let tl = T.create t ~interval:10 in
-  for cycle = 1 to 30 do
-    S.incr a;
-    if cycle mod 2 = 0 then S.incr b;
-    T.tick tl ~cycle
-  done;
-  let csv = T.to_csv tl ~paths:[ "a"; "b" ] in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 3 rows" 4 (List.length lines);
-  Alcotest.(check string) "header" "cycle,a,b" (List.hd lines);
-  Alcotest.(check string) "first interval" "10,10,5" (List.nth lines 1)
 
 let suite =
   [
@@ -143,5 +130,4 @@ let suite =
     Alcotest.test_case "timelapse finish at boundary" `Quick
       test_timelapse_finish_boundary;
     Alcotest.test_case "snapshot bracketing" `Quick test_snapshot_bracketing;
-    Alcotest.test_case "timelapse csv" `Quick test_timelapse_csv;
   ]

@@ -48,7 +48,6 @@ let err_name = function
   | Store.E_truncated _ -> "truncated"
   | Store.E_checksum _ -> "checksum"
   | Store.E_bad_index _ -> "bad_index"
-  | Store.E_mismatch _ -> "mismatch"
 
 let check_error name expected = function
   | Ok _ -> Alcotest.fail (name ^ ": accepted corrupt data")
@@ -167,6 +166,10 @@ let test_missing_manifest () =
   | Error e ->
     Alcotest.fail ("expected E_io, got " ^ Store.error_to_string e)
 
+(* the cached result of interval 0 under [config_digest], if any *)
+let cached st ~config_digest =
+  List.assoc_opt 0 (Store.cached_results st ~config_digest)
+
 (* the result cache: hits round-trip, config digests partition the
    cache, and a corrupt cache entry means "replay again", never a
    failure or a wrong answer *)
@@ -178,35 +181,30 @@ let test_result_cache () =
     Sample.replay_delta ~core_name:"ooo" ~config:Config.tiny ~schedule
       ~index:0 ~base:cr.Sample.cr_base cr.Sample.cr_deltas.(0)
   in
-  (match Store.get_result st ~config_digest:digest ~index:0 with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "cache hit before any put"
-  | Error e -> Alcotest.fail (Store.error_to_string e));
+  (match cached st ~config_digest:digest with
+  | None -> ()
+  | Some _ -> Alcotest.fail "cache hit before any put");
   (match Store.put_result st ~config_digest:digest ~index:0 iv with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Store.error_to_string e));
-  (match Store.get_result st ~config_digest:digest ~index:0 with
-  | Ok (Some cached) ->
+  (match cached st ~config_digest:digest with
+  | Some cached ->
     Alcotest.(check bool) "cached result identical" true (cached = iv)
-  | Ok None -> Alcotest.fail "cache miss after put"
-  | Error e -> Alcotest.fail (Store.error_to_string e));
+  | None -> Alcotest.fail "cache miss after put");
   (* a different config digest is a different cache universe *)
   let other = Store.config_digest { Config.tiny with Config.rob_size = 9 } in
-  (match Store.get_result st ~config_digest:other ~index:0 with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "cache leaked across config digests"
-  | Error e -> Alcotest.fail (Store.error_to_string e));
+  (match cached st ~config_digest:other with
+  | None -> ()
+  | Some _ -> Alcotest.fail "cache leaked across config digests");
   Alcotest.(check int) "cached_results finds the one entry" 1
     (List.length (Store.cached_results st ~config_digest:digest));
   (* corrupt the cache entry: fail-open to a replay, not an error *)
   let path = Store.result_path st ~config_digest:digest 0 in
   let raw = read_file path in
   write_file path (String.sub raw 0 (String.length raw - 3));
-  (match Store.get_result st ~config_digest:digest ~index:0 with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "corrupt cache entry served"
-  | Error e ->
-    Alcotest.fail ("corrupt cache should fail open: " ^ Store.error_to_string e));
+  (match cached st ~config_digest:digest with
+  | None -> ()
+  | Some _ -> Alcotest.fail "corrupt cache entry served");
   check_error "put_result range check" "bad_index"
     (Store.put_result st ~config_digest:digest ~index:999 iv)
 
@@ -233,19 +231,17 @@ let test_leg_cache_disjoint () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (Store.error_to_string e));
   (* leg B misses where leg A hits *)
-  (match Store.get_result st ~config_digest:digest_b ~index:0 with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "leg A's result served to leg B"
-  | Error e -> Alcotest.fail (Store.error_to_string e));
+  (match cached st ~config_digest:digest_b with
+  | None -> ()
+  | Some _ -> Alcotest.fail "leg A's result served to leg B");
   (match Store.put_result st ~config_digest:digest_b ~index:0 iv_b with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Store.error_to_string e));
   (* each leg reads back its own result, not the other's *)
   let hit name digest =
-    match Store.get_result st ~config_digest:digest ~index:0 with
-    | Ok (Some iv) -> iv
-    | Ok None -> Alcotest.fail (name ^ ": miss after put")
-    | Error e -> Alcotest.fail (Store.error_to_string e)
+    match cached st ~config_digest:digest with
+    | Some iv -> iv
+    | None -> Alcotest.fail (name ^ ": miss after put")
   in
   Alcotest.(check bool) "leg A reads its own timing" true
     (hit "leg A" digest_a = iv_a);
@@ -279,12 +275,11 @@ let test_result_cache_race () =
   let d2 = Stdlib.Domain.spawn racer in
   Stdlib.Domain.join d1;
   Stdlib.Domain.join d2;
-  match Store.get_result st ~config_digest:digest ~index:0 with
-  | Ok (Some cached) ->
+  match cached st ~config_digest:digest with
+  | Some cached ->
     Alcotest.(check bool) "raced cache entry reads back clean" true
       (cached = iv)
-  | Ok None -> Alcotest.fail "raced cache entry lost"
-  | Error e -> Alcotest.fail (Store.error_to_string e)
+  | None -> Alcotest.fail "raced cache entry lost"
 
 (* ---- the capture journal: resumable capture ---- *)
 
@@ -307,11 +302,14 @@ let check_same_store name dir_a dir_b =
 
 (* a journaled capture pass over the shared workload; [interrupt_at]
    simulates a crash right after that window's journal record lands *)
-let journal_capture ~dir ?resume ?interrupt_at () =
+let journal_capture ~dir ?(schedule = schedule) ?(placement = Sample.Fixed)
+    ?(domain = fun () -> fst (Test_checkpoint.bare_loop ~iters:20_000 ()))
+    ?resume ?interrupt_at () =
   let j =
     match
       Store.begin_capture ~dir ~workload:"test-workload" ~core:"ooo"
-        ~schedule ~placement:"fixed" ~config:Config.tiny ?resume ()
+        ~schedule ~placement:(Sample.placement_to_string placement)
+        ~config:Config.tiny ?resume ()
     with
     | Ok j -> j
     | Error e -> Alcotest.fail (Store.error_to_string e)
@@ -345,8 +343,10 @@ let journal_capture ~dir ?resume ?interrupt_at () =
         })
       resume
   in
-  let d, _ = Test_checkpoint.bare_loop ~iters:20_000 () in
-  let cr = Sample.run_capture ~on_base ~on_window ?resume:rs ~schedule d in
+  let cr =
+    Sample.run_capture ~placement ~on_base ~on_window ?resume:rs ~schedule
+      (domain ())
+  in
   (j, cr)
 
 let finish j (cr : Sample.capture_run) =
@@ -421,6 +421,69 @@ let test_capture_resume_after_torn_record () =
   | Ok (Some _) -> Alcotest.fail "sealed store offered a resume point"
   | Error e -> Alcotest.fail (Store.error_to_string e)
 
+let scan_resume_point dir =
+  match Store.scan_partial ~dir with
+  | Ok (Some pt) -> pt
+  | Ok None -> Alcotest.fail "no resume point found"
+  | Error e -> Alcotest.fail (Store.error_to_string e)
+
+(* The CLI's capture at its own scale: [capture --machine tiny --iters
+   60000 --sample-period 40000 --sample-warmup 3000 --sample-measure
+   5000], i.e. the bare compute loop of bin/optlsim.ml on the OoO core.
+   Killed after window K and resumed, each placement must seal a store
+   whose every interval record and manifest equal an uninterrupted
+   capture's byte for byte. The native clock's sub-cycle remainder is
+   what a resumed pass used to lose. *)
+let cli_schedule =
+  { Sample.ff_insns = 40_000 - 3_000 - 5_000; warmup_insns = 3_000;
+    measure_insns = 5_000 }
+
+let cli_domain () =
+  let module G = Ptl_workloads.Gasm in
+  let module Machine = Ptl_arch.Machine in
+  let g = G.create () in
+  G.jmp g "main";
+  G.label g "main";
+  G.li g G.rbp Machine.heap_base;
+  G.lii g G.rcx 60_000;
+  G.label g "top";
+  G.ld g G.rax ~base:G.rbp ();
+  G.addi g G.rax 1;
+  G.st g ~base:G.rbp G.rax ();
+  G.imuli g G.rbx 1103515245;
+  G.addi g G.rbx 12345;
+  G.dec g G.rcx;
+  G.jne g "top";
+  G.ins g Ptl_isa.Insn.Hlt;
+  let m = Machine.create (G.assemble g) in
+  Ptl_hyper.Domain.create ~core:"ooo" ~config:Config.tiny m.Machine.env
+    m.Machine.ctx
+
+let test_cli_capture_resume () =
+  List.iter
+    (fun (placement, kill_points) ->
+      let name = Sample.placement_to_string placement in
+      let capture ~dir =
+        journal_capture ~dir ~schedule:cli_schedule ~placement
+          ~domain:cli_domain
+      in
+      let dir_whole = fresh_dir () in
+      let j, cr = capture ~dir:dir_whole () in
+      ignore (finish j cr);
+      List.iter
+        (fun k ->
+          let dir = fresh_dir () in
+          (try ignore (capture ~dir ~interrupt_at:k ()) with Interrupted -> ());
+          let j, cr2 = capture ~dir ~resume:(scan_resume_point dir) () in
+          ignore (finish j cr2);
+          check_same_store
+            (Printf.sprintf "%s, killed after window %d" name k)
+            dir dir_whole)
+        kill_points)
+    (* kill points where a resumed pass diverged before the fix *)
+    [ (Sample.Fixed, [ 2; 5 ]); (Sample.Rand_offset 5, [ 2; 5 ]);
+      (Sample.Stratified, [ 1; 3 ]) ]
+
 let suite =
   [
     Alcotest.test_case "round trip through disk" `Quick test_round_trip;
@@ -441,4 +504,6 @@ let suite =
       test_journal_matches_create;
     Alcotest.test_case "interrupted capture resumes byte-identically"
       `Quick test_capture_resume_after_torn_record;
+    Alcotest.test_case "CLI-scale capture resumes byte-identically" `Quick
+      test_cli_capture_resume;
   ]

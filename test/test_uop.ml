@@ -243,7 +243,9 @@ let test_bbcache_kernel_user_split () =
   let _, fetch, mfn_of = make_code_mem [ Insn.Ret ] in
   let _ = Bbcache.lookup cache ~rip:0x1000L ~kernel:false ~fetch ~mfn_of in
   let _ = Bbcache.lookup cache ~rip:0x1000L ~kernel:true ~fetch ~mfn_of in
-  Alcotest.(check int) "two blocks (mode in key)" 2 (Bbcache.size cache)
+  (* both lookups missed: the mode is part of the key *)
+  Alcotest.(check int) "two blocks (mode in key)" 2
+    (Stats.get stats "bbcache.misses")
 
 let test_bbcache_insn_limit () =
   let stats = Stats.create () in
@@ -270,11 +272,12 @@ let test_bbcache_smc_invalidation () =
   let _, fetch, mfn_of = make_code_mem [ Insn.Nop; Insn.Ret ] in
   let bb = Bbcache.lookup cache ~rip:0x1000L ~kernel:false ~fetch ~mfn_of in
   let mfn = List.hd bb.Bbcache.mfns in
-  Alcotest.(check bool) "page has code" true (Bbcache.mfn_has_code cache mfn);
   Alcotest.(check bool) "store triggers flush" true (Bbcache.store_committed cache mfn);
-  Alcotest.(check int) "block gone" 0 (Bbcache.size cache);
   Alcotest.(check bool) "second store is clean" false (Bbcache.store_committed cache mfn);
-  Alcotest.(check int) "flush counted" 1 (Stats.get stats "bbcache.smc_flushes")
+  Alcotest.(check int) "flush counted" 1 (Stats.get stats "bbcache.smc_flushes");
+  let _ = Bbcache.lookup cache ~rip:0x1000L ~kernel:false ~fetch ~mfn_of in
+  Alcotest.(check int) "block gone: relookup misses" 2
+    (Stats.get stats "bbcache.misses")
 
 let test_bbcache_mid_block_fault_cut () =
   (* code runs off the end of mapped bytes: the block must stop cleanly

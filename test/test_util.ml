@@ -31,16 +31,6 @@ let test_ring_drop () =
   Ring.push r 99;
   Alcotest.(check (list int)) "push after drop" [ 10; 11; 12; 99 ] (Ring.to_list r)
 
-let test_ring_find () =
-  let r = Ring.create 4 in
-  List.iter (Ring.push r) [ 5; 6; 7 ];
-  (match Ring.find_first r (fun v -> v > 5) with
-  | Some (i, v) ->
-    Alcotest.(check int) "index" 1 i;
-    Alcotest.(check int) "value" 6 v
-  | None -> Alcotest.fail "expected a match");
-  Alcotest.(check bool) "no match" true (Ring.find_first r (fun v -> v > 99) = None)
-
 let test_bitops () =
   Alcotest.(check int) "log2 1" 0 (Bitops.log2 1);
   Alcotest.(check int) "log2 4096" 12 (Bitops.log2 4096);
@@ -93,7 +83,6 @@ let suite =
     Alcotest.test_case "ring fifo order" `Quick test_ring_fifo;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wrap;
     Alcotest.test_case "ring drop_youngest" `Quick test_ring_drop;
-    Alcotest.test_case "ring find_first" `Quick test_ring_find;
     Alcotest.test_case "bitops" `Quick test_bitops;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;

@@ -43,26 +43,35 @@ let write64_at mem ~cr3 ~vaddr v =
   | Ok tr -> Pm.write64 mem (Pt.to_paddr tr vaddr) v
   | Error _ -> Alcotest.fail "write walk failed on a supposedly-mapped page"
 
+(* pages of [pages] starting at [start] that the page tables map *)
+let mapped_pages mem ~cr3 ~start ~pages =
+  List.length
+    (List.filter
+       (fun i ->
+         let vaddr = Int64.add start (Int64.of_int (i * Pm.page_size)) in
+         Pt.probe mem ~cr3_mfn:cr3 ~vaddr <> None)
+       (List.init pages Fun.id))
+
 (* ---- demand faults ---- *)
 
 let test_demand_fault () =
-  let vm, mem, ctx, _ = make_vm () in
+  let vm, mem, ctx, stats = make_vm () in
   let cr3 = ctx.Context.cr3 in
   Vm.add_vma vm ~cr3 ~start:0x400000L ~pages:16 ~writable:true ~backing:Vm.Zero;
-  Alcotest.(check int) "nothing resident before first touch" 0
-    (Vm.resident_pages vm);
+  let resident () = mapped_pages mem ~cr3 ~start:0x400000L ~pages:16 in
+  Alcotest.(check int) "nothing resident before first touch" 0 (resident ());
   Alcotest.(check bool) "page table empty before first touch" true
     (Pt.probe mem ~cr3_mfn:cr3 ~vaddr:0x400000L = None);
   check_result "first touch resolves" Vm.Resolved
     (fault vm ctx ~vaddr:0x400123L ~write:false);
-  Alcotest.(check int) "one page resident" 1 (Vm.resident_pages vm);
+  Alcotest.(check int) "one page resident" 1 (resident ());
   Alcotest.(check int64) "anonymous page reads zero" 0L
     (read64_at mem ~cr3 ~vaddr:0x400120L);
   (* second fault on the same page is a no-op retry *)
   check_result "retry resolves" Vm.Resolved
     (fault vm ctx ~vaddr:0x400456L ~write:true);
-  Alcotest.(check int) "still one page" 1 (Vm.resident_pages vm);
-  Alcotest.(check int) "exactly one hard fault" 1 (Vm.faults vm);
+  Alcotest.(check int) "still one page" 1 (resident ());
+  Alcotest.(check int) "exactly one hard fault" 1 (Stats.get stats "vm.faults");
   (* classification *)
   check_result "outside every vma" Vm.Unmapped
     (fault vm ctx ~vaddr:0x9000000L ~write:false);
@@ -98,7 +107,7 @@ let test_image_backing () =
 let test_reclaim_and_swap () =
   (* budget of 8 resident pages (the floor), 24-page working set: the
      CLOCK must evict, and evicted contents must come back intact *)
-  let vm, mem, ctx, _ = make_vm ~watermark:8 ~batch:2 () in
+  let vm, mem, ctx, stats = make_vm ~watermark:8 ~batch:2 () in
   let cr3 = ctx.Context.cr3 in
   Vm.add_vma vm ~cr3 ~start:0x400000L ~pages:24 ~writable:true
     ~backing:Vm.Zero;
@@ -107,11 +116,12 @@ let test_reclaim_and_swap () =
     check_result "touch resolves" Vm.Resolved (fault vm ctx ~vaddr ~write:true);
     write64_at mem ~cr3 ~vaddr (Int64.of_int (0xABC000 + i))
   done;
-  Alcotest.(check bool) "evictions happened" true (Vm.evictions vm > 0);
+  Alcotest.(check bool) "evictions happened" true
+    (Stats.get stats "vm.evictions" > 0);
+  let resident = mapped_pages mem ~cr3 ~start:0x400000L ~pages:24 in
   Alcotest.(check bool)
-    (Printf.sprintf "resident set bounded (%d pages)" (Vm.resident_pages vm))
-    true
-    (Vm.resident_pages vm <= 10);
+    (Printf.sprintf "resident set bounded (%d pages)" resident)
+    true (resident <= 10);
   (* every page — evicted or resident — still holds its stamp *)
   for i = 0 to 23 do
     let vaddr = Int64.add 0x400000L (Int64.of_int (i * Pm.page_size)) in
@@ -125,24 +135,27 @@ let test_reclaim_and_swap () =
 
 let test_clock_second_chance () =
   (* a page whose A bit stays set must survive a reclaim pass that
-     evicts an unreferenced one *)
-  let vm, mem, ctx, _ = make_vm () in
+     evicts an unreferenced one: fill the 8-page budget, reference only
+     the first page (the walk sets its A bit), and fault one more *)
+  let vm, mem, ctx, _ = make_vm ~watermark:8 ~batch:1 () in
   let cr3 = ctx.Context.cr3 in
-  Vm.add_vma vm ~cr3 ~start:0x400000L ~pages:4 ~writable:true ~backing:Vm.Zero;
-  ignore (fault vm ctx ~vaddr:0x400000L ~write:true);
-  ignore (fault vm ctx ~vaddr:0x401000L ~write:true);
-  (* reference only the first page (the walk sets its A bit) *)
-  ignore (read64_at mem ~cr3 ~vaddr:0x400000L);
-  Vm.reclaim vm ~keep:(-1, -1L) 1;
+  let page i = Int64.add 0x400000L (Int64.of_int (i * Pm.page_size)) in
+  Vm.add_vma vm ~cr3 ~start:0x400000L ~pages:9 ~writable:true ~backing:Vm.Zero;
+  for i = 0 to 7 do
+    ignore (fault vm ctx ~vaddr:(page i) ~write:true)
+  done;
+  ignore (read64_at mem ~cr3 ~vaddr:(page 0));
+  ignore (fault vm ctx ~vaddr:(page 8) ~write:true);
   Alcotest.(check bool) "referenced page survives" true
-    (Pt.probe mem ~cr3_mfn:cr3 ~vaddr:0x400000L <> None);
+    (Pt.probe mem ~cr3_mfn:cr3 ~vaddr:(page 0) <> None);
   Alcotest.(check bool) "unreferenced page evicted" true
-    (Pt.probe mem ~cr3_mfn:cr3 ~vaddr:0x401000L = None)
+    (Pt.probe mem ~cr3_mfn:cr3 ~vaddr:(page 1) = None)
 
 (* ---- shootdown IPIs ---- *)
 
 let test_shootdown_two_vcpus () =
-  let vm, _, ctx0, _ = make_vm ~shootdown_vec:vec_test () in
+  (* an eviction shoots down its address space *)
+  let vm, _, ctx0, stats = make_vm ~shootdown_vec:vec_test ~watermark:8 ~batch:1 () in
   let cr3 = ctx0.Context.cr3 in
   (* a second running VCPU on the same address space, and a third on a
      different one *)
@@ -155,7 +168,11 @@ let test_shootdown_two_vcpus () =
   let gen0 = ctx0.Context.tlb_generation in
   let gen1 = ctx1.Context.tlb_generation in
   let gen2 = ctx2.Context.tlb_generation in
-  Vm.shootdown vm ~cr3;
+  Vm.add_vma vm ~cr3 ~start:0x400000L ~pages:9 ~writable:true ~backing:Vm.Zero;
+  for i = 0 to 8 do
+    let vaddr = Int64.add 0x400000L (Int64.of_int (i * Pm.page_size)) in
+    ignore (fault vm ctx0 ~vaddr ~write:true)
+  done;
   Alcotest.(check bool) "local tlb flushed" true
     (ctx0.Context.tlb_generation > gen0);
   Alcotest.(check bool) "sharing vcpu flushed" true
@@ -166,7 +183,7 @@ let test_shootdown_two_vcpus () =
     (Context.has_pending_irq ctx0 && Context.has_pending_irq ctx1);
   Alcotest.(check bool) "no IPI across address spaces" false
     (Context.has_pending_irq ctx2);
-  Alcotest.(check bool) "shootdowns counted" true (Vm.shootdowns vm >= 2)
+  Alcotest.(check bool) "shootdowns counted" true (Stats.get stats "vm.shootdowns" >= 2)
 
 (* ---- 2M promotion / splitting ---- *)
 
