@@ -33,8 +33,9 @@ type t = {
   mutable trace : string list;  (* newest first, bounded *)
 }
 
-(* Event tracing is free when disabled (the common case): the format
-   arguments are only rendered when a debugger turned it on. *)
+(* Event tracing renders nothing when disabled (the common case):
+   [ikfprintf] consumes the arguments without formatting them, so no
+   string is built and no [%a] printer runs. *)
 let trace t fmt =
   if t.trace_enabled then
     Printf.ksprintf
@@ -44,7 +45,7 @@ let trace t fmt =
              s :: List.filteri (fun i _ -> i < 60) t.trace
            else s :: t.trace))
       fmt
-  else Printf.ksprintf ignore fmt
+  else Printf.ikfprintf ignore () fmt
 
 let cooldown_cycles = 8
 let reservation_cycles = 64

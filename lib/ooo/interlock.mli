@@ -24,7 +24,9 @@ type t = {
 
 val create : Ptl_stats.Statstree.t -> t
 
-(** Debug event log (no cost when [trace_enabled] is false). *)
+(** Debug event log. When [trace_enabled] is false nothing is
+    formatted: the arguments are evaluated but no string is built and
+    no [%a] printer is called. *)
 val trace : t -> ('a, unit, string, unit) format4 -> 'a
 
 (** Try to acquire the interlock for (core, thread) at the given cycle. *)

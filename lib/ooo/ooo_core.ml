@@ -3,9 +3,11 @@
     Modeled stage by stage as in the paper (§2.2): fetch from the basic
     block cache with branch prediction; rename onto a physical register
     file through per-thread register alias tables; dispatch into clustered
-    collapsing issue queues; oldest-first select per cluster with
+    issue queues with broadcast wakeup (per-physreg consumer lists feed a
+    per-cluster ready set); oldest-first select per cluster with
     functional-unit constraints; execution through the shared pure uop
-    executor; a unified load/store queue with store-to-load forwarding,
+    executor; completion through a writeback-cycle wheel; a unified
+    load/store queue with store-to-load forwarding,
     replay on conflicts and optional load hoisting; speculative recovery by
     walking the ROB backwards to restore the RAT; and a commit unit that
     enforces x86 instruction atomicity, delivers precise exceptions and
@@ -67,6 +69,11 @@ type rob_entry = {
   mutable writeback_cycle : int;
   mutable in_iq : int;  (* cluster index while queued, -1 otherwise *)
   mutable exec_cluster : int;  (* cluster the uop executes in *)
+  (* wakeup: sources not yet written, and the first cycle at which every
+     written source is visible from the entry's cluster *)
+  mutable unready : int;
+  mutable ready_at : int;
+  mutable wb_slot : int;  (* completion-wheel cycle while Issued *)
   mutable result : int64;
   mutable rflags : int;
   (* branch resolution *)
@@ -104,8 +111,6 @@ type fetched = {
   f_fault : Fault.t option;
 }
 
-type iq_slot = { slot_rob : rob_entry }
-
 type thread_state = {
   tid : int;
   ctx : Context.t;
@@ -131,7 +136,25 @@ type t = {
   prefix : string;  (* stats / trace namespace, e.g. "ooo" *)
   threads : thread_state array;
   prf : Physreg.t;
-  iqs : iq_slot option array array;  (* per cluster, collapsing queue *)
+  clusters : Config.cluster array;
+  fu_hosts : int array array;  (* per FU class: the clusters hosting it *)
+  (* The issue queues. A queued entry claims its cluster in [in_iq];
+     each cluster counts its free slots and its entries per thread. An
+     entry with unwritten sources waits on those registers' consumer
+     lists; once every source is written it sits in its cluster's ready
+     set, kept in [seq] order. *)
+  iq_free : int array;  (* per cluster *)
+  iq_thread : int array;  (* per (cluster, thread): cluster * nthreads + tid *)
+  waiters : rob_entry list array;  (* per physreg: queued consumers *)
+  ready : rob_entry array array;  (* per cluster, [ready_len] live, by seq *)
+  ready_len : int array;
+  select_buf : rob_entry array;  (* one cluster's selection this cycle *)
+  (* Completion wheel: an Issued entry waits in bucket
+     [wb_slot land wheel_mask]; [wheel_done] is the last cycle drained. *)
+  wheel : rob_entry list array;
+  mutable wheel_done : int;
+  due : rob_entry array;  (* writeback scratch, [ndue] live *)
+  mutable ndue : int;
   bbcache : Bbcache.t;
   hierarchy : Hierarchy.t;
   dtlb : Tlb.t;
@@ -142,9 +165,8 @@ type t = {
   mutable seq_counter : int;
   mutable uuid_counter : int;  (* fetch-order trace ids *)
   mutable fetch_round : int;  (* SMT round-robin pointer *)
-  (* per-cycle bank occupancy for L1D bank-conflict modeling *)
-  mutable banks_cycle : int;
-  mutable banks_used : int list;
+  (* L1D bank-conflict modeling: the last cycle each bank was used *)
+  bank_cycle : int array;
   (* counters *)
   c_cycles : Stats.counter;
   c_insns : Stats.counter;
@@ -171,6 +193,34 @@ type t = {
   c_hoist_violations : Stats.counter;
 }
 
+(* Filler for the preallocated entry arrays; never in the pipeline. *)
+let dummy_entry =
+  {
+    uop = Uop.default; seq = -1; uuid = -1; thread = -1; bb_rip = 0L;
+    bb_index = 0; dest = -1; dest_flags = -1; old_rd = None; old_flags = None;
+    src_a = Arch; src_b = Arch; src_c = Arch; src_f = Arch; state = Done;
+    writeback_cycle = 0; in_iq = -1; exec_cluster = -1; unready = 0;
+    ready_at = 0; wb_slot = -1; result = 0L; rflags = 0; pred_taken = false;
+    pred_target = 0L; ras_ck = None; taken = false; target = 0L;
+    mispredicted = false; vaddr = 0L; paddr = -1; addr_valid = false;
+    store_data = 0L; locked_acquired = false; replays = 0; retry_cycle = 0;
+    fetch_fault = None;
+  }
+
+(* Wheel buckets: a power of two. Entries completing further ahead share
+   a bucket with nearer ones and are skipped until their cycle comes. *)
+let wheel_size = 64
+let wheel_mask = wheel_size - 1
+
+(* Index of an FU class in [fu_hosts]. *)
+let fu_index = function
+  | Config.FU_alu -> 0
+  | Config.FU_mul -> 1
+  | Config.FU_div -> 2
+  | Config.FU_mem -> 3
+  | Config.FU_fp -> 4
+  | Config.FU_branch -> 5
+
 let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
     (config : Config.t) env contexts =
   if Array.length contexts <> config.Config.smt_threads then
@@ -184,6 +234,8 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
     | None -> Uarch.create ~prefix config stats
   in
   let c suffix = Stats.counter stats (prefix ^ "." ^ suffix) in
+  let clusters = Array.of_list config.Config.clusters in
+  let nclusters = Array.length clusters and nthreads = Array.length contexts in
   let thread tid ctx =
     {
       tid;
@@ -212,9 +264,27 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
     prefix;
     threads = Array.mapi thread contexts;
     prf = Physreg.create config.Config.phys_regs;
-    iqs =
-      Array.of_list
-        (List.map (fun cl -> Array.make cl.Config.iq_size None) config.Config.clusters);
+    clusters;
+    fu_hosts =
+      Array.init 6 (fun k ->
+          Array.of_list
+            (List.filter
+               (fun ci ->
+                 List.exists (fun cls -> fu_index cls = k) clusters.(ci).Config.fu_classes)
+               (List.init nclusters Fun.id)));
+    iq_free = Array.map (fun cl -> cl.Config.iq_size) clusters;
+    iq_thread = Array.make (nclusters * nthreads) 0;
+    waiters = Array.make config.Config.phys_regs [];
+    ready = Array.map (fun cl -> Array.make cl.Config.iq_size dummy_entry) clusters;
+    ready_len = Array.make nclusters 0;
+    select_buf =
+      Array.make
+        (Array.fold_left (fun a cl -> max a cl.Config.issue_width) 0 clusters)
+        dummy_entry;
+    wheel = Array.make wheel_size [];
+    wheel_done = env.Env.cycle - 1;
+    due = Array.make (nthreads * config.Config.rob_size) dummy_entry;
+    ndue = 0;
     bbcache = (match bbcache with Some b -> b | None -> uarch.Uarch.bbcache);
     hierarchy = uarch.Uarch.hierarchy;
     dtlb = uarch.Uarch.dtlb;
@@ -226,8 +296,8 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
     seq_counter = 0;
     uuid_counter = 0;
     fetch_round = 0;
-    banks_cycle = -1;
-    banks_used = [];
+    bank_cycle =
+      Array.make uarch.Uarch.hierarchy.Hierarchy.config.Hierarchy.l1d.Ptl_mem.Cache.banks (-1);
     c_cycles = c "cycles";
     c_insns = c "commit.insns";
     c_uops = c "commit.uops";
@@ -277,36 +347,105 @@ let flags_value t th = function
   | Arch -> th.ctx.Context.flags
   | Phys p -> Physreg.flags t.prf p
 
-(* ---------- issue queue helpers ---------- *)
+(* ---------- issue queues: dispatch, wakeup, ready sets ---------- *)
 
-let iq_insert t cluster entry =
-  let q = t.iqs.(cluster) in
-  let rec go i =
-    if i >= Array.length q then false
-    else
-      match q.(i) with
-      | None ->
-        q.(i) <- Some { slot_rob = entry };
-        entry.in_iq <- cluster;
-        true
-      | Some _ -> go (i + 1)
-  in
-  go 0
+let[@inline] imax (a : int) b = if a >= b then a else b
 
-let iq_remove t entry =
-  if entry.in_iq >= 0 then begin
-    let q = t.iqs.(entry.in_iq) in
-    Array.iteri
-      (fun i s ->
-        match s with
-        | Some { slot_rob } when slot_rob == entry -> q.(i) <- None
-        | _ -> ())
-      q;
-    entry.in_iq <- -1
+(* First cycle physreg [p] is usable from [cluster]. *)
+let visible t p cluster =
+  Physreg.visible_cycle t.prf p ~cluster
+    ~forward_delay:t.clusters.(cluster).Config.forward_delay
+
+(* Insert into cluster [c]'s ready set, keeping it in [seq] order. *)
+let ready_insert t c e =
+  let a = t.ready.(c) in
+  let i = ref t.ready_len.(c) in
+  while !i > 0 && a.(!i - 1).seq > e.seq do
+    a.(!i) <- a.(!i - 1);
+    decr i
+  done;
+  a.(!i) <- e;
+  t.ready_len.(c) <- t.ready_len.(c) + 1
+
+let ready_remove t c e =
+  let a = t.ready.(c) and n = t.ready_len.(c) in
+  let i = ref 0 in
+  while !i < n && a.(!i) != e do incr i done;
+  if !i < n then begin
+    Array.blit a (!i + 1) a !i (n - !i - 1);
+    a.(n - 1) <- dummy_entry;
+    t.ready_len.(c) <- n - 1
   end
 
-let iq_free_slots t cluster =
-  Array.fold_left (fun a s -> if s = None then a + 1 else a) 0 t.iqs.(cluster)
+(* Subscribe a queued entry to an unwritten source, or fold a written
+   one into its [ready_at]. *)
+let watch t c entry = function
+  | Arch -> ()
+  | Phys p ->
+    if Physreg.is_written t.prf p then
+      entry.ready_at <- imax entry.ready_at (visible t p c)
+    else begin
+      entry.unready <- entry.unready + 1;
+      t.waiters.(p) <- entry :: t.waiters.(p)
+    end
+
+(* Dispatch [entry] into cluster [c]: take a slot, then either wait on
+   each unwritten source's consumer list or, with every source written,
+   enter the ready set. *)
+let iq_insert t c entry =
+  t.iq_free.(c) <- t.iq_free.(c) - 1;
+  let k = (c * Array.length t.threads) + entry.thread in
+  t.iq_thread.(k) <- t.iq_thread.(k) + 1;
+  entry.in_iq <- c;
+  watch t c entry entry.src_a;
+  watch t c entry entry.src_b;
+  watch t c entry entry.src_c;
+  if entry.uop.Uop.readflags then watch t c entry entry.src_f;
+  if entry.unready = 0 then ready_insert t c entry
+
+(* Broadcast the write of physreg [p] to its queued consumers. *)
+let rec wake t p = function
+  | [] -> ()
+  | e :: rest ->
+    let c = e.in_iq in
+    if c >= 0 then begin
+      e.ready_at <- imax e.ready_at (visible t p c);
+      e.unready <- e.unready - 1;
+      if e.unready = 0 then ready_insert t c e
+    end;
+    wake t p rest
+
+let broadcast t p =
+  match t.waiters.(p) with
+  | [] -> ()
+  | l ->
+    t.waiters.(p) <- [];
+    wake t p l
+
+(* Undo [watch] for a source still unwritten (annulment). *)
+let unwatch t entry = function
+  | Phys p when not (Physreg.is_written t.prf p) ->
+    t.waiters.(p) <- List.filter (fun x -> x != entry) t.waiters.(p)
+  | Phys _ | Arch -> ()
+
+(* Leave the issue queue (issued, faulted or annulled): free the slot
+   and drop the entry from the ready set or from the consumer lists of
+   the sources it still waits on. *)
+let iq_remove t entry =
+  let c = entry.in_iq in
+  if c >= 0 then begin
+    t.iq_free.(c) <- t.iq_free.(c) + 1;
+    let k = (c * Array.length t.threads) + entry.thread in
+    t.iq_thread.(k) <- t.iq_thread.(k) - 1;
+    if entry.unready = 0 then ready_remove t c entry
+    else begin
+      unwatch t entry entry.src_a;
+      unwatch t entry entry.src_b;
+      unwatch t entry entry.src_c;
+      if entry.uop.Uop.readflags then unwatch t entry entry.src_f
+    end;
+    entry.in_iq <- -1
+  end
 
 (* SMT deadlock prevention (§2.2 "deadlock prevention schemes"): every
    issue queue keeps one slot in reserve for each thread that has no
@@ -316,45 +455,55 @@ let iq_free_slots t cluster =
    owner out of it. *)
 let iq_thread_may_insert t cluster tid =
   let nthreads = Array.length t.threads in
-  if nthreads = 1 then iq_free_slots t cluster > 0
+  if nthreads = 1 then t.iq_free.(cluster) > 0
   else begin
-    let present = Array.make nthreads false in
-    Array.iter
-      (fun s ->
-        match s with
-        | Some { slot_rob } -> present.(slot_rob.thread) <- true
-        | None -> ())
-      t.iqs.(cluster);
     let absent_others = ref 0 in
-    Array.iteri
-      (fun i p -> if i <> tid && not p then incr absent_others)
-      present;
-    iq_free_slots t cluster > !absent_others
+    for i = 0 to nthreads - 1 do
+      if i <> tid && t.iq_thread.((cluster * nthreads) + i) = 0 then
+        incr absent_others
+    done;
+    t.iq_free.(cluster) > !absent_others
   end
 
 (* Pick the cluster for a uop: one that hosts the FU class, preferring the
    one with the most free issue-queue slots (simple load balancing over the
    K8's three lanes). *)
 let cluster_for t (u : Uop.t) =
-  let cls = Config.fu_class_of u in
+  let hosts = t.fu_hosts.(fu_index (Config.fu_class_of u)) in
   let best = ref (-1) and best_free = ref (-1) in
-  List.iteri
-    (fun i (cl : Config.cluster) ->
-      if List.mem cls cl.Config.fu_classes then begin
-        let free = iq_free_slots t i in
-        if free > !best_free then begin
-          best := i;
-          best_free := free
-        end
-      end)
-    t.config.Config.clusters;
+  for k = 0 to Array.length hosts - 1 do
+    let i = hosts.(k) in
+    if t.iq_free.(i) > !best_free then begin
+      best := i;
+      best_free := t.iq_free.(i)
+    end
+  done;
   !best
+
+(* ---------- completion wheel ---------- *)
+
+(* Mark [e] executing until [wb]. It is written back by the first
+   writeback stage at or after [wb] that has not already run. *)
+let wheel_insert t e wb =
+  e.writeback_cycle <- wb;
+  e.state <- Issued;
+  let slot = imax wb (t.wheel_done + 1) in
+  e.wb_slot <- slot;
+  let b = slot land wheel_mask in
+  t.wheel.(b) <- e :: t.wheel.(b)
+
+let wheel_remove t e =
+  let b = e.wb_slot land wheel_mask in
+  t.wheel.(b) <- List.filter (fun x -> x != e) t.wheel.(b)
 
 (* ---------- annulment and recovery ---------- *)
 
 (* Annul the youngest [n] ROB entries of a thread, restoring the RAT by
    walking youngest -> oldest (the paper's ROB-walk recovery). *)
 let annul_youngest t th n =
+  let oldest_seq =
+    if n > 0 then (Ring.get th.rob (Ring.length th.rob - n)).seq else max_int
+  in
   for k = 0 to n - 1 do
     let idx = Ring.length th.rob - 1 - k in
     let e = Ring.get th.rob idx in
@@ -372,6 +521,7 @@ let annul_youngest t th n =
     if e.dest >= 0 then Physreg.release t.prf e.dest;
     if e.dest_flags >= 0 then Physreg.release t.prf e.dest_flags;
     iq_remove t e;
+    (match e.state with Issued -> wheel_remove t e | _ -> ());
     if e.locked_acquired then
       Interlock.release t.interlock ~cycle:(now t) ~core:t.core_id ~thread:th.tid
         ~paddr:e.paddr;
@@ -381,15 +531,14 @@ let annul_youngest t th n =
     | None -> ()
   done;
   Ring.drop_youngest th.rob n;
-  (* rebuild the LSQ: drop entries whose rob entry was annulled *)
-  let keep = Ring.fold th.lsq [] (fun acc e -> e :: acc) in
-  Ring.clear th.lsq;
-  List.iter
-    (fun e ->
-      (* an entry survives if it is still somewhere in the ROB *)
-      let alive = Ring.fold th.rob false (fun a re -> a || re == e) in
-      if alive then Ring.push th.lsq e)
-    (List.rev keep)
+  (* the LSQ is an age-ordered subsequence of the ROB: the annulled
+     memory uops are exactly its youngest entries from [oldest_seq] on *)
+  let nl = Ring.length th.lsq in
+  let drop = ref 0 in
+  while !drop < nl && (Ring.get th.lsq (nl - 1 - !drop)).seq >= oldest_seq do
+    incr drop
+  done;
+  Ring.drop_youngest th.lsq !drop
 
 (* Annul every entry younger than [entry] (exclusive). *)
 let annul_after t th entry =
@@ -750,6 +899,9 @@ let rename_thread t th =
                 writeback_cycle = 0;
                 in_iq = -1;
                 exec_cluster = cluster;
+                unready = 0;
+                ready_at = 0;
+                wb_slot = -1;
                 result = 0L;
                 rflags = 0;
                 pred_taken = f.f_pred_taken;
@@ -778,10 +930,7 @@ let rename_thread t th =
                 ~rip:u.Uop.rip ~slot:cluster Trace.Dispatch
             end;
             if is_mem then Ring.push th.lsq entry;
-            if not is_assist then begin
-              let inserted = iq_insert t cluster entry in
-              assert inserted
-            end;
+            if not is_assist then iq_insert t cluster entry;
             ignore (Ring.pop th.fetchq);
             decr budget
       end
@@ -965,14 +1114,10 @@ let check_hoist_violation t th (store : rob_entry) =
 let bank_conflict t paddr =
   if not t.config.Config.enforce_banking then false
   else begin
-    if t.banks_cycle <> now t then begin
-      t.banks_cycle <- now t;
-      t.banks_used <- []
-    end;
     let bank = Ptl_mem.Cache.bank_of (Hierarchy.l1d t.hierarchy) paddr in
-    if List.mem bank t.banks_used then true
+    if t.bank_cycle.(bank) = now t then true
     else begin
-      t.banks_used <- bank :: t.banks_used;
+      t.bank_cycle.(bank) <- now t;
       false
     end
   end
@@ -1056,8 +1201,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
       | Sq_forward v ->
         e.result <- v;
         e.rflags <- out.Exec.flags;
-        e.writeback_cycle <- now t + tlb_lat + 2 (* forwarding latency *);
-        e.state <- Issued;
+        wheel_insert t e (now t + tlb_lat + 2) (* forwarding latency *);
         if !Trace.on then
           Trace.emit ~core:t.core_id ~thread:e.thread ~uuid:e.uuid
             ~rip:u.Uop.rip ~info:e.vaddr ~tag:"sq" Trace.Forward;
@@ -1076,8 +1220,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
             let lat = Hierarchy.load t.hierarchy ~cycle:(now t) ~paddr in
             e.result <- Exec.finish_load u raw;
             e.rflags <- out.Exec.flags;
-            e.writeback_cycle <- now t + tlb_lat + cross_lat + lat;
-            e.state <- Issued;
+            wheel_insert t e (now t + tlb_lat + cross_lat + lat);
             iq_remove t e)
     end
     end)
@@ -1113,8 +1256,7 @@ let execute_store t th (e : rob_entry) (out : Exec.outcome) ~rc =
       e.addr_valid <- true;
       e.store_data <- Exec.store_data u rc;
       e.rflags <- out.Exec.flags;
-      e.writeback_cycle <- now t + tlb_lat + 1;
-      e.state <- Issued;
+      wheel_insert t e (now t + tlb_lat + 1);
       iq_remove t e;
       if t.config.Config.load_hoisting then check_hoist_violation t th e
     end
@@ -1139,87 +1281,123 @@ let execute_entry t (e : rob_entry) =
     else begin
       e.result <- out.Exec.value;
       e.rflags <- out.Exec.flags;
-      e.writeback_cycle <- now t + Config.uop_latency u;
-      e.state <- Issued;
+      wheel_insert t e (now t + Config.uop_latency u);
       iq_remove t e;
       if Uop.is_branch u then resolve_branch t th e out
     end
 
-(* Issue: per cluster, select up to issue_width ready entries,
-   oldest-first ("collapsing" queue with broadcast wakeup modeled as a
-   readiness scan). *)
-let entry_sources_ready t cluster (e : rob_entry) =
-  let ready src =
-    match src with
-    | Arch -> true
-    | Phys p ->
-      Physreg.is_written t.prf p
-      && now t >= Physreg.visible_cycle t.prf p ~cluster
-           ~forward_delay:(List.nth t.config.Config.clusters cluster).Config.forward_delay
-  in
-  ready e.src_a && ready e.src_b && ready e.src_c
-  && ((not e.uop.Uop.readflags) || ready e.src_f)
+(* Issue: per cluster, select up to issue_width ready entries. Broadcast
+   wakeup (see [broadcast]) keeps each cluster's ready set exact, so
+   select visits only entries whose sources are all written, in [seq]
+   order.
+
+   Oldest-first with replay deprioritization and a starvation bound.
+   Actively-replaying uops (retry stamp near now) yield to everyone
+   else: interleaved retry phases would otherwise own a narrow cluster's
+   only slot forever. An entry whose last replay is old (it has been
+   ready but unselected for a while) is promoted back to normal
+   priority, so nothing starves indefinitely. *)
+let[@inline] klass now e =
+  if e.replays = 0 || now - e.retry_cycle > 64 then 0 else 1
+
+let[@inline] is_waiting e = match e.state with Waiting -> true | _ -> false
+
+(* Append to [buf] (holding [k] entries) the selectable ready entries of
+   class [cls] in [seq] order until [width] are chosen; the new count. *)
+let select_class now rs n cls buf k width =
+  let k = ref k and i = ref 0 in
+  while !k < width && !i < n do
+    let e = rs.(!i) in
+    if now >= e.retry_cycle && now >= e.ready_at && is_waiting e
+       && klass now e = cls
+    then begin
+      buf.(!k) <- e;
+      incr k
+    end;
+    incr i
+  done;
+  !k
 
 let issue t =
-  List.iteri
-    (fun ci (cl : Config.cluster) ->
-      let candidates = ref [] in
-      Array.iter
-        (fun slot ->
-          match slot with
-          | Some { slot_rob = e }
-            when e.state = Waiting && now t >= e.retry_cycle
-                 && entry_sources_ready t ci e ->
-            candidates := e :: !candidates
-          | _ -> ())
-        t.iqs.(ci);
-      (* Oldest-first with replay deprioritization and a starvation bound.
-         Actively-replaying uops (retry stamp near now) yield to everyone
-         else: interleaved retry phases would otherwise own a narrow
-         cluster's only slot forever. An entry whose last replay is old
-         (it has been ready but unselected for a while) is promoted back
-         to normal priority, so nothing starves indefinitely. *)
-      let klass e =
-        if e.replays = 0 then 0
-        else if now t - e.retry_cycle > 64 then 0
-        else 1
-      in
-      let ordered =
-        List.sort
-          (fun a b -> compare (klass a, a.seq) (klass b, b.seq))
-          !candidates
-      in
-      let rec take n = function
-        | [] -> ()
-        | e :: rest ->
-          if n > 0 then begin
-            (* the entry may have been annulled by an earlier branch
-               resolution in this same cycle: annulment removed it from
-               the IQ, so re-check *)
-            if e.in_iq = ci && e.state = Waiting then execute_entry t e;
-            take (n - 1) rest
-          end
-      in
-      take cl.Config.issue_width ordered)
-    t.config.Config.clusters
+  let now = now t and buf = t.select_buf in
+  for ci = 0 to Array.length t.clusters - 1 do
+    let width = t.clusters.(ci).Config.issue_width in
+    let rs = t.ready.(ci) and n = t.ready_len.(ci) in
+    let k = select_class now rs n 0 buf 0 width in
+    let k = select_class now rs n 1 buf k width in
+    for j = 0 to k - 1 do
+      let e = buf.(j) in
+      buf.(j) <- dummy_entry;
+      (* an earlier branch resolution in this same cycle may have
+         annulled the entry; it still used up its issue slot *)
+      if e.in_iq = ci && is_waiting e then execute_entry t e
+    done
+  done
 
 (* ---------- writeback ---------- *)
 
+(* Move the due entries of a wheel bucket to [t.due]; returns the rest
+   of the bucket. Entries no longer Issued (a planted fault) are
+   dropped. *)
+let rec take_due t now keep = function
+  | [] -> keep
+  | e :: rest ->
+    if e.wb_slot > now then take_due t now (e :: keep) rest
+    else begin
+      (match e.state with
+      | Issued ->
+        t.due.(t.ndue) <- e;
+        t.ndue <- t.ndue + 1
+      | _ -> ());
+      take_due t now keep rest
+    end
+
+(* Complete every Issued entry whose writeback cycle has come, in thread
+   order and then ROB age, broadcasting each result to its consumers. *)
 let writeback t =
-  Array.iter
-    (fun th ->
-      Ring.iter th.rob (fun e ->
-          if e.state = Issued && e.writeback_cycle <= now t then begin
-            if e.dest >= 0 then
-              Physreg.write t.prf e.dest ~value:e.result ~flags:e.rflags
-                ~cycle:e.writeback_cycle ~cluster:e.exec_cluster;
-            if e.dest_flags >= 0 then
-              Physreg.write t.prf e.dest_flags ~value:0L ~flags:e.rflags
-                ~cycle:e.writeback_cycle ~cluster:e.exec_cluster;
-            e.state <- Done;
-            if !Trace.on then trace_uop t e Trace.Writeback
-          end))
-    t.threads
+  let now = now t in
+  if now > t.wheel_done then begin
+    t.ndue <- 0;
+    for c = imax (t.wheel_done + 1) (now - wheel_mask) to now do
+      let b = c land wheel_mask in
+      match t.wheel.(b) with
+      | [] -> ()
+      | l -> t.wheel.(b) <- take_due t now [] l
+    done;
+    t.wheel_done <- now;
+    let due = t.due and n = t.ndue in
+    (* insertion sort by (thread, seq): a handful of entries *)
+    for i = 1 to n - 1 do
+      let e = due.(i) in
+      let j = ref i in
+      while
+        !j > 0
+        && (let d = due.(!j - 1) in
+            d.thread > e.thread || (d.thread = e.thread && d.seq > e.seq))
+      do
+        due.(!j) <- due.(!j - 1);
+        decr j
+      done;
+      due.(!j) <- e
+    done;
+    for i = 0 to n - 1 do
+      let e = due.(i) in
+      due.(i) <- dummy_entry;
+      if e.dest >= 0 then begin
+        Physreg.write t.prf e.dest ~value:e.result ~flags:e.rflags
+          ~cycle:e.writeback_cycle ~cluster:e.exec_cluster;
+        broadcast t e.dest
+      end;
+      if e.dest_flags >= 0 then begin
+        Physreg.write t.prf e.dest_flags ~value:0L ~flags:e.rflags
+          ~cycle:e.writeback_cycle ~cluster:e.exec_cluster;
+        broadcast t e.dest_flags
+      end;
+      e.state <- Done;
+      e.wb_slot <- -1;
+      if !Trace.on then trace_uop t e Trace.Writeback
+    done
+  end
 
 (* ---------- commit ---------- *)
 
@@ -1615,60 +1793,141 @@ let guard_iter_referenced t f =
           add_rat e.src_f))
     t.threads
 
-(** Issue-queue slot conservation, both directions: every occupied slot
-    holds a Waiting entry that claims this cluster; every ROB entry
-    claiming a queue slot occupies exactly one; and per-cluster occupied
-    slots equal per-cluster ROB claimers (so a stale annulled entry
-    cannot hide in a slot — the counts would disagree). Returns a
-    violation description, or None when consistent. *)
+(** Issue-queue consistency. Slot conservation, both directions: each
+    cluster's free-slot counter and per-thread counters equal a recount
+    of the ROB entries claiming the cluster, and every claiming entry is
+    Waiting. Wakeup: a queued entry's unready count equals its unwritten
+    sources, it sits on each such source's consumer list (and every
+    consumer-list member is such an entry), and it is in its cluster's
+    ready set exactly when that count is zero; ready sets are in [seq]
+    order and hold only Waiting, fully-written entries of that cluster.
+    Completion: every wheel entry is Issued, in the bucket of its
+    [wb_slot] at or after its writeback cycle and not yet drained, and
+    the wheel holds exactly the Issued ROB entries. Returns a violation
+    description, or None when consistent. *)
 let guard_iq_check t =
   let violation = ref None in
   let note fmt = Printf.ksprintf (fun s -> if !violation = None then violation := Some s) fmt in
-  let nclusters = Array.length t.iqs in
-  let occupied = Array.make nclusters 0 in
+  let nclusters = Array.length t.clusters and nthreads = Array.length t.threads in
   let claimed = Array.make nclusters 0 in
-  Array.iteri
-    (fun ci q ->
-      Array.iter
-        (fun slot ->
-          match slot with
-          | None -> ()
-          | Some { slot_rob = e } ->
-            occupied.(ci) <- occupied.(ci) + 1;
-            if e.in_iq <> ci then
-              note "iq[%d]: slot entry seq %d claims cluster %d" ci e.seq e.in_iq
-            else if e.state <> Waiting then
-              note "iq[%d]: slot entry seq %d not in Waiting state" ci e.seq)
-        q)
-    t.iqs;
+  let claimed_thread = Array.make (nclusters * nthreads) 0 in
+  let ready_expected = Array.make nclusters 0 in
+  let watched = ref 0 and issued = ref 0 in
+  let in_ready c e =
+    let n = ref 0 in
+    for i = 0 to t.ready_len.(c) - 1 do
+      if t.ready.(c).(i) == e then incr n
+    done;
+    !n
+  in
   Array.iter
     (fun th ->
       Ring.iter th.rob (fun e ->
+          (match e.state with Issued -> incr issued | _ -> ());
           if e.in_iq >= 0 then begin
             if e.in_iq >= nclusters then
               note "rob seq %d: in_iq=%d out of range" e.seq e.in_iq
             else begin
-              claimed.(e.in_iq) <- claimed.(e.in_iq) + 1;
-              let occurrences =
-                Array.fold_left
-                  (fun a slot ->
-                    match slot with
-                    | Some { slot_rob } when slot_rob == e -> a + 1
-                    | _ -> a)
-                  0 t.iqs.(e.in_iq)
+              let c = e.in_iq in
+              claimed.(c) <- claimed.(c) + 1;
+              let k = (c * nthreads) + e.thread in
+              claimed_thread.(k) <- claimed_thread.(k) + 1;
+              if not (is_waiting e) then
+                note "iq[%d]: queued entry seq %d not in Waiting state" c e.seq;
+              let pending = ref 0 in
+              let check_src = function
+                | Phys p when not (Physreg.is_written t.prf p) ->
+                  incr pending;
+                  if not (List.memq e t.waiters.(p)) then
+                    note "iq[%d]: seq %d waits on physreg %d but is not its consumer"
+                      c e.seq p
+                | Phys _ | Arch -> ()
               in
-              if occurrences <> 1 then
-                note "rob seq %d: claims iq[%d] but occupies %d slots" e.seq
-                  e.in_iq occurrences
+              check_src e.src_a;
+              check_src e.src_b;
+              check_src e.src_c;
+              if e.uop.Uop.readflags then check_src e.src_f;
+              if !pending <> e.unready then
+                note "iq[%d]: seq %d has %d unwritten sources but unready=%d" c
+                  e.seq !pending e.unready;
+              watched := !watched + e.unready;
+              let r = in_ready c e in
+              if e.unready = 0 then begin
+                ready_expected.(c) <- ready_expected.(c) + 1;
+                if r <> 1 then
+                  note "iq[%d]: ready seq %d is %d times in the ready set" c e.seq r
+              end
+              else if r <> 0 then
+                note "iq[%d]: seq %d in the ready set with %d unwritten sources" c
+                  e.seq e.unready
             end
           end))
     t.threads;
-  if !violation = None then
-    for ci = 0 to nclusters - 1 do
-      if occupied.(ci) <> claimed.(ci) then
-        note "iq[%d]: %d slots occupied but %d ROB entries claim one" ci
-          occupied.(ci) claimed.(ci)
+  for c = 0 to nclusters - 1 do
+    let size = t.clusters.(c).Config.iq_size in
+    if t.iq_free.(c) <> size - claimed.(c) then
+      note "iq[%d]: %d slots free but %d of %d claimed" c t.iq_free.(c) claimed.(c)
+        size;
+    for tid = 0 to nthreads - 1 do
+      let k = (c * nthreads) + tid in
+      if t.iq_thread.(k) <> claimed_thread.(k) then
+        note "iq[%d]: thread %d counts %d entries but %d claim a slot" c tid
+          t.iq_thread.(k) claimed_thread.(k)
     done;
+    let prev = ref min_int in
+    for i = 0 to t.ready_len.(c) - 1 do
+      let e = t.ready.(c).(i) in
+      if not (is_waiting e) then
+        note "iq[%d]: ready-set seq %d not in Waiting state" c e.seq
+      else if e.in_iq <> c then
+        note "iq[%d]: ready-set seq %d claims cluster %d" c e.seq e.in_iq
+      else if e.unready <> 0 then
+        note "iq[%d]: ready-set seq %d has unready=%d" c e.seq e.unready
+      else if e.seq <= !prev then
+        note "iq[%d]: ready set out of seq order at %d" c e.seq;
+      prev := e.seq
+    done;
+    if t.ready_len.(c) <> ready_expected.(c) then
+      note "iq[%d]: ready set holds %d entries but %d are ready" c t.ready_len.(c)
+        ready_expected.(c)
+  done;
+  let consumers = ref 0 in
+  Array.iteri
+    (fun p l ->
+      List.iter
+        (fun e ->
+          incr consumers;
+          if Physreg.is_written t.prf p then
+            note "physreg %d: written but seq %d still waits on it" p e.seq
+          else if e.in_iq < 0 || not (is_waiting e) then
+            note "physreg %d: consumer seq %d is not queued" p e.seq)
+        l)
+    t.waiters;
+  if !consumers <> !watched then
+    note "consumer lists hold %d entries but queued entries wait on %d" !consumers
+      !watched;
+  let in_wheel = ref 0 in
+  Array.iteri
+    (fun b l ->
+      List.iter
+        (fun e ->
+          incr in_wheel;
+          match e.state with
+          | Issued ->
+            if e.wb_slot land wheel_mask <> b then
+              note "wheel[%d]: seq %d belongs in bucket %d" b e.seq
+                (e.wb_slot land wheel_mask)
+            else if e.writeback_cycle > e.wb_slot then
+              note "wheel[%d]: seq %d writes back at %d after its slot %d" b e.seq
+                e.writeback_cycle e.wb_slot
+            else if e.wb_slot <= t.wheel_done then
+              note "wheel[%d]: seq %d slot %d already drained (at %d)" b e.seq
+                e.wb_slot t.wheel_done
+          | _ -> note "wheel[%d]: seq %d is not Issued" b e.seq)
+        l)
+    t.wheel;
+  if !in_wheel <> !issued then
+    note "wheel holds %d entries but %d ROB entries are Issued" !in_wheel !issued;
   !violation
 
 (** Locks still held with every thread idle are leaked interlocks. *)

@@ -1,14 +1,20 @@
 (** The out-of-order superscalar core (optionally SMT), modeled stage by
     stage as in the paper (§2.2): fetch from the basic block cache with
     branch prediction, rename through per-thread alias tables onto a
-    shared physical register file, clustered collapsing issue queues,
-    a unified load/store queue, and a commit unit that enforces x86
-    instruction atomicity and precise exceptions.
+    shared physical register file, clustered issue queues with broadcast
+    wakeup, a unified load/store queue, and a commit unit that enforces
+    x86 instruction atomicity and precise exceptions.
+
+    Each cycle touches only what changed: a result written at writeback
+    wakes the queued consumers listed on its physical register, select
+    visits only its cluster's ready set, and writeback drains one bucket
+    of a completion wheel keyed by writeback cycle. Dispatch checks
+    free-slot counters per cluster and per (cluster, thread).
 
     The records stay transparent because {!Ptl_ooo.Multicore} reads the
     TLBs and hierarchy of each core, and {!Ptl_guard.Guard} (and its
-    corruption tests) walk and plant faults in the ROB and issue
-    queues. *)
+    corruption tests) walk and plant faults in the ROB, the issue-queue
+    structures and the completion wheel. *)
 
 open Ptl_util
 
@@ -57,6 +63,11 @@ type rob_entry = {
   mutable writeback_cycle : int;
   mutable in_iq : int;  (* cluster index while queued, -1 otherwise *)
   mutable exec_cluster : int;  (* cluster the uop executes in *)
+  (* wakeup: sources not yet written, and the first cycle at which every
+     written source is visible from the entry's cluster *)
+  mutable unready : int;
+  mutable ready_at : int;
+  mutable wb_slot : int;  (* completion-wheel cycle while Issued *)
   mutable result : int64;
   mutable rflags : int;
   (* branch resolution *)
@@ -83,9 +94,6 @@ type rob_entry = {
 
 (** A uop sitting in the fetch queue with its prediction. *)
 type fetched
-
-(** An occupied issue-queue slot. *)
-type iq_slot = { slot_rob : rob_entry }
 
 (** Per-hardware-thread front end, alias table, ROB and LSQ. *)
 type thread_state = {
@@ -114,7 +122,25 @@ type t = {
   prefix : string;  (* stats / trace namespace, e.g. "ooo" *)
   threads : thread_state array;
   prf : Physreg.t;
-  iqs : iq_slot option array array;  (* per cluster, collapsing queue *)
+  clusters : Config.cluster array;
+  fu_hosts : int array array;  (* per FU class: the clusters hosting it *)
+  (* The issue queues. A queued entry claims its cluster in [in_iq];
+     each cluster counts its free slots and its entries per thread. An
+     entry with unwritten sources waits on those registers' consumer
+     lists; once every source is written it sits in its cluster's ready
+     set, kept in [seq] order. *)
+  iq_free : int array;  (* per cluster *)
+  iq_thread : int array;  (* per (cluster, thread): cluster * nthreads + tid *)
+  waiters : rob_entry list array;  (* per physreg: queued consumers *)
+  ready : rob_entry array array;  (* per cluster, [ready_len] live, by seq *)
+  ready_len : int array;
+  select_buf : rob_entry array;  (* one cluster's selection this cycle *)
+  (* Completion wheel: an Issued entry waits in bucket
+     [wb_slot land wheel_mask]; [wheel_done] is the last cycle drained. *)
+  wheel : rob_entry list array;
+  mutable wheel_done : int;
+  due : rob_entry array;  (* writeback scratch, [ndue] live *)
+  mutable ndue : int;
   bbcache : Bbcache.t;
   hierarchy : Hierarchy.t;
   dtlb : Tlb.t;
@@ -125,9 +151,8 @@ type t = {
   mutable seq_counter : int;
   mutable uuid_counter : int;  (* fetch-order trace ids *)
   mutable fetch_round : int;  (* SMT round-robin pointer *)
-  (* per-cycle bank occupancy for L1D bank-conflict modeling *)
-  mutable banks_cycle : int;
-  mutable banks_used : int list;
+  (* L1D bank-conflict modeling: the last cycle each bank was used *)
+  bank_cycle : int array;
   (* counters *)
   c_cycles : Stats.counter;
   c_insns : Stats.counter;
@@ -194,12 +219,18 @@ val guard_lsq_check : t -> string option
     included for the dangling-reference check). *)
 val guard_iter_referenced : t -> (int -> unit) -> unit
 
-(** Issue-queue slot conservation, both directions: every occupied slot
-    holds a Waiting entry that claims this cluster; every ROB entry
-    claiming a queue slot occupies exactly one; and per-cluster occupied
-    slots equal per-cluster ROB claimers (so a stale annulled entry
-    cannot hide in a slot — the counts would disagree). Returns a
-    violation description, or None when consistent. *)
+(** Issue-queue consistency. Slot conservation, both directions: each
+    cluster's free-slot counter and per-thread counters equal a recount
+    of the ROB entries claiming the cluster, and every claiming entry is
+    Waiting. Wakeup: a queued entry's unready count equals its unwritten
+    sources, it sits on each such source's consumer list (and every
+    consumer-list member is such an entry), and it is in its cluster's
+    ready set exactly when that count is zero; ready sets are in [seq]
+    order and hold only Waiting, fully-written entries of that cluster.
+    Completion: every wheel entry is Issued, in the bucket of its
+    [wb_slot] at or after its writeback cycle and not yet drained, and
+    the wheel holds exactly the Issued ROB entries. Returns a violation
+    description, or None when consistent. *)
 val guard_iq_check : t -> string option
 
 (** Locks still held with every thread idle are leaked interlocks. *)

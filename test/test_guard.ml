@@ -208,30 +208,66 @@ let test_corrupt_rob_order () =
   Ring.set rob 1 a;
   detect ~sub:"rob" m inst
 
-let test_corrupt_iq_slot () =
-  let m, inst, core = warm_ooo () in
-  (* drive until some issue-queue slot is occupied, then flip its ROB
-     entry out of Waiting without freeing the slot *)
-  let find_slotted () =
+(* The first ROB entry satisfying [p], stepping until one exists. *)
+let step_to_entry inst core what p =
+  let find () =
     let found = ref None in
     Array.iter
-      (Array.iter (function
-        | Some { Ooo.slot_rob = e } when !found = None -> found := Some e
-        | _ -> ()))
-      core.Ooo.iqs;
+      (fun th ->
+        Ring.iter th.Ooo.rob (fun e -> if !found = None && p e then found := Some e))
+      core.Ooo.threads;
     !found
   in
   let tries = ref 2_000 in
-  while find_slotted () = None && !tries > 0 do
+  while find () = None && !tries > 0 do
     inst.Registry.step ();
     decr tries
   done;
-  match find_slotted () with
-  | None -> Alcotest.fail "no occupied issue-queue slot found"
-  | Some e ->
-    expect_clean m inst;
-    e.Ooo.state <- Ooo.Issued;
-    detect ~sub:"iq" m inst
+  match find () with
+  | Some e -> e
+  | None -> Alcotest.failf "no %s found" what
+
+let test_corrupt_iq_slot () =
+  let m, inst, core = warm_ooo () in
+  (* flip a queued entry out of Waiting without freeing its slot *)
+  let e = step_to_entry inst core "queued entry" (fun e -> e.Ooo.in_iq >= 0) in
+  expect_clean m inst;
+  e.Ooo.state <- Ooo.Issued;
+  detect ~sub:"iq" m inst
+
+let test_corrupt_iq_counters () =
+  (* a free-slot counter, then a per-thread counter, drifts from the
+     queue's real occupancy *)
+  let m, inst, core = warm_ooo () in
+  core.Ooo.iq_free.(0) <- core.Ooo.iq_free.(0) - 1;
+  detect ~sub:"iq" m inst;
+  core.Ooo.iq_free.(0) <- core.Ooo.iq_free.(0) + 1;
+  expect_clean m inst;
+  core.Ooo.iq_thread.(0) <- core.Ooo.iq_thread.(0) + 1;
+  detect ~sub:"iq" m inst
+
+let test_corrupt_ready_set () =
+  let m, inst, core = warm_ooo () in
+  (* plant a completed entry in a ready set with room for it *)
+  let e =
+    step_to_entry inst core "completed entry" (fun e ->
+        e.Ooo.state = Ooo.Done
+        && core.Ooo.ready_len.(0) < Array.length core.Ooo.ready.(0))
+  in
+  expect_clean m inst;
+  let n = core.Ooo.ready_len.(0) in
+  core.Ooo.ready.(0).(n) <- e;
+  core.Ooo.ready_len.(0) <- n + 1;
+  detect ~sub:"iq" m inst
+
+let test_corrupt_wheel () =
+  let m, inst, core = warm_ooo () in
+  (* a completed entry left behind in the completion wheel *)
+  let e = step_to_entry inst core "completed entry" (fun e -> e.Ooo.state = Ooo.Done) in
+  expect_clean m inst;
+  let b = (m.Machine.env.Env.cycle + 1) land (Array.length core.Ooo.wheel - 1) in
+  core.Ooo.wheel.(b) <- e :: core.Ooo.wheel.(b);
+  detect ~sub:"iq" m inst
 
 let test_corrupt_mshr_leak () =
   let m, inst, core = warm_ooo () in
@@ -363,6 +399,9 @@ let suite =
     Alcotest.test_case "leak physreg -> physreg" `Quick test_corrupt_physreg_leak;
     Alcotest.test_case "reorder ROB slot -> rob" `Quick test_corrupt_rob_order;
     Alcotest.test_case "corrupt iq slot -> iq" `Quick test_corrupt_iq_slot;
+    Alcotest.test_case "iq counter drift -> iq" `Quick test_corrupt_iq_counters;
+    Alcotest.test_case "non-Waiting ready-set member -> iq" `Quick test_corrupt_ready_set;
+    Alcotest.test_case "stale wheel entry -> iq" `Quick test_corrupt_wheel;
     Alcotest.test_case "leak MSHR -> mem" `Quick test_corrupt_mshr_leak;
     Alcotest.test_case "duplicate cache tag -> mem" `Quick test_corrupt_cache_tag;
     Alcotest.test_case "supervisor raises typed failure" `Quick test_supervisor_raises;

@@ -334,6 +334,158 @@ let prop_cosim_equivalence =
         QCheck.Test.fail_reportf "state diverged:\n%s" (String.concat "\n" diffs)
       else true)
 
+(* --- determinism pin: golden digests of complete runs ---
+
+   A change to the core that is meant to alter host speed only must
+   leave every digest below unchanged. Each covers every counter in the
+   statistics tree, the cycle count and the final architectural
+   registers; the traced run also covers the exact pipeline event
+   stream, so the order of issue and writeback events within a cycle is
+   pinned too. A change that alters simulated behaviour on purpose
+   updates the digests and says why. *)
+
+module G = Ptl_workloads.Gasm
+module Trace = Ptl_trace.Trace
+
+(* A loop mixing what the scheduler has to order: loads and stores to a
+   16-slot table (store-to-load forwarding, waits on older store
+   addresses, L1D bank conflicts), a data-dependent branch, a divide,
+   FP work (the K8's separate FP cluster two forwarding cycles away) and
+   a call/return pair. *)
+let golden_image ~iters =
+  let g = G.create ~base:0x40_0000L () in
+  let x0 = 0 and x1 = 1 and x2 = 2 in
+  G.li g G.rbp Machine.heap_base;
+  G.lii g G.r12 iters;
+  G.li g G.rbx 0x2545F4914F6CDD1DL;
+  G.lii g G.r13 7;
+  G.lii g G.r8 3;
+  G.ins g (Insn.Cvtsi2sd (x1, G.r8));
+  G.label g "loop";
+  (* xorshift64 *)
+  G.mov g G.rax G.rbx; G.shl g G.rax 13; G.xor g G.rbx G.rax;
+  G.mov g G.rax G.rbx; G.shr g G.rax 7; G.xor g G.rbx G.rax;
+  G.mov g G.rax G.rbx; G.shl g G.rax 17; G.xor g G.rbx G.rax;
+  G.mov g G.rsi G.rbx;
+  G.andi g G.rsi 0x78;
+  G.add g G.rsi G.rbp;
+  G.ld g G.rcx ~base:G.rsi ();
+  G.add g G.rcx G.r12;
+  G.st g ~base:G.rsi G.rcx ();
+  G.ld g G.rdx ~base:G.rbp ~disp:8 ();
+  G.add g G.r10 G.rdx;
+  G.ins g (Insn.Test (W64.B8, Insn.Reg G.rbx, Insn.Imm 1L));
+  G.je g "skip";
+  G.mov g G.rax G.rcx;
+  G.xor g G.rdx G.rdx;
+  G.ins g (Insn.Muldiv (Insn.Div, W64.B8, Insn.Reg G.r13));
+  G.add g G.r14 G.rdx;
+  G.label g "skip";
+  G.ins g (Insn.Cvtsi2sd (x0, G.rcx));
+  G.ins g (Insn.Sse (Insn.Mulsd, x0, x1));
+  G.ins g (Insn.Sse (Insn.Addsd, x2, x0));
+  G.call g "leaf";
+  G.dec g G.r12;
+  G.jne g "loop";
+  G.ins g (Insn.Cvtsd2si (G.r15, x2));
+  G.ins g Insn.Hlt;
+  G.label g "leaf";
+  G.add g G.r9 G.rcx;
+  G.ret g;
+  G.assemble g
+
+(* Two SMT threads contending for one lock around a shared counter. *)
+let lock_image ~iters =
+  let g = G.create ~base:0x40_0000L () in
+  G.li g G.rbp Machine.heap_base;
+  G.lii g G.r12 iters;
+  G.label g "again";
+  G.label g "spin";
+  G.lii g G.rax 1;
+  G.ins g (Insn.Xchg (W64.B8, Insn.Mem (Insn.mem_bd G.rbp 0L), G.rax));
+  G.cmpi g G.rax 0;
+  G.jne g "spin";
+  G.ld g G.rcx ~base:G.rbp ~disp:8 ();
+  G.addi g G.rcx 1;
+  G.st g ~base:G.rbp ~disp:8 G.rcx ();
+  G.xor g G.rax G.rax;
+  G.st g ~base:G.rbp G.rax ();
+  G.dec g G.r12;
+  G.jne g "again";
+  G.ins g Insn.Hlt;
+  G.assemble g
+
+(* Run to idle and digest the cycle count, the whole statistics tree and
+   every thread's final registers. *)
+let run_digest ~config ~threads img =
+  let m = Machine.create img in
+  let ctxs =
+    Array.init threads (fun i ->
+        if i = 0 then m.Machine.ctx
+        else begin
+          let c = Context.create ~vcpu_id:i in
+          Context.restore c ~snapshot:m.Machine.ctx;
+          c
+        end)
+  in
+  let core = Ooo.create { config with Config.smt_threads = threads } m.Machine.env ctxs in
+  let cycles = Ooo.run core ~max_cycles:20_000_000 in
+  Alcotest.(check bool) "ran to idle" true (Ooo.all_idle core);
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "cycles %d\n" cycles;
+  Buffer.add_string b (Stats.dump m.Machine.env.Ptl_arch.Env.stats);
+  Array.iter
+    (fun (c : Context.t) ->
+      Array.iter (fun v -> Printf.bprintf b "%Lx " v) c.Context.regs;
+      Printf.bprintf b "rip=%Lx flags=%x\n" c.Context.rip c.Context.flags)
+    ctxs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_tiny () =
+  Alcotest.(check string) "tiny digest" "b5008e3b4f7658d099dfd8a4ff480a70"
+    (run_digest ~config:Config.tiny ~threads:1 (golden_image ~iters:400))
+
+let test_golden_k8 () =
+  Alcotest.(check string) "k8-ptlsim digest" "b27041aff3b49d15793f8ac858de9ec2"
+    (run_digest ~config:Config.k8_ptlsim ~threads:1 (golden_image ~iters:400))
+
+let test_golden_smt_locks () =
+  Alcotest.(check string) "smt lock digest" "9447ded874dd605f5a9a7c9b49a693cb"
+    (run_digest ~config:Config.tiny ~threads:2 (lock_image ~iters:60))
+
+let test_golden_k8_trace () =
+  let path = Filename.temp_file "golden_trace" ".csv" in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Trace.configure ();
+      let stats = run_digest ~config:Config.k8_ptlsim ~threads:1 (golden_image ~iters:60) in
+      let oc = open_out_bin path in
+      Trace.dump_csv oc;
+      close_out oc;
+      Alcotest.(check string) "traced k8 stats digest" "93980a180aa9333cfd6a0eb23b695bdb" stats;
+      Alcotest.(check string) "traced k8 csv digest" "c1e9ab4756ff2ae0130a17fb7517b5bc"
+        (Digest.to_hex (Digest.file path)))
+
+(* A disabled interlock trace formats nothing: its [%a] printer is never
+   called. Enabled, the same call records the rendered event. *)
+let test_interlock_trace_disabled () =
+  let il = Ptl_ooo.Interlock.create (Stats.create ()) in
+  let calls = ref 0 in
+  let counting_printer () () =
+    incr calls;
+    "event"
+  in
+  Ptl_ooo.Interlock.trace il "%a" counting_printer ();
+  Alcotest.(check int) "disabled: printer not called" 0 !calls;
+  il.Ptl_ooo.Interlock.trace_enabled <- true;
+  Ptl_ooo.Interlock.trace il "%a" counting_printer ();
+  Alcotest.(check int) "enabled: printer called once" 1 !calls;
+  Alcotest.(check (list string)) "enabled: event recorded" [ "event" ]
+    il.Ptl_ooo.Interlock.trace
+
 let suite =
   [
     Alcotest.test_case "ooo mov/add" `Quick test_ooo_mov_add;
@@ -345,5 +497,11 @@ let suite =
     Alcotest.test_case "ooo SMC flush" `Quick test_ooo_smc_flush;
     Alcotest.test_case "ooo irq delivery" `Quick test_ooo_irq_delivery;
     Alcotest.test_case "ooo k8 config" `Quick test_ooo_k8_config_runs;
+    Alcotest.test_case "interlock trace off formats nothing" `Quick
+      test_interlock_trace_disabled;
+    Alcotest.test_case "golden digest: tiny" `Quick test_golden_tiny;
+    Alcotest.test_case "golden digest: k8-ptlsim" `Quick test_golden_k8;
+    Alcotest.test_case "golden digest: smt locks" `Quick test_golden_smt_locks;
+    Alcotest.test_case "golden digest: traced k8-ptlsim" `Quick test_golden_k8_trace;
     Test_seed.to_alcotest prop_cosim_equivalence;
   ]
