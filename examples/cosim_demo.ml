@@ -38,9 +38,10 @@ let () =
   | Cosim.Diverged { after_insns; diffs; _ } ->
     Printf.printf "diverged after %d instructions:\n  %s\n" after_insns
       (String.concat "\n  " diffs);
-    (* the paper's binary-search isolation *)
-    let first = Cosim.bisect ~config:Config.k8_ptlsim image ~lo:0 ~hi:after_insns in
-    Printf.printf "first divergent instruction: #%d\n" first);
+    (* per-instruction checks up to there name the first divergent one *)
+    match Cosim.validate ~config:Config.k8_ptlsim ~check_every:1 ~max_insns:after_insns image with
+    | Cosim.Diverged { after_insns; _ } -> Printf.printf "first divergent instruction: #%d\n" after_insns
+    | Cosim.Agree _ -> ());
 
   (* 2. checkpoint + deterministic replay (the §4.2 methodology) *)
   let m = Machine.create image in

@@ -107,6 +107,49 @@ let create ?stats ?(mode = Context.Kernel) ?entry ?(heap_pages = 64)
 let read_mem t ~vaddr ~size =
   Vmem.read t.env.Env.vmem t.ctx ~vaddr ~size ~at_rip:0L
 
+(** A quadword reader for comparing memory images: each page is
+    translated once (a read walk, setting accessed bits as {!read_mem}
+    does) and then read physically; a quadword straddling two pages goes
+    through {!read_mem}. *)
+let quad_reader t =
+  let page = ref (-1L) and base = ref 0 in
+  fun vaddr ->
+    let off = Int64.to_int vaddr land Pm.page_mask in
+    if off > Pm.page_size - 8 then read_mem t ~vaddr ~size:Ptl_util.W64.B8
+    else begin
+      let va_page = Int64.sub vaddr (Int64.of_int off) in
+      if va_page <> !page then begin
+        page := va_page;
+        base :=
+          Vmem.translate t.env.Env.vmem t.ctx ~vaddr ~write:false ~fetch:false
+            ~at_rip:0L
+          - off
+      end;
+      Pm.read_sized t.env.Env.mem (!base + off) Ptl_util.W64.B8
+    end
+
+(** The first 8 quadwords over [ranges] ((vaddr, bytes) pairs) at which
+    the readers [a] and [b] differ, as (vaddr, a, b) in range order.
+    Reading stops at the eighth difference. *)
+let quad_diffs ranges a b =
+  let limit = 8 in
+  let out = ref [] and count = ref 0 in
+  List.iter
+    (fun (base, bytes) ->
+      for i = 0 to (bytes / 8) - 1 do
+        if !count < limit then begin
+          let va = Int64.add base (Int64.of_int (i * 8)) in
+          let x = a va in
+          let y = b va in
+          if x <> y then begin
+            incr count;
+            out := (va, x, y) :: !out
+          end
+        end
+      done)
+    ranges;
+  List.rev !out
+
 let write_mem t ~vaddr ~size ~value =
   Vmem.write t.env.Env.vmem t.ctx ~vaddr ~size ~value ~at_rip:0L
 

@@ -4,12 +4,14 @@
 
     Each iteration derives a per-iteration seed from the master seed,
     generates a program ({!Fuzzgen}), and co-simulates it
-    ({!Ptl_hyper.Cosim}) on identical initial state, comparing committed
-    register/flag/memory state at instruction-count checkpoints; in
-    parallel the same image runs in lockstep against the independent
-    spec-derived reference interpreter ({!Ptl_oracle.Cross}). On
-    divergence of either pair the failing slot sequence is minimized
-    with delta debugging ({!Shrink}), the minimal case is re-run with
+    ({!Ptl_hyper.Cosim}): the timed core and the sequential reference
+    step forward together from identical initial state, comparing
+    committed register/flag/memory state at instruction-count
+    checkpoints. A second pass runs the same image in lockstep on the
+    sequential core and the independent spec-derived reference
+    interpreter ({!Ptl_oracle.Cross}). On divergence of either pair the
+    failing slot sequence is minimized with delta debugging
+    ({!Shrink}), the minimal case is re-run with
     {!Ptl_trace} armed and per-instruction checkpoints, and a
     self-contained text report is emitted: the shrunk program, both
     architectural states at the first divergent instruction, the trace
@@ -46,9 +48,9 @@ let step_budget = 2_000_000
 (** Deliberately planted core bug for harness self-tests and
     [--fuzz-inject]: once [after] instructions have committed, the model
     core's flags writes are mutated (CF forced set) after every step.
-    The factory shape matches {!Cosim.validate}'s [inject]. *)
-let flags_bug ~after () : Context.t -> unit =
- fun ctx ->
+    It reads only the context it is given, as {!Cosim.validate}'s
+    [inject] must. *)
+let flags_bug ~after (ctx : Context.t) =
   if ctx.Context.insns_committed >= after then
     ctx.Context.flags <- ctx.Context.flags lor Flags.cf_mask
 
@@ -158,13 +160,14 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     (* Commit bound: static size times the worst dynamic expansion (loop
        iterations, REP counts), plus slack. *)
     let max_insns = (orig_insns * 64) + 256 in
-    let check slots =
-      let img = Fuzzgen.build (Fuzzgen.with_slots prog slots) in
-      Cosim.validate ~config ~core ?inject ?wrap ~budget:step_budget
-        ~mem_ranges ~check_every ~max_insns img
-    in
     let diverged slots =
-      match check slots with Cosim.Agree _ -> false | Cosim.Diverged _ -> true
+      let img = Fuzzgen.build (Fuzzgen.with_slots prog slots) in
+      match
+        Cosim.validate ~config ~core ?inject ?wrap ~budget:step_budget
+          ~mem_ranges ~check_every ~max_insns img
+      with
+      | Cosim.Agree _ -> false
+      | Cosim.Diverged _ -> true
     in
     (* The third model: lockstep oracle-vs-seq over the same image. An
        [Unsupported] stop means the generator emitted something outside
@@ -177,11 +180,7 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     let cross_diverged slots =
       match cross slots with Cross.Diverged _ -> true | _ -> false
     in
-    let timed_div =
-      match check prog.Fuzzgen.slots with
-      | Cosim.Agree _ -> false
-      | Cosim.Diverged _ -> true
-    in
+    let timed_div = diverged prog.Fuzzgen.slots in
     let oracle_div =
       if not oracle then false
       else begin
@@ -271,9 +270,8 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
               core
           | true, true ->
             let model_m, _ =
-              Cosim.run_model ~config ~core
-                ?inject:(Option.map (fun f -> f ()) inject)
-                ?wrap ~budget:step_budget img ~n:max_insns
+              Cosim.run_model ~config ~core ?inject ?wrap
+                ~budget:step_budget img ~n:max_insns
             in
             let st = Cross.run_oracle ~table ~max_insns img in
             if Cross.final_diffs ~mem_ranges st model_m = [] then

@@ -24,8 +24,9 @@ val step_budget : int
 (** Deliberately planted core bug for harness self-tests and
     [--fuzz-inject]: once [after] instructions have committed, the model
     core's flags writes are mutated (CF forced set) after every step.
-    The factory shape matches {!Cosim.validate}'s [inject]. *)
-val flags_bug : after:int -> unit -> Context.t -> unit
+    It reads only the context it is given, as {!Cosim.validate}'s
+    [inject] must. *)
+val flags_bug : after:int -> Context.t -> unit
 
 (** One shrunk, reported divergence. *)
 type divergence = {
@@ -71,7 +72,7 @@ val default_check_every : int
 val run :
   ?config:Config.t ->
   ?core:string ->
-  ?inject:(unit -> Context.t -> unit) ->
+  ?inject:(Context.t -> unit) ->
   ?guard:Guard.config ->
   ?oracle:bool ->
   ?table:Spec.table ->

@@ -2,13 +2,14 @@
 
     "It is possible, on an instruction by instruction basis, to determine
     where the architectural state produced by PTLsim's model begins to
-    diverge from the state produced by the native x86 host processor ...
-    Using binary search techniques, the problem can be rapidly isolated."
+    diverge from the state produced by the native x86 host processor."
 
-    Here the functional core plays the reference processor: the same
-    image runs on both engines, comparing architectural state every
-    [check_every] committed instructions, and [bisect] narrows the first
-    divergent instruction when one exists.
+    Here the functional core plays the reference processor. One check
+    builds one model machine and one reference machine from the same
+    image and steps them forward together, comparing architectural state
+    every [check_every] committed instructions. The cost is linear in the
+    program length, so [check_every = 1] names the first divergent
+    instruction directly, where the paper binary-searches over re-runs.
 
     The model side is resolved through {!Ptl_ooo.Registry}, so any timed
     core ("ooo", "smt", "inorder") can be validated with the same driver.
@@ -38,21 +39,32 @@ type result =
    (watchdog lockup or guard invariant violation) raised mid-step. *)
 type stop = Reached | Idle | Out_of_budget | Hung of Sim_failure.t
 
-(* Run [image] on the functional core for exactly [n] committed
-   instructions (single-instruction blocks for exact stepping). *)
-let run_reference image ~n =
+(* Build [core] on a fresh machine; returns the machine and a function
+   stepping it until [n] instructions have committed, it goes idle, the
+   [budget] (steps over all calls together) runs out, or a self-check
+   fault is raised. *)
+let start_model ~config ~core ?inject ?wrap ~budget image =
   let m = Machine.create image in
-  let seq = Seqcore.create ~max_bb_insns:1 m.Machine.env m.Machine.ctx in
-  let rec go () =
-    if m.Machine.ctx.Context.insns_committed < n && m.Machine.ctx.Context.running
-    then begin
-      (match Seqcore.step_block seq with
-      | Seqcore.Executed 0 | Seqcore.Idle -> ()
-      | Seqcore.Executed _ | Seqcore.Interrupted -> go ())
+  let ctx = m.Machine.ctx in
+  let inst = Registry.build core config m.Machine.env [| ctx |] in
+  (* e.g. the guard supervisor (lib/guard), installed by the fuzz harness *)
+  let inst = match wrap with Some w -> w m.Machine.env ctx inst | None -> inst in
+  let budget = ref budget in
+  let rec advance n =
+    if ctx.Context.insns_committed >= n then Reached
+    else if inst.Registry.idle () then Idle
+    else if !budget <= 0 then Out_of_budget
+    else begin
+      let hung =
+        try inst.Registry.step (); None
+        with Sim_failure.Sim_failure f -> Some f
+      in
+      Option.iter (fun f -> f ctx) inject;
+      decr budget;
+      match hung with Some f -> Hung f | None -> advance n
     end
   in
-  go ();
-  m
+  (m, advance)
 
 (** Run [image] on the timed core [core] (a {!Registry} name) for at least
     [n] committed instructions. [inject], called after every step with the
@@ -61,56 +73,42 @@ let run_reference image ~n =
     instead of hanging the validator. *)
 let run_model ?(config = Config.tiny) ?(core = "ooo") ?inject ?wrap
     ?(budget = 50_000_000) image ~n =
+  let m, advance = start_model ~config ~core ?inject ?wrap ~budget image in
+  (m, advance n)
+
+(* Build the functional core on a fresh machine, in single-instruction
+   blocks for exact stepping; returns the machine and a function stepping
+   it to [n] committed instructions. Once a step commits nothing or finds
+   the VCPU idle it stays stopped, where a run from the start would stop.
+   Tracing is off while it steps, so its commits and cycle stamps stay out
+   of the model's trace window. *)
+let start_reference image =
   let m = Machine.create image in
-  let instance = Registry.build core config m.Machine.env [| m.Machine.ctx |] in
-  (* e.g. the guard supervisor (lib/guard), installed by the fuzz harness *)
-  let instance =
-    match wrap with
-    | Some w -> w m.Machine.env m.Machine.ctx instance
-    | None -> instance
+  let ctx = m.Machine.ctx in
+  let seq = Seqcore.create ~max_bb_insns:1 m.Machine.env ctx in
+  let live = ref true in
+  let advance n =
+    let tracing = !Trace.on in
+    Trace.on := false;
+    Fun.protect
+      ~finally:(fun () -> Trace.on := tracing)
+      (fun () ->
+        while !live && ctx.Context.insns_committed < n && ctx.Context.running do
+          match Seqcore.step_block seq with
+          | Seqcore.Executed 0 | Seqcore.Idle -> live := false
+          | Seqcore.Executed _ | Seqcore.Interrupted -> ()
+        done)
   in
-  let budget = ref budget in
-  let stop = ref None in
-  while !stop = None do
-    if m.Machine.ctx.Context.insns_committed >= n then stop := Some Reached
-    else if instance.Registry.idle () then stop := Some Idle
-    else if !budget <= 0 then stop := Some Out_of_budget
-    else begin
-      (try instance.Registry.step ()
-       with Sim_failure.Sim_failure f -> stop := Some (Hung f));
-      (match inject with Some f -> f m.Machine.ctx | None -> ());
-      decr budget
-    end
-  done;
-  (m, match !stop with Some s -> s | None -> assert false)
+  (m, advance)
 
-(* Compare guest memory over [ranges] (vaddr, bytes) word by word,
-   reporting the first few differing quadwords. *)
-let diff_mem ?(limit = 8) ranges ref_m model_m =
-  let out = ref [] in
-  let count = ref 0 in
-  List.iter
-    (fun (vaddr, bytes) ->
-      let words = bytes / 8 in
-      for i = 0 to words - 1 do
-        if !count < limit then begin
-          let va = Int64.add vaddr (Int64.of_int (i * 8)) in
-          let a = Machine.read_mem ref_m ~vaddr:va ~size:Ptl_util.W64.B8 in
-          let b = Machine.read_mem model_m ~vaddr:va ~size:Ptl_util.W64.B8 in
-          if a <> b then begin
-            incr count;
-            out := Printf.sprintf "mem[%#Lx]: %#Lx vs %#Lx" va a b :: !out
-          end
-        end
-      done)
-    ranges;
-  List.rev !out
-
-(* Full architectural comparison: registers/flags/rip plus any memory
-   ranges the caller knows the program writes. *)
-let diff_machines ?(mem_ranges = []) ref_m model_m =
+(* Full architectural comparison: registers/flags/rip plus the first few
+   differing quadwords over the memory ranges the program writes. *)
+let diff_machines ~mem_ranges ref_m model_m =
   Context.diff ref_m.Machine.ctx model_m.Machine.ctx
-  @ diff_mem mem_ranges ref_m model_m
+  @ List.map
+      (fun (va, a, b) -> Printf.sprintf "mem[%#Lx]: %#Lx vs %#Lx" va a b)
+      (Machine.quad_diffs mem_ranges (Machine.quad_reader ref_m)
+         (Machine.quad_reader model_m))
 
 (* Snapshot the tail of the armed trace window as text lines. *)
 let trace_window lines =
@@ -118,21 +116,23 @@ let trace_window lines =
   else []
 
 (** Compare the model against the reference every [check_every]
-    instructions, up to [max_insns]. The model may overrun a checkpoint by
-    a few commits within one cycle, so the reference is aligned to the
-    model's actual committed count before comparing. [inject] is a factory
-    returning a fresh corruption callback per model run (each checkpoint
-    re-simulates from the initial state). When tracing is armed the ring
-    is cleared before each model run, so a [Diverged] result carries the
-    model-side window leading up to the mismatch. *)
-let validate ?config ?(core = "ooo") ?inject ?wrap ?budget ?(mem_ranges = [])
-    ?(trace_lines = 64) ?(check_every = 50) ~max_insns image =
+    instructions, up to [max_insns], stepping both forward from one build
+    each. The model may overrun a checkpoint by a few commits within one
+    cycle, so the reference is brought to the model's actual committed
+    count before comparing. [budget] bounds the model's steps over the
+    whole run. When tracing is armed the ring is cleared once, before the
+    model is built, so a [Diverged] result carries the model-side window
+    leading up to the mismatch. *)
+let validate ?(config = Config.tiny) ?(core = "ooo") ?inject ?wrap
+    ?(budget = 50_000_000) ?(mem_ranges = []) ?(trace_lines = 64)
+    ?(check_every = 50) ~max_insns image =
+  let ref_m, advance_reference = start_reference image in
+  if !Trace.on then Trace.clear ();
+  let model_m, advance = start_model ~config ~core ?inject ?wrap ~budget image in
   let rec go n =
     if n > max_insns then Agree max_insns
     else begin
-      if !Trace.on then Trace.clear ();
-      let inject = match inject with Some f -> Some (f ()) | None -> None in
-      let model_m, stop = run_model ?config ~core ?inject ?wrap ?budget image ~n in
+      let stop = advance n in
       let window = trace_window trace_lines in
       let actual = model_m.Machine.ctx.Context.insns_committed in
       match stop with
@@ -156,7 +156,7 @@ let validate ?config ?(core = "ooo") ?inject ?wrap ?budget ?(mem_ranges = [])
             trace = (if window <> [] then window else f.Sim_failure.trace_window);
           }
       | Reached | Idle ->
-        let ref_m = run_reference image ~n:actual in
+        advance_reference actual;
         let diffs = diff_machines ~mem_ranges ref_m model_m in
         if diffs <> [] then Diverged { after_insns = actual; diffs; trace = window }
         else if actual < n (* program finished early: fully compared *)
@@ -165,22 +165,3 @@ let validate ?config ?(core = "ooo") ?inject ?wrap ?budget ?(mem_ranges = [])
     end
   in
   go check_every
-
-(** Binary-search the first divergent instruction between [lo] (known
-    agreeing) and [hi] (known diverged) — the paper's isolation
-    technique. *)
-let bisect ?config ?(core = "ooo") ?inject ?wrap ?budget ?(mem_ranges = []) image
-    ~lo ~hi =
-  let rec go lo hi =
-    if hi - lo <= 1 then hi
-    else begin
-      let mid = (lo + hi) / 2 in
-      let inject = match inject with Some f -> Some (f ()) | None -> None in
-      let model_m, _ = run_model ?config ~core ?inject ?wrap ?budget image ~n:mid in
-      let actual = model_m.Machine.ctx.Context.insns_committed in
-      let ref_m = run_reference image ~n:actual in
-      if diff_machines ~mem_ranges ref_m model_m = [] then go mid hi
-      else go lo mid
-    end
-  in
-  go lo hi

@@ -1,8 +1,9 @@
 (** Native-mode co-simulation self-validation (paper §2.3): run the same
-    image on a cycle-accurate core and the functional reference, compare
-    architectural state at instruction-count checkpoints, and
-    binary-search the first divergence when one exists. The model side is
-    any {!Ptl_ooo.Registry} core name ("ooo", "smt", "inorder"). *)
+    image on a cycle-accurate core and the functional reference in
+    lockstep, one machine each per check, and compare architectural state
+    at instruction-count checkpoints; [~check_every:1] names the first
+    divergent instruction. The model side is any {!Ptl_ooo.Registry} core
+    name ("ooo", "smt", "inorder"). *)
 
 type result =
   | Agree of int  (** instructions compared *)
@@ -43,15 +44,18 @@ val run_model :
   n:int ->
   Ptl_arch.Machine.t * stop
 
-(** Compare every [check_every] instructions up to [max_insns]. [inject]
-    is a factory producing a fresh corruption callback per model run
-    (each checkpoint re-simulates from the initial state). When tracing
-    is armed, the ring is cleared before each model run and a divergence
-    carries the last [trace_lines] events as text. *)
+(** Compare every [check_every] instructions up to [max_insns], stepping
+    one model machine and one reference machine forward together; [wrap]
+    is applied once, to the one model instance. [inject] is called after
+    every model step and may depend only on the context it is given.
+    [budget] bounds the model's steps over the whole run. When tracing is
+    armed, the ring is cleared once before the model is built, the
+    reference steps with tracing off, and a divergence carries the last
+    [trace_lines] model events as text. *)
 val validate :
   ?config:Ptl_ooo.Config.t ->
   ?core:string ->
-  ?inject:(unit -> Ptl_arch.Context.t -> unit) ->
+  ?inject:(Ptl_arch.Context.t -> unit) ->
   ?wrap:
     (Ptl_arch.Env.t ->
     Ptl_arch.Context.t ->
@@ -64,21 +68,3 @@ val validate :
   max_insns:int ->
   Ptl_isa.Asm.image ->
   result
-
-(** Narrow the first divergent instruction between [lo] (agreeing) and
-    [hi] (diverged). *)
-val bisect :
-  ?config:Ptl_ooo.Config.t ->
-  ?core:string ->
-  ?inject:(unit -> Ptl_arch.Context.t -> unit) ->
-  ?wrap:
-    (Ptl_arch.Env.t ->
-    Ptl_arch.Context.t ->
-    Ptl_ooo.Registry.instance ->
-    Ptl_ooo.Registry.instance) ->
-  ?budget:int ->
-  ?mem_ranges:(int64 * int) list ->
-  Ptl_isa.Asm.image ->
-  lo:int ->
-  hi:int ->
-  int

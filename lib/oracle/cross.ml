@@ -68,25 +68,11 @@ let state_diffs (st : Spec.state) (ctx : Context.t) =
 
 (** Quadword-compare the given [(base, bytes)] ranges between the oracle
     memory and a machine. *)
-let mem_diffs ?(limit = 8) (st : Spec.state) (m : Machine.t) ranges =
-  let ds = ref [] and n = ref 0 in
-  List.iter
-    (fun (base, bytes) ->
-      for i = 0 to (bytes / 8) - 1 do
-        if !n < limit then begin
-          let va = Int64.add base (Int64.of_int (i * 8)) in
-          let a = Spec.read_mem st W64.B8 va in
-          let b = Machine.read_mem m ~vaddr:va ~size:W64.B8 in
-          if a <> b then begin
-            incr n;
-            ds :=
-              Printf.sprintf "mem[%Lx]: oracle %016Lx vs core %016Lx" va a b
-              :: !ds
-          end
-        end
-      done)
-    ranges;
-  List.rev !ds
+let mem_diffs (st : Spec.state) (m : Machine.t) ranges =
+  List.map
+    (fun (va, a, b) ->
+      Printf.sprintf "mem[%Lx]: oracle %016Lx vs core %016Lx" va a b)
+    (Machine.quad_diffs ranges (Spec.read_mem st W64.B8) (Machine.quad_reader m))
 
 (** Compare the oracle's final state against an arbitrary machine (used
     by the fuzz harness to break seq-vs-timed ties with the oracle's

@@ -15,6 +15,9 @@ module Asm = Ptl_isa.Asm
 module Fuzzgen = Ptl_fuzz.Fuzzgen
 module Shrink = Ptl_fuzz.Shrink
 module Fuzz = Ptl_fuzz.Harness
+module Cosim = Ptl_hyper.Cosim
+module Registry = Ptl_ooo.Registry
+module Trace = Ptl_trace.Trace
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -217,6 +220,84 @@ let test_injected_bug_deterministic () =
     (reports (injected_run ()))
     (reports (injected_run ()))
 
+(* --- golden planted-bug reports: digests of every report of two runs
+   with fixed seeds, pinning the first divergent instruction, the diffs,
+   the trace window and the verdict. A change to how the co-simulation
+   drives its models must leave them unchanged; one that alters a
+   report on purpose updates the digests and says why. --- *)
+
+let report_digests s =
+  List.map (fun d -> Digest.to_hex (Digest.string d.Fuzz.d_report)) s.Fuzz.s_divergences
+
+let test_golden_reports () =
+  Alcotest.(check (list string))
+    "ooo, seed 7, flags bug after 2"
+    [ "5461ad325a629014066fb6e94a2c075c"; "354dbc929a83cfe1b68cc9a4c8d39040" ]
+    (report_digests (injected_run ()));
+  Alcotest.(check (list string))
+    "smt, seed 11, flags bug after 5"
+    [
+      "49b59dfe0cee238974ae250cc010562b";
+      "38f263fc8d3e050aacfdf125c04ef38b";
+      "f90cf7994c263fda2d342b8fd9516560";
+      "8e9a81f1e08958a13059fbcb2b89b7ac";
+      "61f686bcb90bc32c787e6a2689ba8b4a";
+      "5f45a2d36924ea9abc69a98de3224172";
+    ]
+    (report_digests
+       (Fuzz.run ~core:"smt" ~inject:(Fuzz.flags_bug ~after:5) ~check_every:1
+          ~seed:11 ~iters:6 ()))
+
+(* --- lockstep co-simulation builds each side once: whatever the
+   checkpoint spacing, one validate wraps one model instance, takes as
+   many model steps as one run to the same count, and (the reference
+   stepping with tracing off) captures as many trace events --- *)
+
+let test_lockstep_builds_once () =
+  let prog =
+    Fuzzgen.generate (Ptl_util.Rng.create 3) ~classes:Fuzzgen.all_classes
+      ~len:Fuzz.default_len
+  in
+  let img = Fuzzgen.build prog in
+  let max_insns = (Fuzzgen.insn_count prog * 64) + 256 in
+  let wraps = ref 0 and steps = ref 0 in
+  let wrap _env _ctx inst =
+    incr wraps;
+    { inst with Registry.step = (fun () -> incr steps; inst.Registry.step ()) }
+  in
+  (* (wraps, model steps, trace events) of one call *)
+  let count f =
+    wraps := 0;
+    steps := 0;
+    f ();
+    (!wraps, !steps, Trace.captured ())
+  in
+  Trace.configure ~capacity:4096 ();
+  Fun.protect ~finally:Trace.disable (fun () ->
+      let lone_wraps, lone_steps, lone_events =
+        count (fun () ->
+            Trace.clear ();
+            match Cosim.run_model ~wrap img ~n:max_insns with
+            | _, Cosim.Idle -> ()
+            | _ -> Alcotest.fail "the program should run to its hlt")
+      in
+      Alcotest.(check int) "one wrap per run_model" 1 lone_wraps;
+      Alcotest.(check bool) "the model stepped" true (lone_steps > 0);
+      List.iter
+        (fun check_every ->
+          let w, n, ev =
+            count (fun () ->
+                match Cosim.validate ~wrap ~check_every ~max_insns img with
+                | Cosim.Agree _ -> ()
+                | Cosim.Diverged { diffs; _ } ->
+                  Alcotest.failf "unexpected divergence: %s" (String.concat "; " diffs))
+          in
+          let tag = Printf.sprintf "check_every %d: " check_every in
+          Alcotest.(check int) (tag ^ "one wrap per validate") 1 w;
+          Alcotest.(check int) (tag ^ "model steps of one run") lone_steps n;
+          Alcotest.(check int) (tag ^ "trace events of one run") lone_events ev)
+        [ 1; 32; max_insns ])
+
 (* --- report files --- *)
 
 let test_write_reports () =
@@ -251,5 +332,8 @@ let suite =
     Alcotest.test_case "injected-bug reports deterministic" `Quick test_injected_bug_deterministic;
     Alcotest.test_case "planted spec bug attributed to oracle" `Quick
       test_planted_spec_bug_attributed;
+    Alcotest.test_case "golden planted-bug reports" `Quick test_golden_reports;
+    Alcotest.test_case "lockstep cosim builds each side once" `Quick
+      test_lockstep_builds_once;
     Alcotest.test_case "report files" `Quick test_write_reports;
   ]
