@@ -16,7 +16,6 @@ module Config = Ptl_ooo.Config
 module Ooo = Ptl_ooo.Ooo_core
 module Registry = Ptl_ooo.Registry
 module Multicore = Ptl_ooo.Multicore
-module Inorder = Ptl_ooo.Inorder_core
 module Machine = Ptl_arch.Machine
 module Context = Ptl_arch.Context
 module Env = Ptl_arch.Env
@@ -24,21 +23,20 @@ module Seqcore = Ptl_arch.Seqcore
 module Kernel = Ptl_kernel.Kernel
 module Domain = Ptl_hyper.Domain
 module Ptlmon = Ptl_hyper.Ptlmon
-module Cosim = Ptl_hyper.Cosim
 module RB = Ptl_workloads.Rsync_bench
 module FS = Ptl_workloads.Fileset
 module G = Ptl_workloads.Gasm
 module Tbl = Ptl_util.Tablefmt
 module Insn = Ptl_isa.Insn
-module Flags = Ptl_isa.Flags
 module Coherence = Ptl_mem.Coherence
 module Tlb = Ptl_mem.Tlb
-module Trace = Ptl_trace.Trace
 module Sample = Ptl_sample.Sample
 module Store = Ptl_store.Store
 module Fleet = Ptl_fleet.Fleet
 module Sweep = Ptl_sweep.Sweep
 module Paired = Ptl_stats.Paired
+module Chaos = Ptl_chaos.Chaos
+module Microbench = Ptl_workloads.Microbench
 
 let scale =
   match Sys.getenv_opt "OPTLSIM_SCALE" with
@@ -162,12 +160,10 @@ let exp_fig2 () =
         Printf.printf "%4d |%-30s|%-30s|%-30s| u=%4.1f%% k=%4.1f%% i=%4.1f%%\n" i
           (bar u 'U') (bar k 'K') (bar id '.') (100. *. u) (100. *. k) (100. *. id))
       (List.map2 (fun a b -> (a, b)) (List.map2 (fun a b -> (a, b)) user kern) idle);
-    let tot_u = List.fold_left ( +. ) 0. user /. float_of_int (max 1 (List.length user)) in
-    let tot_k = List.fold_left ( +. ) 0. kern /. float_of_int (max 1 (List.length kern)) in
-    let tot_i = List.fold_left ( +. ) 0. idle /. float_of_int (max 1 (List.length idle)) in
+    let avg l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l)) in
     Printf.printf
       "\noverall: user %.0f%%, kernel %.0f%%, idle %.0f%% (paper: kernel 15%%, idle 27%%)\n%!"
-      (100. *. tot_u) (100. *. tot_k) (100. *. tot_i)
+      (100. *. avg user) (100. *. avg kern) (100. *. avg idle)
 
 let exp_fig3 () =
   banner "Figure 3: time lapse of mispredict / DTLB miss / L1D miss rates";
@@ -211,10 +207,6 @@ let hot_loop_machine () =
   Machine.create (G.assemble g)
 
 (* ---------------------------------------------------------------- *)
-(* Run-to-run variance (paper: <1% across perfctr re-runs)           *)
-(* ---------------------------------------------------------------- *)
-
-(* ---------------------------------------------------------------- *)
 (* Guard overhead: cost of the invariant sweep at sampling intervals *)
 (* ---------------------------------------------------------------- *)
 
@@ -249,11 +241,7 @@ let exp_guard_overhead () =
     Sys.time () -. t0
   in
   (* two unguarded runs; the fastest is the baseline *)
-  let base =
-    match List.sort compare [ run_once ~interval:None; run_once ~interval:None ] with
-    | b :: _ -> b
-    | [] -> assert false
-  in
+  let base = Float.min (run_once ~interval:None) (run_once ~interval:None) in
   Printf.printf "guard off:            %.3f s (%.0f cycles/s)\n%!" base
     (float_of_int measured_cycles /. base);
   let default_over = ref 0.0 in
@@ -275,31 +263,16 @@ let exp_guard_overhead () =
   Printf.printf "PASS: default interval (64) overhead %+.1f%% < 10%%\n%!"
     !default_over
 
-let exp_variance () =
-  banner "Run-to-run variance of the 4-counter measurement protocol";
-  Printf.printf
-    "the paper re-ran the benchmark 4x (4 perfctrs at a time) and saw <1%%\n\
-     variance; the simulator is fully deterministic so ours must be 0.\n";
-  let small = { FS.default with FS.nfiles = 6; min_size = 2_000; max_size = 6_000 } in
-  let results =
-    List.init 3 (fun i ->
-        let d, _ =
-          Ptlmon.launch (RB.spec ~fileset:small ~snapshot_interval:None ())
-        in
-        Domain.submit d "-core seq -run";
-        ignore (Domain.run ~max_cycles:2_000_000_000 d);
-        let st = d.Domain.env.Env.stats in
-        let c = Stats.get st "domain.cycles" in
-        let n = Domain.insns d in
-        Printf.printf "run %d: cycles=%d insns=%d\n%!" i c n;
-        (c, n))
-  in
-  let all_equal = List.for_all (fun r -> r = List.hd results) results in
-  Printf.printf "variance: %s\n%!" (if all_equal then "0.00% (identical)" else "NONZERO (bug!)")
-
 (* ---------------------------------------------------------------- *)
 (* Ablations                                                         *)
 (* ---------------------------------------------------------------- *)
+
+(* Run machine [m] on one out-of-order core under [config] until it
+   halts or [max_cycles] pass: (cycles, committed insns, stat reader). *)
+let run_ooo ~max_cycles config m =
+  let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
+  let cycles = Ooo.run core ~max_cycles in
+  (cycles, Ooo.insns core, Stats.get m.Machine.env.Env.stats)
 
 let exp_ablate_bbcache () =
   banner "Ablation: basic block cache (simulation speedup, §2.1)";
@@ -340,12 +313,12 @@ let store_load_machine () =
 let exp_ablate_hoist () =
   banner "Ablation: load hoisting (disabled for K8 in §5)";
   let run hoist =
-    let m = store_load_machine () in
-    let config = { Config.k8_ptlsim with Config.load_hoisting = hoist } in
-    let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
-    let cycles = Ooo.run core ~max_cycles:50_000_000 in
-    let st = m.Machine.env.Env.stats in
-    (cycles, Stats.get st "ooo.issue.replays", Stats.get st "ooo.lsq.hoist_violations")
+    let cycles, _, stat =
+      run_ooo ~max_cycles:50_000_000
+        { Config.k8_ptlsim with Config.load_hoisting = hoist }
+        (store_load_machine ())
+    in
+    (cycles, stat "ooo.issue.replays", stat "ooo.lsq.hoist_violations")
   in
   let c_off, replays_off, _ = run false in
   let c_on, replays_on, viol = run true in
@@ -369,12 +342,12 @@ let exp_ablate_banks () =
   G.ins g Insn.Hlt;
   let img = G.assemble g in
   let run banking =
-    let m = Machine.create img in
-    let config = { Config.k8_ptlsim with Config.enforce_banking = banking } in
-    let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
-    let cycles = Ooo.run core ~max_cycles:50_000_000 in
-    (cycles, Stats.get m.Machine.env.Env.stats "ooo.issue.bank_conflicts",
-     Ooo.insns core)
+    let cycles, insns, stat =
+      run_ooo ~max_cycles:50_000_000
+        { Config.k8_ptlsim with Config.enforce_banking = banking }
+        (Machine.create img)
+    in
+    (cycles, stat "ooo.issue.bank_conflicts", insns)
   in
   let c_off, _, _ = run false in
   let c_on, conflicts, insns = run true in
@@ -403,12 +376,11 @@ let exp_ablate_tlb () =
   G.ins g Insn.Hlt;
   let img = G.assemble g in
   let run dtlb =
-    let m = Machine.create ~heap_pages:256 img in
-    let config = { Config.k8_ptlsim with Config.dtlb } in
-    let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
-    let cycles = Ooo.run core ~max_cycles:100_000_000 in
-    let st = m.Machine.env.Env.stats in
-    (cycles, Stats.get st "ooo.dcache.dtlb_misses", Stats.get st "ooo.dcache.dtlb_accesses")
+    let cycles, _, stat =
+      run_ooo ~max_cycles:100_000_000 { Config.k8_ptlsim with Config.dtlb }
+        (Machine.create ~heap_pages:256 img)
+    in
+    (cycles, stat "ooo.dcache.dtlb_misses", stat "ooo.dcache.dtlb_accesses")
   in
   let c1, m1, a1 = run Tlb.ptlsim_config in
   let c2, m2, a2 = run Tlb.k8_config in
@@ -432,20 +404,17 @@ let exp_ablate_tlb () =
    Writes BENCH_vm.json for the CI artifact. *)
 let exp_vm () =
   banner "Virtual-memory scenarios: hugepages, walk caches, demand paging";
-  let module Microbench = Ptl_workloads.Microbench in
   let slots = 1 lsl 16 (* 512 KB table: 128 pages vs 32 L1-DTLB entries *) in
   let steps = 60_000 * scale in
   let heap_pages = slots * 8 / 4096 in
   let run_bare ?(hugepages = false) () =
-    let m =
-      Machine.create ~heap_pages ~huge_heap:hugepages
-        (Microbench.gups ~slots ~steps ())
+    let cycles, insns, stat =
+      run_ooo ~max_cycles:400_000_000
+        { Config.k8_ptlsim with Config.tlb_hugepages = hugepages }
+        (Machine.create ~heap_pages ~huge_heap:hugepages
+           (Microbench.gups ~slots ~steps ()))
     in
-    let config = { Config.k8_ptlsim with Config.tlb_hugepages = hugepages } in
-    let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
-    let cycles = Ooo.run core ~max_cycles:400_000_000 in
-    let st = m.Machine.env.Env.stats in
-    (cycles, max 1 (Ooo.insns core), Stats.get st "ooo.dcache.dtlb_misses")
+    (cycles, max 1 insns, stat "ooo.dcache.dtlb_misses")
   in
   let mpki misses insns = 1000.0 *. float_of_int misses /. float_of_int insns in
   let cpi cycles insns = float_of_int cycles /. float_of_int insns in
@@ -470,10 +439,11 @@ let exp_vm () =
     in
     Machine.load_blob m.Machine.env m.Machine.ctx ~vaddr ~bytes:blob
       ~writable:true ~user:true;
-    let config = { Config.k8_ptlsim with Config.pwc_entries = pwc } in
-    let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
-    let cycles = Ooo.run core ~max_cycles:400_000_000 in
-    (cycles, Stats.get m.Machine.env.Env.stats "ooo.dcache.dtlb_misses")
+    let cycles, _, stat =
+      run_ooo ~max_cycles:400_000_000
+        { Config.k8_ptlsim with Config.pwc_entries = pwc } m
+    in
+    (cycles, stat "ooo.dcache.dtlb_misses")
   in
   let cw0, _ = run_chase ~pwc:0 in
   let cw1, mw1 = run_chase ~pwc:pwc_entries in
@@ -498,9 +468,7 @@ let exp_vm () =
         ~heap:Ptl_kernel.Abi.user_heap_base ~user:true ~slots:(1 lsl 14)
         ~steps:(20_000 * scale) ()
     in
-    let env = Env.create () in
-    let ctx = Context.create ~vcpu_id:0 in
-    let kc =
+    let kernel_config =
       {
         Kernel.default_config with
         Kernel.demand_paging = true;
@@ -508,15 +476,16 @@ let exp_vm () =
         vm_batch = 4;
       }
     in
-    let k = Kernel.create ~config:kc env ctx in
-    Kernel.register_program k ~name:"init" img;
-    Kernel.boot k;
-    let d = Domain.create ~kernel:k ~core:"ooo" ~config:Config.k8_ptlsim env ctx in
+    let d, k =
+      Ptlmon.launch
+        { Ptlmon.default_spec with
+          Ptlmon.programs = [ ("init", img) ]; kernel_config }
+    in
     Domain.submit d "-run";
     ignore (Domain.run ~max_cycles:800_000_000 d);
     if not (Kernel.is_shutdown k) then
       failwith "vm bench: demand-paged gups did not run to completion";
-    let st = env.Env.stats in
+    let st = d.Domain.env.Env.stats in
     ( Stats.get st "domain.cycles",
       Stats.get st "vm.faults",
       Stats.get st "vm.evictions",
@@ -537,39 +506,40 @@ let exp_vm () =
     shootdown_cost;
   let huge_wins = mpki m2 i2 < mpki m4 i4 in
   let pwc_wins = walk_saved > 0 in
-  let pass = huge_wins && pwc_wins && evictions > 0 && shootdowns > 0 in
+  let reclaimed = evictions > 0 && shootdowns > 0 in
+  let pass = huge_wins && pwc_wins && reclaimed in
   Printf.printf
     "budget (2M DTLB MPKI < 4K, PWC shortens walks, reclaim exercised): %s\n%!"
     (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_vm.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"vm\",\n\
-    \  \"scale\": %d,\n\
-    \  \"gups\": { \"slots\": %d, \"steps\": %d },\n\
-    \  \"pages_4k\": { \"cycles\": %d, \"insns\": %d, \"cpi\": %.4f, \
-     \"dtlb_misses\": %d, \"dtlb_mpki\": %.3f },\n\
-    \  \"pages_2m\": { \"cycles\": %d, \"insns\": %d, \"cpi\": %.4f, \
-     \"dtlb_misses\": %d, \"dtlb_mpki\": %.3f },\n\
-    \  \"pwc\": { \"entries\": %d, \"workload\": \"pointer_chase\", \
-     \"cycles_off\": %d, \"cycles_on\": %d, \"dtlb_misses\": %d,\n\
-    \            \"walk_cycles_saved\": %d, \"saved_per_miss\": %.3f },\n\
-    \  \"demand\": { \"faults\": %d, \"thrash_faults\": %d, \"evictions\": \
-     %d, \"shootdowns\": %d,\n\
-    \              \"cycles_unconstrained\": %d, \"cycles_watermark16\": %d,\n\
-    \              \"cycles_per_shootdown\": %.2f },\n\
-    \  \"budget\": { \"hugepages_reduce_dtlb_mpki\": %b, \
-     \"pwc_shortens_walks\": %b, \"reclaim_exercised\": %b },\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale slots steps c4 i4 (cpi c4 i4) m4 (mpki m4 i4) c2 i2 (cpi c2 i2) m2
-    (mpki m2 i2) pwc_entries cw0 cw1 mw1 walk_saved saved_per_miss faults_lazy
-    faults_thrash evictions shootdowns cyc_lazy cyc_thrash shootdown_cost
-    huge_wins pwc_wins
-    (evictions > 0 && shootdowns > 0)
-    pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_vm.json\n%!";
+  let pages cycles insns misses =
+    Record.(
+      Obj [ ("cycles", Int cycles); ("insns", Int insns);
+            ("cpi", Float (cpi cycles insns)); ("dtlb_misses", Int misses);
+            ("dtlb_mpki", Float (mpki misses insns)) ])
+  in
+  Record.(
+    write "vm"
+      [ ("scale", Int scale);
+        ("gups", Obj [ ("slots", Int slots); ("steps", Int steps) ]);
+        ("pages_4k", pages c4 i4 m4); ("pages_2m", pages c2 i2 m2);
+        ( "pwc",
+          Obj [ ("entries", Int pwc_entries);
+                ("workload", Str "pointer_chase"); ("cycles_off", Int cw0);
+                ("cycles_on", Int cw1); ("dtlb_misses", Int mw1);
+                ("walk_cycles_saved", Int walk_saved);
+                ("saved_per_miss", Float saved_per_miss) ] );
+        ( "demand",
+          Obj [ ("faults", Int faults_lazy);
+                ("thrash_faults", Int faults_thrash);
+                ("evictions", Int evictions); ("shootdowns", Int shootdowns);
+                ("cycles_unconstrained", Int cyc_lazy);
+                ("cycles_watermark16", Int cyc_thrash);
+                ("cycles_per_shootdown", Float shootdown_cost) ] );
+        ( "budget",
+          Obj [ ("hugepages_reduce_dtlb_mpki", Bool huge_wins);
+                ("pwc_shortens_walks", Bool pwc_wins);
+                ("reclaim_exercised", Bool reclaimed) ] );
+        ("pass", Bool pass) ]);
   if not pass then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -647,67 +617,8 @@ let exp_coherence () =
   run (Coherence.Moesi { transfer_latency = 20; invalidate_latency = 10 }) "MOESI (20cy transfer):"
 
 (* ---------------------------------------------------------------- *)
-(* Co-simulation and sampled simulation                              *)
+(* Sampled simulation                                                *)
 (* ---------------------------------------------------------------- *)
-
-let exp_cosim () =
-  banner "Co-simulation self-validation (§2.3)";
-  let g = G.create ~base:0x40_0000L () in
-  G.li g G.rbp Machine.heap_base;
-  G.lii g G.rcx 3000;
-  G.lii g G.rbx 12345;
-  G.label g "top";
-  G.imuli g G.rbx 1103515245;
-  G.addi g G.rbx 12345;
-  G.mov g G.rax G.rbx;
-  G.andi g G.rax 0xFF8;
-  G.mov g G.rdx G.rbp;
-  G.add g G.rdx G.rax;
-  G.ld g G.rax ~base:G.rdx ();
-  G.addi g G.rax 1;
-  G.st g ~base:G.rdx G.rax ();
-  G.dec g G.rcx;
-  G.jne g "top";
-  G.ins g Insn.Hlt;
-  let img = G.assemble g in
-  (match Cosim.validate ~config:Config.k8_ptlsim ~check_every:500 ~max_insns:20_000 img with
-  | Cosim.Agree n ->
-    Printf.printf "out-of-order core vs functional reference: AGREE over %d instructions\n%!" n
-  | Cosim.Diverged { after_insns; diffs; _ } ->
-    Printf.printf "DIVERGED after %d insns:\n  %s\n%!" after_insns (String.concat "\n  " diffs))
-
-let exp_fuzz () =
-  banner "Differential fuzzing throughput (random cosim, §2.3)";
-  let module Fuzz = Ptl_fuzz.Harness in
-  List.iter
-    (fun core ->
-      let t0 = Unix.gettimeofday () in
-      let s = Fuzz.run ~core ~seed:42 ~iters:200 () in
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "%-8s %d programs, %d instructions, %d divergences  (%.1f progs/s, \
-         %.0f insns/s)\n%!"
-        core s.Fuzz.s_iters s.Fuzz.s_gen_insns
-        (List.length s.Fuzz.s_divergences)
-        (float_of_int s.Fuzz.s_iters /. dt)
-        (float_of_int s.Fuzz.s_gen_insns /. dt))
-    [ "ooo"; "inorder"; "smt" ];
-  (* cost of catching + shrinking a planted bug *)
-  let t0 = Unix.gettimeofday () in
-  let s =
-    Fuzz.run ~core:"ooo" ~inject:(Fuzz.flags_bug ~after:2) ~check_every:1
-      ~seed:7 ~iters:20 ()
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  let shrunk =
-    List.fold_left (fun a d -> a + d.Fuzz.d_insns) 0 s.Fuzz.s_divergences
-  in
-  Printf.printf
-    "injected bug: %d/%d caught, mean shrunk size %.1f insns, %.2f s/case\n%!"
-    (List.length s.Fuzz.s_divergences)
-    s.Fuzz.s_iters
-    (float_of_int shrunk /. float_of_int (max 1 (List.length s.Fuzz.s_divergences)))
-    (dt /. float_of_int (max 1 (List.length s.Fuzz.s_divergences)))
 
 let exp_sampling () =
   banner "Statistical sampled simulation (§2.3: spans of sim within native runs)";
@@ -727,12 +638,9 @@ let exp_sampling () =
     G.jne g "top";
     G.sys_marker g 999;
     G.sys_exit g 0;
-    let env = Env.create () in
-    let ctx = Context.create ~vcpu_id:0 in
-    let k = Kernel.create env ctx in
-    Kernel.register_program k ~name:"init" (G.assemble g);
-    Kernel.boot k;
-    Domain.create ~kernel:k ~config:Config.k8_ptlsim env ctx
+    fst
+      (Ptlmon.launch
+         { Ptlmon.default_spec with Ptlmon.programs = [ ("init", G.assemble g) ] })
   in
   (* full simulation *)
   let d_full = make_domain "-core ooo -run" in
@@ -756,44 +664,116 @@ let exp_sampling () =
   Printf.printf "sampled IPC error vs full: %+.1f%%\n%!"
     (100.0 *. (s_ipc -. full_ipc) /. full_ipc)
 
-(* The lib/sample supervisor on a long two-phase microbench: wall-clock
-   speedup vs full detail, and aggregate-CPI error of the estimate.
-   Writes BENCH_sample.json for the CI artifact. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [image] on a fresh bare machine: checkpoints, and so stores and
+   fleets, need one (no minios kernel). *)
+let bare_domain ?(config = Config.k8_ptlsim) image =
+  let m = Machine.create image in
+  Domain.create ~core:"ooo" ~config m.Machine.env m.Machine.ctx
+
+(* One capture pass of [domain], spilled into a store in a fresh
+   directory under the temp dir that is removed, with everything in it,
+   when the bench exits: (a socket path beside the store, capture, its
+   seconds, store). *)
+let capture_store ?(placement = Sample.Fixed) ~workload ~config ~schedule domain =
+  let scratch = Filename.temp_dir ("optlsim_" ^ workload) "" in
+  at_exit (fun () -> if Sys.file_exists scratch then remove_tree scratch);
+  let cr, t_capture =
+    time (fun () ->
+        Sample.run_capture ~placement ~max_cycles:2_000_000_000 ~schedule domain)
+  in
+  match
+    Store.create ~dir:(Filename.concat scratch "store")
+      ~workload:("bench-" ^ workload) ~core:"ooo" ~schedule
+      ~placement:(Sample.placement_to_string placement) cr ~config
+  with
+  | Ok store -> (Filename.concat scratch "sock", cr, t_capture, store)
+  | Error e -> failwith (Store.error_to_string e)
+
+let clear_result_cache store =
+  let dir = Store.dir store in
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix:"result-" f then
+        Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir)
+
+(* Fork one fleet worker process on [sock], with the [chaos] schedule
+   armed in it alone. It leaves through _exit, so neither the bench's
+   exit handlers nor its remaining experiments run in the child. *)
+let spawn_worker ?chaos sock =
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      match
+        Option.iter
+          (fun spec ->
+            match Chaos.parse spec with
+            | Ok rules -> Chaos.arm rules
+            | Error e -> failwith ("chaos worker: " ^ e))
+          chaos;
+        Fleet.work ~retries:150 ~connect:sock ()
+      with
+      | Ok _ -> 0
+      | Error msg ->
+        prerr_endline ("fleet worker: " ^ msg);
+        1
+      | exception Chaos.Killed point ->
+        (* the injected process death — the crash under test *)
+        prerr_endline ("chaos worker killed at " ^ point);
+        0
+      | exception e ->
+        prerr_endline ("fleet worker: " ^ Printexc.to_string e);
+        1
+    in
+    Unix._exit code
+  | pid -> pid
+
+(* Serve [store] on [sock] to one forked worker per entry of [workers]
+   (each its chaos schedule, if any) and reap them. *)
+let serve_fleet ?max_failures ~sock store workers =
+  let pids = List.map (fun chaos -> spawn_worker ?chaos sock) workers in
+  let sv = Fleet.serve ~lease_timeout:60.0 ?max_failures ~socket:sock store in
+  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  sv
+
+let schedule_json s =
+  Record.(
+    Obj [ ("ff_insns", Int s.Sample.ff_insns);
+          ("warmup_insns", Int s.Sample.warmup_insns);
+          ("measure_insns", Int s.Sample.measure_insns) ])
+
+(* The lib/sample supervisor on a long homogeneous loop mixing memory,
+   ALU and multiply work: wall-clock speedup vs full detail, and
+   aggregate-CPI error of the estimate. On this steady-state shape
+   periodic sampling is exact up to boundary effects (phased workloads
+   need periods incommensurate with the phase length; see
+   --sample-period). Writes BENCH_sample.json. *)
 let exp_sample () =
   banner "Sampled simulation engine (lib/sample): speedup and CPI error";
-  (* a long homogeneous loop mixing memory, ALU and multiply work — the
-     steady-state microbench shape where periodic sampling is exact up to
-     boundary effects (phased workloads need periods incommensurate with
-     the phase length; see --sample-period) *)
   let make_domain () =
-    let g = G.create () in
-    G.jmp g "main";
-    G.label g "main";
-    G.li g G.rbp Ptl_kernel.Abi.user_heap_base;
-    G.lii g G.rcx (1_200_000 * scale);
-    G.label g "top";
-    G.ld g G.rax ~base:G.rbp ();
-    G.addi g G.rax 1;
-    G.st g ~base:G.rbp G.rax ();
-    G.imuli g G.rbx 1103515245;
-    G.addi g G.rbx 12345;
-    G.dec g G.rcx;
-    G.jne g "top";
-    G.sys_marker g 999;
-    G.sys_exit g 0;
-    let env = Env.create () in
-    let ctx = Context.create ~vcpu_id:0 in
-    let k = Kernel.create env ctx in
-    Kernel.register_program k ~name:"init" (G.assemble g);
-    Kernel.boot k;
-    Domain.create ~kernel:k ~core:"ooo" ~config:Config.k8_ptlsim env ctx
+    let image = Microbench.compute ~iters:(1_200_000 * scale) ~bare:false in
+    fst
+      (Ptlmon.launch
+         { Ptlmon.default_spec with Ptlmon.programs = [ ("init", image) ] })
   in
   (* full-detail reference *)
   let d_full = make_domain () in
   Domain.submit d_full "-core ooo -run";
-  let t0 = Unix.gettimeofday () in
-  ignore (Domain.run ~max_cycles:2_000_000_000 d_full);
-  let t_full = Unix.gettimeofday () -. t0 in
+  let (), t_full =
+    time (fun () -> ignore (Domain.run ~max_cycles:2_000_000_000 d_full))
+  in
   let full_insns = Domain.insns d_full in
   let full_cycles = Stats.get d_full.Domain.env.Env.stats "domain.cycles" in
   let full_cpi = float_of_int full_cycles /. float_of_int (max 1 full_insns) in
@@ -801,10 +781,10 @@ let exp_sample () =
   let schedule =
     { Sample.ff_insns = 2_470_000; warmup_insns = 10_000; measure_insns = 20_000 }
   in
-  let d_s = make_domain () in
-  let t0 = Unix.gettimeofday () in
-  let r = Sample.run ~max_cycles:2_000_000_000 ~schedule d_s in
-  let t_samp = Unix.gettimeofday () -. t0 in
+  let r, t_samp =
+    time (fun () ->
+        Sample.run ~max_cycles:2_000_000_000 ~schedule (make_domain ()))
+  in
   let speedup = t_full /. t_samp in
   let err_pct =
     100.0 *. (r.Sample.est_cycles -. float_of_int full_cycles)
@@ -819,307 +799,135 @@ let exp_sample () =
   let pass = speedup >= 10.0 && Float.abs err_pct <= 5.0 in
   Printf.printf "budget (>=10x, <=5%% error): %s\n%!"
     (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_sample.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"sample\",\n\
-    \  \"scale\": %d,\n\
-    \  \"full\": { \"insns\": %d, \"cycles\": %d, \"cpi\": %.6f, \"seconds\": \
-     %.3f },\n\
-    \  \"sampled\": { \"insns\": %d, \"measured_insns\": %d, \"intervals\": \
-     %d,\n\
-    \               \"cpi\": %.6f, \"cpi_mean\": %.6f, \"cpi_ci95\": %.6f,\n\
-    \               \"est_cycles\": %.0f, \"seconds\": %.3f },\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"cpi_error_pct\": %.3f,\n\
-    \  \"budget\": { \"min_speedup\": 10.0, \"max_cpi_error_pct\": 5.0 },\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale full_insns full_cycles full_cpi t_full r.Sample.total_insns
-    r.Sample.measured_insns
-    (List.length r.Sample.intervals)
-    r.Sample.cpi r.Sample.cpi_mean r.Sample.cpi_ci95 r.Sample.est_cycles
-    t_samp speedup err_pct pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_sample.json\n%!"
+  Record.(
+    write "sample"
+      [ ("scale", Int scale);
+        ( "full",
+          Obj [ ("insns", Int full_insns); ("cycles", Int full_cycles);
+                ("cpi", Float full_cpi); ("seconds", Float t_full) ] );
+        ( "sampled",
+          Obj [ ("insns", Int r.Sample.total_insns);
+                ("measured_insns", Int r.Sample.measured_insns);
+                ("intervals", Int (List.length r.Sample.intervals));
+                ("cpi", Float r.Sample.cpi);
+                ("cpi_mean", Float r.Sample.cpi_mean);
+                ("cpi_ci95", Float r.Sample.cpi_ci95);
+                ("est_cycles", Float r.Sample.est_cycles);
+                ("seconds", Float t_samp) ] );
+        ("speedup", Float speedup); ("cpi_error_pct", Float err_pct);
+        ( "budget",
+          Obj [ ("min_speedup", Float 10.0); ("max_cpi_error_pct", Float 5.0) ] );
+        ("pass", Bool pass) ])
 
-(* Checkpoint-parallel sampling (--sample-jobs): a bare-machine loop
-   sampled three ways — the serial supervisor (Sample.run), and
-   Fleet.run_parallel (capture pass + replay pool) pinned to one job and
-   fanned across 4 worker domains. The jobs=1 and jobs=4 merged reports must
-   be bit-identical; the speedup budget only applies when the host
-   actually has the cores (recorded as host_cores in the JSON).
-   Writes BENCH_parallel_sample.json for the CI artifact. *)
-let exp_parallel_sample () =
-  banner "Checkpoint-parallel sampled simulation (--sample-jobs)";
-  (* bare machine (no minios kernel): the only checkpointable kind.
-     detail-heavy schedule (80k timed insns per 480k period) so the
-     replayed windows — the part the workers parallelize — dominate
-     wall clock *)
-  let make_domain () =
-    let g = G.create () in
-    G.li g G.rbp Machine.heap_base;
-    G.lii g G.rcx (800_000 * scale);
-    G.label g "top";
-    G.ld g G.rax ~base:G.rbp ();
-    G.addi g G.rax 1;
-    G.st g ~base:G.rbp G.rax ();
-    G.imuli g G.rbx 1103515245;
-    G.addi g G.rbx 12345;
-    G.dec g G.rcx;
-    G.jne g "top";
-    G.ins g Insn.Hlt;
-    let m = Machine.create (G.assemble g) in
-    Domain.create ~core:"ooo" ~config:Config.k8_ptlsim m.Machine.env
-      m.Machine.ctx
-  in
-  let schedule =
-    { Sample.ff_insns = 400_000; warmup_insns = 20_000; measure_insns = 60_000 }
-  in
-  let placement = Sample.Rand_offset 7 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
-  Printf.printf "host cores (recommended_domain_count): %d\n%!" host_cores;
-  let _r_serial, t_serial =
-    time (fun () ->
-        Sample.run ~placement ~max_cycles:2_000_000_000 ~schedule
-          (make_domain ()))
-  in
-  Printf.printf "serial supervisor:        %.2f s\n%!" t_serial;
-  let run_par jobs =
-    time (fun () ->
-        (Fleet.run_parallel ~placement ~max_cycles:2_000_000_000 ~jobs
-           ~schedule (make_domain ()))
-          .Fleet.rp_result)
-  in
-  let r1, t_j1 = run_par 1 in
-  Printf.printf "parallel, jobs=1:         %.2f s\n%!" t_j1;
-  let r4, t_j4 = run_par 4 in
-  Printf.printf "parallel, jobs=4:         %.2f s\n%!" t_j4;
-  Sample.report stdout r4;
-  let identical = r1 = r4 in
-  let speedup_vs_serial = t_serial /. t_j4 in
-  let speedup_vs_j1 = t_j1 /. t_j4 in
-  Printf.printf "jobs=4 vs serial: %.2fx   jobs=4 vs jobs=1: %.2fx\n"
-    speedup_vs_serial speedup_vs_j1;
-  Printf.printf "jobs=1 vs jobs=4 merged reports: %s\n%!"
-    (if identical then "BIT-IDENTICAL" else "DIFFER (bug!)");
-  (* the speedup budget needs cores to spread across; on smaller hosts
-     only the equivalence half of the budget is enforceable. Measured
-     against jobs=1, which isolates the fan-out from the serial-vs-
-     capture engine difference: with delta checkpoints the capture pass
-     is cheap, so 4 replay workers must win at least 1.5x *)
-  let speedup_applicable = host_cores >= 4 in
-  let pass =
-    identical && ((not speedup_applicable) || speedup_vs_j1 >= 1.5)
-  in
-  Printf.printf "budget (bit-identical%s): %s\n%!"
-    (if speedup_applicable then " and >=1.5x vs jobs=1"
-     else Printf.sprintf " only; >=1.5x waived, host has %d core(s)" host_cores)
-    (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_parallel_sample.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"parallel_sample\",\n\
-    \  \"scale\": %d,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"placement\": \"%s\",\n\
-    \  \"schedule\": { \"ff_insns\": %d, \"warmup_insns\": %d, \
-     \"measure_insns\": %d },\n\
-    \  \"intervals\": %d,\n\
-    \  \"serial_seconds\": %.3f,\n\
-    \  \"jobs1_seconds\": %.3f,\n\
-    \  \"jobs4_seconds\": %.3f,\n\
-    \  \"speedup_jobs4_vs_serial\": %.2f,\n\
-    \  \"speedup_jobs4_vs_jobs1\": %.2f,\n\
-    \  \"reports_bit_identical\": %b,\n\
-    \  \"sampled\": { \"cpi\": %.6f, \"cpi_mean\": %.6f, \"cpi_ci95\": \
-     %.6f, \"est_cycles\": %.0f },\n\
-    \  \"budget\": { \"min_speedup_vs_jobs1\": 1.5, \"speedup_applicable\": \
-     %b },\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale host_cores
-    (Sample.placement_to_string placement)
-    schedule.Sample.ff_insns schedule.Sample.warmup_insns
-    schedule.Sample.measure_insns
-    (List.length r4.Sample.intervals)
-    t_serial t_j1 t_j4 speedup_vs_serial speedup_vs_j1 identical
-    r4.Sample.cpi r4.Sample.cpi_mean r4.Sample.cpi_ci95 r4.Sample.est_cycles
-    speedup_applicable pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_parallel_sample.json\n%!";
-  if not identical then exit 1
-
-(* The distributed sampling fleet (optlsim capture/serve/work/replay):
-   one master pass spills a durable interval store, then the same store
-   is consumed three ways — a serial in-process replay, a 2-worker-
-   process fleet over the unix-socket job server, and a fully cached
-   re-run. All three merged results must be bit-identical; the fleet
-   speedup budget only applies when the host has the cores; the delta
-   checkpoints must be measurably smaller than full images. Writes
-   BENCH_fleet.json for the CI artifact. *)
+(* The replay referees in one place. One capture pass spills a durable
+   interval store, which is then replayed four ways: a 2-process fleet
+   over the unix-socket job server, Fleet.replay with one job and with
+   four (the result cache emptied before each), and a fully cached
+   rerun. The four merged results must be bit-identical and the delta
+   checkpoints smaller than full images, or the experiment exits 1. The
+   speedup budgets (fleet >=1.2x vs one job, four jobs >=1.5x vs one)
+   apply only when the host has the cores (>=2, >=4), and are printed
+   and recorded, not enforced. Writes BENCH_fleet.json. *)
 let exp_fleet () =
-  banner "Distributed sampling fleet (capture / serve / work)";
-  let make_domain () =
-    let g = G.create () in
-    G.li g G.rbp Machine.heap_base;
-    G.lii g G.rcx (400_000 * scale);
-    G.label g "top";
-    G.ld g G.rax ~base:G.rbp ();
-    G.addi g G.rax 1;
-    G.st g ~base:G.rbp G.rax ();
-    G.imuli g G.rbx 1103515245;
-    G.addi g G.rbx 12345;
-    G.dec g G.rcx;
-    G.jne g "top";
-    G.ins g Insn.Hlt;
-    let m = Machine.create (G.assemble g) in
-    Domain.create ~core:"ooo" ~config:Config.k8_ptlsim m.Machine.env
-      m.Machine.ctx
-  in
+  banner "Replay equivalence: fleet == jobs=1 == jobs=4 == cached";
   let schedule =
     { Sample.ff_insns = 200_000; warmup_insns = 10_000; measure_insns = 30_000 }
   in
   let placement = Sample.Rand_offset 7 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let host_cores = Stdlib.Domain.recommended_domain_count () in
   Printf.printf "host cores (recommended_domain_count): %d\n%!" host_cores;
-  let dir = Filename.temp_file "optlsim_fleet" "" in
-  Sys.remove dir;
-  let sock = dir ^ ".sock" in
-  let cr, t_capture =
-    time (fun () ->
-        Sample.run_capture ~placement ~max_cycles:2_000_000_000 ~schedule
-          (make_domain ()))
-  in
-  let store =
-    match
-      Store.create ~dir ~workload:"bench-fleet" ~core:"ooo" ~schedule
-        ~placement:(Sample.placement_to_string placement) cr
-        ~config:Config.k8_ptlsim
-    with
-    | Ok s -> s
-    | Error e -> failwith (Store.error_to_string e)
+  let sock, cr, t_capture, store =
+    capture_store ~placement ~workload:"fleet" ~config:Config.k8_ptlsim
+      ~schedule
+      (bare_domain (Microbench.compute ~iters:(400_000 * scale) ~bare:true))
   in
   let intervals = Array.length cr.Sample.cr_deltas in
+  let shrink =
+    float_of_int cr.Sample.cr_full_bytes
+    /. float_of_int (max 1 cr.Sample.cr_delta_bytes)
+  in
   Printf.printf
     "capture: %.2f s, %d interval(s), deltas %d bytes vs full %d bytes \
      (%.1fx smaller)\n%!"
-    t_capture intervals cr.Sample.cr_delta_bytes cr.Sample.cr_full_bytes
-    (float_of_int cr.Sample.cr_full_bytes
-    /. float_of_int (max 1 cr.Sample.cr_delta_bytes));
-  (* the fleet first (cache is empty), two real worker processes *)
+    t_capture intervals cr.Sample.cr_delta_bytes cr.Sample.cr_full_bytes shrink;
+  (* the fleet first, while the cache is empty and before jobs=4 spawns
+     domains, after which this process can no longer fork *)
   let workers = 2 in
   let sv, t_fleet =
-    time (fun () ->
-        let pids =
-          List.init workers (fun _ ->
-              match Unix.fork () with
-              | 0 ->
-                (* child: one fleet worker, then straight out — no
-                   shared exit handlers, no bench epilogue *)
-                (match Fleet.work ~retries:150 ~connect:sock () with
-                | Ok _ -> Unix._exit 0
-                | Error msg ->
-                  prerr_endline ("fleet worker: " ^ msg);
-                  Unix._exit 1)
-              | pid -> pid)
-        in
-        let sv = Fleet.serve ~lease_timeout:60.0 ~socket:sock store in
-        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-        sv)
+    time (fun () -> serve_fleet ~sock store (List.init workers (fun _ -> None)))
   in
   Printf.printf "fleet, %d worker processes: %.2f s (%d replayed, %d \
                  re-queued)\n%!"
     workers t_fleet sv.Fleet.sv_replayed sv.Fleet.sv_requeued;
-  (* serial baseline on the same store, cache emptied first *)
-  Array.iter
-    (fun f ->
-      if String.length f >= 7 && String.sub f 0 7 = "result-" then
-        Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  let rp_serial, t_serial =
+  let replay jobs =
     time (fun () ->
-        match Fleet.replay ~jobs:1 store with
+        match Fleet.replay ~jobs store with
         | Ok rp -> rp
         | Error e -> failwith (Store.error_to_string e))
   in
-  Printf.printf "serial replay (jobs=1):   %.2f s\n%!" t_serial;
-  (* cached re-run: everything from the (checkpoint, config) cache *)
-  let rp_cached, t_cached =
-    time (fun () ->
-        match Fleet.replay ~jobs:1 store with
-        | Ok rp -> rp
-        | Error e -> failwith (Store.error_to_string e))
-  in
+  clear_result_cache store;
+  let rp1, t_j1 = replay 1 in
+  Printf.printf "replay, jobs=1:           %.2f s\n%!" t_j1;
+  clear_result_cache store;
+  let rp4, t_j4 = replay 4 in
+  Printf.printf "replay, jobs=4:           %.2f s\n%!" t_j4;
+  let rpc, t_cached = replay 1 in
   Printf.printf "cached re-run:            %.2f s (%d/%d from cache)\n%!"
-    t_cached rp_cached.Fleet.rp_cached intervals;
-  Sample.report stdout sv.Fleet.sv_result;
+    t_cached rpc.Fleet.rp_cached intervals;
+  let r = sv.Fleet.sv_result in
+  Sample.report stdout r;
   let identical =
-    sv.Fleet.sv_result = rp_serial.Fleet.rp_result
-    && sv.Fleet.sv_result = rp_cached.Fleet.rp_result
+    List.for_all (fun rp -> rp.Fleet.rp_result = r) [ rp1; rp4; rpc ]
   in
-  let speedup = t_serial /. t_fleet in
   let delta_shrinks = cr.Sample.cr_delta_bytes < cr.Sample.cr_full_bytes in
-  Printf.printf "fleet vs serial: %.2fx   merged reports: %s\n%!" speedup
+  let speedup_fleet = t_j1 /. t_fleet and speedup_j4 = t_j1 /. t_j4 in
+  Printf.printf
+    "fleet vs jobs=1: %.2fx   jobs=4 vs jobs=1: %.2fx   merged reports: %s\n%!"
+    speedup_fleet speedup_j4
     (if identical then "BIT-IDENTICAL" else "DIFFER (bug!)");
-  let speedup_applicable = host_cores >= 2 in
+  let fleet_applicable = host_cores >= 2 and jobs4_applicable = host_cores >= 4 in
   let pass =
     identical && delta_shrinks
-    && ((not speedup_applicable) || speedup >= 1.2)
+    && ((not fleet_applicable) || speedup_fleet >= 1.2)
+    && ((not jobs4_applicable) || speedup_j4 >= 1.5)
   in
-  Printf.printf "budget (bit-identical, deltas < full%s): %s\n%!"
-    (if speedup_applicable then " and >=1.2x vs serial"
-     else Printf.sprintf "; speedup waived, host has %d core(s)" host_cores)
+  let budget what applicable =
+    if applicable then " and " ^ what
+    else Printf.sprintf "; %s waived, host has %d core(s)" what host_cores
+  in
+  Printf.printf "budget (bit-identical, deltas < full%s%s): %s\n%!"
+    (budget "fleet >=1.2x" fleet_applicable)
+    (budget "jobs=4 >=1.5x" jobs4_applicable)
     (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fleet\",\n\
-    \  \"scale\": %d,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"schedule\": { \"ff_insns\": %d, \"warmup_insns\": %d, \
-     \"measure_insns\": %d },\n\
-    \  \"intervals\": %d,\n\
-    \  \"capture_seconds\": %.3f,\n\
-    \  \"capture_delta_bytes\": %d,\n\
-    \  \"capture_image_bytes\": %d,\n\
-    \  \"delta_shrink_factor\": %.2f,\n\
-    \  \"serial_seconds\": %.3f,\n\
-    \  \"fleet_seconds\": %.3f,\n\
-    \  \"cached_seconds\": %.3f,\n\
-    \  \"speedup_fleet_vs_serial\": %.2f,\n\
-    \  \"replayed_by_fleet\": %d,\n\
-    \  \"leases_requeued\": %d,\n\
-    \  \"reports_bit_identical\": %b,\n\
-    \  \"sampled\": { \"cpi\": %.6f, \"cpi_mean\": %.6f, \"cpi_ci95\": \
-     %.6f, \"est_cycles\": %.0f },\n\
-    \  \"budget\": { \"min_speedup\": 1.2, \"speedup_applicable\": %b, \
-     \"deltas_smaller_than_full\": %b },\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale host_cores workers schedule.Sample.ff_insns
-    schedule.Sample.warmup_insns schedule.Sample.measure_insns intervals
-    t_capture cr.Sample.cr_delta_bytes cr.Sample.cr_full_bytes
-    (float_of_int cr.Sample.cr_full_bytes
-    /. float_of_int (max 1 cr.Sample.cr_delta_bytes))
-    t_serial t_fleet t_cached speedup sv.Fleet.sv_replayed
-    sv.Fleet.sv_requeued identical sv.Fleet.sv_result.Sample.cpi
-    sv.Fleet.sv_result.Sample.cpi_mean sv.Fleet.sv_result.Sample.cpi_ci95
-    sv.Fleet.sv_result.Sample.est_cycles speedup_applicable delta_shrinks
-    pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_fleet.json\n%!";
+  Record.(
+    write "fleet"
+      [ ("scale", Int scale); ("host_cores", Int host_cores);
+        ("workers", Int workers);
+        ("placement", Str (Sample.placement_to_string placement));
+        ("schedule", schedule_json schedule); ("intervals", Int intervals);
+        ("capture_seconds", Float t_capture);
+        ("capture_delta_bytes", Int cr.Sample.cr_delta_bytes);
+        ("capture_image_bytes", Int cr.Sample.cr_full_bytes);
+        ("delta_shrink_factor", Float shrink); ("serial_seconds", Float t_j1);
+        ("jobs4_seconds", Float t_j4); ("fleet_seconds", Float t_fleet);
+        ("cached_seconds", Float t_cached);
+        ("speedup_fleet_vs_serial", Float speedup_fleet);
+        ("speedup_jobs4_vs_jobs1", Float speedup_j4);
+        ("replayed_by_fleet", Int sv.Fleet.sv_replayed);
+        ("leases_requeued", Int sv.Fleet.sv_requeued);
+        ("reports_bit_identical", Bool identical);
+        ( "sampled",
+          Obj [ ("cpi", Float r.Sample.cpi);
+                ("cpi_mean", Float r.Sample.cpi_mean);
+                ("cpi_ci95", Float r.Sample.cpi_ci95);
+                ("est_cycles", Float r.Sample.est_cycles) ] );
+        ( "budget",
+          Obj [ ("min_speedup", Float 1.2);
+                ("speedup_applicable", Bool fleet_applicable);
+                ("min_speedup_jobs4_vs_jobs1", Float 1.5);
+                ("speedup_jobs4_applicable", Bool jobs4_applicable);
+                ("deltas_smaller_than_full", Bool delta_shrinks) ] );
+        ("pass", Bool pass) ]);
   if not (identical && delta_shrinks) then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -1134,7 +942,7 @@ let exp_fleet () =
    twice the tiny config's L2), so the per-interval CPIs have a large
    workload variance that swamps the planted delta in the independent
    formula but cancels exactly in the per-interval differences.
-   Writes BENCH_sweep.json for the CI artifact. *)
+   Writes BENCH_sweep.json. *)
 let exp_sweep () =
   banner "Matched-pair design-space sweep (paired vs independent CIs)";
   let make_domain () =
@@ -1161,30 +969,17 @@ let exp_sweep () =
     G.dec g G.rdx;
     G.jne g "phase";
     G.ins g Insn.Hlt;
-    let m = Machine.create (G.assemble g) in
-    Domain.create ~core:"ooo" ~config:Config.tiny m.Machine.env m.Machine.ctx
+    bare_domain ~config:Config.tiny (G.assemble g)
   in
   let schedule =
     { Sample.ff_insns = 30_000; warmup_insns = 1_000; measure_insns = 2_000 }
   in
-  let placement = Sample.Rand_offset 11 in
-  let cr =
-    Sample.run_capture ~placement ~max_cycles:2_000_000_000 ~schedule
-      (make_domain ())
-  in
-  let dir = Filename.temp_file "optlsim_sweep" "" in
-  Sys.remove dir;
-  let store =
-    match
-      Store.create ~dir ~workload:"bench-sweep" ~core:"ooo" ~schedule
-        ~placement:(Sample.placement_to_string placement) cr
-        ~config:Config.tiny
-    with
-    | Ok s -> s
-    | Error e -> failwith (Store.error_to_string e)
+  let _, cr, _, store =
+    capture_store ~placement:(Sample.Rand_offset 11) ~workload:"sweep"
+      ~config:Config.tiny ~schedule (make_domain ())
   in
   let intervals = Array.length cr.Sample.cr_deltas in
-  Printf.printf "capture: %d interval(s) into %s\n%!" intervals dir;
+  Printf.printf "capture: %d interval(s)\n%!" intervals;
   (* the planted delta: tiny's memory is 40 cycles away; the legs move
      it +/-2 cycles, a few percent of CPI on this workload *)
   let spec_text = "mem.latency=38,42" in
@@ -1243,44 +1038,29 @@ let exp_sweep () =
     (if pass then "PASS" else "FAIL");
   let leg_json rk =
     let cmp = rk.Sweep.rk_vs_base in
-    Printf.sprintf
-      "{ \"leg\": \"%s\", \"rank\": %d, \"cpi\": %.6f, \"delta_mean\": \
-       %.6f, \"delta_pct_of_base\": %.3f, \"paired_ci95\": %.6f, \
-       \"indep_ci95\": %.6f, \"pairs\": %d, \"verdict\": \"%s\", \
-       \"paired_excludes_zero\": %b, \"indep_excludes_zero\": %b }"
-      rk.Sweep.rk.Sweep.lr_leg.Sweep.l_name rk.Sweep.rk_rank
-      rk.Sweep.rk.Sweep.lr_result.Sample.cpi cmp.Paired.delta_mean
-      (planted_pct rk) cmp.Paired.delta_ci95 cmp.Paired.indep_ci95
-      cmp.Paired.n
-      (Paired.verdict_to_string rk.Sweep.rk_verdict)
-      (Paired.paired_excludes_zero cmp)
-      (Paired.indep_excludes_zero cmp)
+    Record.(
+      Obj [ ("leg", Str rk.Sweep.rk.Sweep.lr_leg.Sweep.l_name);
+            ("rank", Int rk.Sweep.rk_rank);
+            ("cpi", Float rk.Sweep.rk.Sweep.lr_result.Sample.cpi);
+            ("delta_mean", Float cmp.Paired.delta_mean);
+            ("delta_pct_of_base", Float (planted_pct rk));
+            ("paired_ci95", Float cmp.Paired.delta_ci95);
+            ("indep_ci95", Float cmp.Paired.indep_ci95);
+            ("pairs", Int cmp.Paired.n);
+            ("verdict", Str (Paired.verdict_to_string rk.Sweep.rk_verdict));
+            ("paired_excludes_zero", Bool (Paired.paired_excludes_zero cmp));
+            ("indep_excludes_zero", Bool (Paired.indep_excludes_zero cmp)) ])
   in
-  let oc = open_out "BENCH_sweep.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"sweep\",\n\
-    \  \"scale\": %d,\n\
-    \  \"spec\": \"%s\",\n\
-    \  \"schedule\": { \"ff_insns\": %d, \"warmup_insns\": %d, \
-     \"measure_insns\": %d },\n\
-    \  \"intervals\": %d,\n\
-    \  \"base_cpi\": %.6f,\n\
-    \  \"legs\": [\n    %s\n  ],\n\
-    \  \"better_leg_ranked_first\": %b,\n\
-    \  \"paired_cis_exclude_zero\": %b,\n\
-    \  \"independent_cis_include_zero\": %b,\n\
-    \  \"cached_rerun_byte_identical\": %b,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale spec_text schedule.Sample.ff_insns schedule.Sample.warmup_insns
-    schedule.Sample.measure_insns intervals base_cpi
-    (String.concat ",\n    " (List.map leg_json legs))
-    better_first paired_resolve indep_blind
-    (rendered_identical && cached_rerun)
-    pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_sweep.json\n%!";
+  Record.(
+    write "sweep"
+      [ ("scale", Int scale); ("spec", Str spec_text);
+        ("schedule", schedule_json schedule); ("intervals", Int intervals);
+        ("base_cpi", Float base_cpi); ("legs", List (List.map leg_json legs));
+        ("better_leg_ranked_first", Bool better_first);
+        ("paired_cis_exclude_zero", Bool paired_resolve);
+        ("independent_cis_include_zero", Bool indep_blind);
+        ("cached_rerun_byte_identical", Bool (rendered_identical && cached_rerun));
+        ("pass", Bool pass) ]);
   if not pass then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -1296,103 +1076,26 @@ let exp_sweep () =
    server's own store writes stay clean. Writes BENCH_chaos.json. *)
 let exp_chaos () =
   banner "Self-healing fleet (chaos harness)";
-  let module Chaos = Ptl_chaos.Chaos in
-  let make_domain () =
-    let g = G.create () in
-    G.li g G.rbp Machine.heap_base;
-    G.lii g G.rcx (150_000 * scale);
-    G.label g "top";
-    G.ld g G.rax ~base:G.rbp ();
-    G.addi g G.rax 1;
-    G.st g ~base:G.rbp G.rax ();
-    G.imuli g G.rbx 1103515245;
-    G.addi g G.rbx 12345;
-    G.dec g G.rcx;
-    G.jne g "top";
-    G.ins g Insn.Hlt;
-    let m = Machine.create (G.assemble g) in
-    Domain.create ~core:"ooo" ~config:Config.k8_ptlsim m.Machine.env
-      m.Machine.ctx
-  in
   let schedule =
     { Sample.ff_insns = 60_000; warmup_insns = 5_000; measure_insns = 10_000 }
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let dir = Filename.temp_file "optlsim_chaos" "" in
-  Sys.remove dir;
-  let sock = dir ^ ".sock" in
-  let cr, t_capture =
-    time (fun () ->
-        Sample.run_capture ~max_cycles:2_000_000_000 ~schedule (make_domain ()))
-  in
-  let store =
-    match
-      Store.create ~dir ~workload:"bench-chaos" ~core:"ooo" ~schedule
-        ~placement:"fixed" cr ~config:Config.k8_ptlsim
-    with
-    | Ok s -> s
-    | Error e -> failwith (Store.error_to_string e)
+  let sock, cr, t_capture, store =
+    capture_store ~workload:"chaos" ~config:Config.k8_ptlsim ~schedule
+      (bare_domain (Microbench.compute ~iters:(150_000 * scale) ~bare:true))
   in
   let intervals = Array.length cr.Sample.cr_deltas in
   Printf.printf "capture: %.2f s, %d interval(s)\n%!" t_capture intervals;
-  let clear_result_cache () =
-    Array.iter
-      (fun f ->
-        if String.length f >= 7 && String.sub f 0 7 = "result-" then
-          Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir)
-  in
-  let spawn_worker ?chaos () =
-    match Unix.fork () with
-    | 0 ->
-      (match chaos with
-      | Some spec -> (
-        match Chaos.parse spec with
-        | Ok rules -> Chaos.arm rules
-        | Error e ->
-          prerr_endline ("chaos worker: " ^ e);
-          Unix._exit 1)
-      | None -> ());
-      (match Fleet.work ~retries:150 ~connect:sock () with
-      | Ok _ -> Unix._exit 0
-      | Error msg ->
-        prerr_endline ("fleet worker: " ^ msg);
-        Unix._exit 1
-      | exception Chaos.Killed point ->
-        (* the injected process death — the crash under test *)
-        prerr_endline ("chaos worker killed at " ^ point);
-        Unix._exit 0)
-    | pid -> pid
-  in
-  let serve ?(max_failures = 3) () =
-    Fleet.serve ~lease_timeout:60.0 ~max_failures ~socket:sock store
+  let fleet ?max_failures workers =
+    time (fun () -> serve_fleet ?max_failures ~sock store workers)
   in
   (* clean fleet baseline: one worker process, empty cache *)
-  let sv_clean, t_clean =
-    time (fun () ->
-        let pid = spawn_worker () in
-        let sv = serve () in
-        ignore (Unix.waitpid [] pid);
-        sv)
-  in
+  let sv_clean, t_clean = fleet [ None ] in
   Printf.printf "clean fleet run:   %.2f s (%d replayed)\n%!" t_clean
     sv_clean.Fleet.sv_replayed;
   (* chaos run: one worker dies delivering its second result; a clean
      worker drains what the victim dropped *)
-  clear_result_cache ();
-  let sv_chaos, t_chaos =
-    time (fun () ->
-        let victim = spawn_worker ~chaos:"kill@work.done:2" () in
-        let drain = spawn_worker () in
-        let sv = serve () in
-        ignore (Unix.waitpid [] victim);
-        ignore (Unix.waitpid [] drain);
-        sv)
-  in
+  clear_result_cache store;
+  let sv_chaos, t_chaos = fleet [ Some "kill@work.done:2"; None ] in
   let identical_when_clean = sv_chaos.Fleet.sv_result = sv_clean.Fleet.sv_result in
   let requeued = sv_chaos.Fleet.sv_requeued in
   let wasted_fraction = float_of_int requeued /. float_of_int intervals in
@@ -1404,21 +1107,14 @@ let exp_chaos () =
     (if identical_when_clean then "BIT-IDENTICAL" else "DIFFERS (bug!)");
   (* poison run: corrupt one interval record (first payload byte), the
      fleet must quarantine exactly it within max_failures attempts *)
-  clear_result_cache ();
+  clear_result_cache store;
   let poison = min 1 (intervals - 1) in
-  let path = Store.interval_path store poison in
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  let fd = Unix.openfile (Store.interval_path store poison) [ Unix.O_WRONLY ] 0 in
   ignore (Unix.lseek fd 23 Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.make 1 '\000') 0 1);
   Unix.close fd;
   let max_failures = 2 in
-  let sv_poison, t_poison =
-    time (fun () ->
-        let pid = spawn_worker () in
-        let sv = serve ~max_failures () in
-        ignore (Unix.waitpid [] pid);
-        sv)
-  in
+  let sv_poison, t_poison = fleet ~max_failures [ None ] in
   let poison_quarantined =
     List.map fst sv_poison.Fleet.sv_quarantined = [ poison ]
   in
@@ -1432,40 +1128,30 @@ let exp_chaos () =
   let pass = identical_when_clean && poison_quarantined in
   Printf.printf "budget (identical under kill, poison quarantined): %s\n%!"
     (if pass then "PASS" else "FAIL");
-  let oc = open_out "BENCH_chaos.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"chaos\",\n\
-    \  \"scale\": %d,\n\
-    \  \"intervals\": %d,\n\
-    \  \"capture_seconds\": %.3f,\n\
-    \  \"clean_seconds\": %.3f,\n\
-    \  \"chaos_seconds\": %.3f,\n\
-    \  \"poison_seconds\": %.3f,\n\
-    \  \"requeued\": %d,\n\
-    \  \"wasted_fraction\": %.4f,\n\
-    \  \"recovery_latency_s\": %.3f,\n\
-    \  \"identical_when_clean\": %b,\n\
-    \  \"poison_quarantined\": %b,\n\
-    \  \"quarantine_retry_budget\": %d,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    scale intervals t_capture t_clean t_chaos t_poison requeued
-    wasted_fraction recovery_latency identical_when_clean poison_quarantined
-    max_failures pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_chaos.json\n%!";
+  Record.(
+    write "chaos"
+      [ ("scale", Int scale); ("intervals", Int intervals);
+        ("capture_seconds", Float t_capture); ("clean_seconds", Float t_clean);
+        ("chaos_seconds", Float t_chaos); ("poison_seconds", Float t_poison);
+        ("requeued", Int requeued); ("wasted_fraction", Float wasted_fraction);
+        ("recovery_latency_s", Float recovery_latency);
+        ("identical_when_clean", Bool identical_when_clean);
+        ("poison_quarantined", Bool poison_quarantined);
+        ("quarantine_retry_budget", Int max_failures); ("pass", Bool pass) ]);
   if not pass then exit 1
 
 (* ---------------------------------------------------------------- *)
 
+(* Experiments run in this order whatever order they are named in: once
+   fleet's jobs=4 replay has spawned domains, OCaml can no longer fork,
+   so the experiments that fork worker processes (chaos, and fleet
+   itself first) come before it. *)
 let experiments =
   [
     ("table1", exp_table1);
     ("fig2", exp_fig2);
     ("fig3", exp_fig3);
     ("guard-overhead", exp_guard_overhead);
-    ("variance", exp_variance);
     ("ablate-bbcache", exp_ablate_bbcache);
     ("ablate-hoist", exp_ablate_hoist);
     ("ablate-banks", exp_ablate_banks);
@@ -1473,31 +1159,25 @@ let experiments =
     ("vm", exp_vm);
     ("smt", exp_smt);
     ("coherence", exp_coherence);
-    ("cosim", exp_cosim);
     ("sampling", exp_sampling);
     ("sample", exp_sample);
-    ("parallel-sample", exp_parallel_sample);
-    ("fleet", exp_fleet);
     ("sweep", exp_sweep);
     ("chaos", exp_chaos);
-    ("fuzz", exp_fuzz);
+    ("fleet", exp_fleet);
   ]
 
+(* Every name is checked before anything runs: a misspelt or retired
+   experiment is a usage error, not a silently shorter run. *)
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let chosen =
-    match args with
-    | [] -> experiments
-    | names ->
-      List.filter_map
-        (fun n ->
-          match List.assoc_opt n experiments with
-          | Some f -> Some (n, f)
-          | None ->
-            Printf.eprintf "unknown experiment %s (have: %s)\n" n
-              (String.concat ", " (List.map fst experiments));
-            None)
-        names
-  in
-  List.iter (fun (_, f) -> f ()) chosen;
-  Printf.printf "\nall requested experiments completed.\n%!"
+  let names = List.tl (Array.to_list Sys.argv) in
+  match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+  | [] ->
+    List.iter
+      (fun (n, f) -> if names = [] || List.mem n names then f ())
+      experiments;
+    Printf.printf "\nall requested experiments completed.\n%!"
+  | unknown ->
+    Printf.eprintf "bench: unknown experiment %s (valid: %s)\n%!"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2

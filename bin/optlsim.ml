@@ -740,35 +740,9 @@ let run_rsync o files =
   Printf.printf "synchronized correctly: %b\n" (Rsync_bench.verify_sync k);
   finish o d (Some k) ~degraded
 
-(* The synthetic compute workload shared by the compute and capture
-   subcommands: a pointer-chasing increment loop with a multiplicative
-   PRNG, ending in hlt (bare) or a marker + exit syscall (kernel). *)
-let compute_program ~iters ~bare =
-  let g = Gasm.create () in
-  Gasm.jmp g "main";
-  Gasm.label g "main";
-  Gasm.li g Gasm.rbp (if bare then Machine.heap_base else Abi.user_heap_base);
-  Gasm.lii g Gasm.rcx iters;
-  Gasm.label g "top";
-  Gasm.ld g Gasm.rax ~base:Gasm.rbp ();
-  Gasm.addi g Gasm.rax 1;
-  Gasm.st g ~base:Gasm.rbp Gasm.rax ();
-  Gasm.imuli g Gasm.rbx 1103515245;
-  Gasm.addi g Gasm.rbx 12345;
-  Gasm.dec g Gasm.rcx;
-  Gasm.jne g "top";
-  if bare then
-    (* no kernel to receive syscalls: halt the VCPU to end the run *)
-    Gasm.ins g Insn.Hlt
-  else begin
-    Gasm.sys_marker g 999;
-    Gasm.sys_exit g 0
-  end;
-  Gasm.assemble g
-
 let run_compute o iters =
   setup_trace o.trace;
-  let program = compute_program ~iters ~bare:o.bare in
+  let program = Microbench.compute ~iters ~bare:o.bare in
   let d, k =
     if o.bare then begin
       let m = Machine.create program in
@@ -776,12 +750,16 @@ let run_compute o iters =
         None )
     end
     else begin
-      let env = Env.create () in
-      let ctx = Context.create ~vcpu_id:0 in
-      let k = Kernel.create env ctx in
-      Kernel.register_program k ~name:"init" program;
-      Kernel.boot k;
-      (Domain.create ~kernel:k ~core:o.core ~config:o.machine env ctx, Some k)
+      let d, k =
+        Ptlmon.launch
+          {
+            Ptlmon.default_spec with
+            Ptlmon.programs = [ ("init", program) ];
+            machine_config = o.machine;
+            core = o.core;
+          }
+      in
+      (d, Some k)
     end
   in
   finish o d k ~degraded:(drive o d)
@@ -804,9 +782,7 @@ let run_vm trace guard core machine (demand, workload, slots) steps bytes
         Microbench.gups ~base:Abi.user_code_base ~heap:Abi.user_heap_base
           ~user:true ~slots ~steps ()
       in
-      let env = Env.create () in
-      let ctx = Context.create ~vcpu_id:0 in
-      let kc =
+      let kernel_config =
         {
           Kernel.default_config with
           Kernel.demand_paging = true;
@@ -814,10 +790,17 @@ let run_vm trace guard core machine (demand, workload, slots) steps bytes
           vm_batch = batch;
         }
       in
-      let k = Kernel.create ~config:kc env ctx in
-      Kernel.register_program k ~name:"init" program;
-      Kernel.boot k;
-      (Domain.create ~kernel:k ~core ~config env ctx, Some k)
+      let d, k =
+        Ptlmon.launch
+          {
+            Ptlmon.default_spec with
+            Ptlmon.programs = [ ("init", program) ];
+            kernel_config;
+            machine_config = config;
+            core;
+          }
+      in
+      (d, Some k)
     end
     else begin
       let program, heap_pages =
@@ -919,7 +902,7 @@ let fleet_log quiet = if quiet then fun _ -> () else Printf.eprintf "%s\n%!"
    interrupted capture resumes from the last valid checkpoint *)
 let run_capture_cmd (s, core) config iters max_mcycles store_dir resume =
   let schedule = s.schedule and placement = s.placement in
-  let program = compute_program ~iters ~bare:true in
+  let program = Microbench.compute ~iters ~bare:true in
   (* the store key: what program ran, not how it was simulated *)
   let workload = Store.digest_value ("bare-compute", program, iters) in
   let placement_str = Sample.placement_to_string placement in

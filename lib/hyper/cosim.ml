@@ -116,8 +116,8 @@ let trace_window lines =
   else []
 
 (** Compare the model against the reference every [check_every]
-    instructions, up to [max_insns], stepping both forward from one build
-    each. The model may overrun a checkpoint by a few commits within one
+    instructions and at [max_insns], the last checkpoint, stepping both
+    forward from one build each. The model may overrun a checkpoint by a few commits within one
     cycle, so the reference is brought to the model's actual committed
     count before comparing. [budget] bounds the model's steps over the
     whole run. When tracing is armed the ring is cleared once, before the
@@ -130,38 +130,36 @@ let validate ?(config = Config.tiny) ?(core = "ooo") ?inject ?wrap
   if !Trace.on then Trace.clear ();
   let model_m, advance = start_model ~config ~core ?inject ?wrap ~budget image in
   let rec go n =
-    if n > max_insns then Agree max_insns
-    else begin
-      let stop = advance n in
-      let window = trace_window trace_lines in
-      let actual = model_m.Machine.ctx.Context.insns_committed in
-      match stop with
-      | Out_of_budget ->
-        Diverged
-          {
-            after_insns = actual;
-            diffs =
-              [ Printf.sprintf
-                  "model wedged: step budget exhausted after %d committed insns"
-                  actual ];
-            trace = window;
-          }
-      | Hung f ->
-        (* A watchdog lockup / invariant violation is a reportable,
-           shrinkable finding exactly like an architectural divergence. *)
-        Diverged
-          {
-            after_insns = actual;
-            diffs = Sim_failure.summary f :: [];
-            trace = (if window <> [] then window else f.Sim_failure.trace_window);
-          }
-      | Reached | Idle ->
-        advance_reference actual;
-        let diffs = diff_machines ~mem_ranges ref_m model_m in
-        if diffs <> [] then Diverged { after_insns = actual; diffs; trace = window }
-        else if actual < n (* program finished early: fully compared *)
-        then Agree actual
-        else go (n + check_every)
-    end
+    let stop = advance n in
+    let window = trace_window trace_lines in
+    let actual = model_m.Machine.ctx.Context.insns_committed in
+    match stop with
+    | Out_of_budget ->
+      Diverged
+        {
+          after_insns = actual;
+          diffs =
+            [ Printf.sprintf
+                "model wedged: step budget exhausted after %d committed insns"
+                actual ];
+          trace = window;
+        }
+    | Hung f ->
+      (* A watchdog lockup / invariant violation is a reportable,
+         shrinkable finding exactly like an architectural divergence. *)
+      Diverged
+        {
+          after_insns = actual;
+          diffs = Sim_failure.summary f :: [];
+          trace = (if window <> [] then window else f.Sim_failure.trace_window);
+        }
+    | Reached | Idle ->
+      advance_reference actual;
+      let diffs = diff_machines ~mem_ranges ref_m model_m in
+      if diffs <> [] then Diverged { after_insns = actual; diffs; trace = window }
+      else if actual < n (* program finished early: fully compared *)
+      then Agree actual
+      else if n >= max_insns then Agree max_insns
+      else go (min (n + check_every) max_insns)
   in
-  go check_every
+  go (min check_every max_insns)

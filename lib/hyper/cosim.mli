@@ -44,7 +44,8 @@ val run_model :
   n:int ->
   Ptl_arch.Machine.t * stop
 
-(** Compare every [check_every] instructions up to [max_insns], stepping
+(** Compare every [check_every] instructions and at [max_insns] (the last
+    checkpoint, so no instruction up to it goes unchecked), stepping
     one model machine and one reference machine forward together; [wrap]
     is applied once, to the one model instance. [inject] is called after
     every model step and may depend only on the context it is given.

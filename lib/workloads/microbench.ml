@@ -10,7 +10,9 @@
     - {!matmul}: naive dense SSE-double matrix multiply — FP pipeline and
       cache blocking behaviour.
     - {!qsort}: recursive quicksort over 64-bit keys — call/return (RAS)
-      and hard-to-predict compare branches. *)
+      and hard-to-predict compare branches.
+    - {!compute}: an in-cache load/store loop with a multiply, the
+      sampling and fleet workload (bare, or as a minios user program). *)
 
 open Ptl_util
 module G = Gasm
@@ -265,4 +267,33 @@ let gups ?(base = 0x40_0000L) ?(heap = heap) ?(user = false) ~slots ~steps () =
   G.jne g "top";
   G.mov g G.rax G.rdx;
   if user then G.sys_exit g 0 else G.ins g Insn.Hlt;
+  G.assemble g
+
+(** The synthetic compute loop of [optlsim compute] and [capture], the
+    sampling benches and the store tests: [iters] turns of an in-cache
+    load/increment/store plus a multiplicative PRNG step. [bare] ends in
+    [hlt] with the cell at the machine heap; otherwise it is a minios
+    user program at [Abi.user_heap_base] ending in marker 999 and an
+    exit syscall. *)
+let compute ~iters ~bare =
+  let g = G.create () in
+  G.jmp g "main";
+  G.label g "main";
+  G.li g G.rbp (if bare then heap else Ptl_kernel.Abi.user_heap_base);
+  G.lii g G.rcx iters;
+  G.label g "top";
+  G.ld g G.rax ~base:G.rbp ();
+  G.addi g G.rax 1;
+  G.st g ~base:G.rbp G.rax ();
+  G.imuli g G.rbx 1103515245;
+  G.addi g G.rbx 12345;
+  G.dec g G.rcx;
+  G.jne g "top";
+  if bare then
+    (* no kernel to receive syscalls: halt the VCPU to end the run *)
+    G.ins g Insn.Hlt
+  else begin
+    G.sys_marker g 999;
+    G.sys_exit g 0
+  end;
   G.assemble g

@@ -298,6 +298,41 @@ let test_lockstep_builds_once () =
           Alcotest.(check int) (tag ^ "trace events of one run") lone_events ev)
         [ 1; 32; max_insns ])
 
+(* --- the last checkpoint is max_insns itself: a bug that shows only
+   after the last multiple of check_every, or with check_every beyond
+   max_insns, must still be caught. The loop keeps CF clear on the
+   reference, so the planted CF write differs at any count past it. --- *)
+
+let test_cosim_checks_tail () =
+  let module G = Ptl_workloads.Gasm in
+  let g = G.create () in
+  G.lii g G.rcx 1_000;
+  G.label g "top";
+  G.addi g G.rbx 1;
+  G.dec g G.rcx;
+  G.jne g "top";
+  G.ins g Insn.Hlt;
+  let img = G.assemble g in
+  let run ?inject check_every =
+    Cosim.validate ?inject ~check_every ~max_insns:50 img
+  in
+  (match run 100 with
+  | Cosim.Agree n -> Alcotest.(check int) "clean run agrees to max_insns" 50 n
+  | Cosim.Diverged { diffs; _ } ->
+    Alcotest.failf "clean run diverged: %s" (String.concat "; " diffs));
+  List.iter
+    (fun (check_every, after) ->
+      match run ~inject:(Fuzz.flags_bug ~after) check_every with
+      | Cosim.Diverged { after_insns; diffs; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "check_every %d: caught past %d" check_every after)
+          true
+          (after_insns >= after && List.exists (fun l -> contains l "flags") diffs)
+      | Cosim.Agree n ->
+        Alcotest.failf "check_every %d, bug after %d: Agree %d" check_every
+          after n)
+    [ (100, 1); (32, 40) ]
+
 (* --- report files --- *)
 
 let test_write_reports () =
@@ -335,5 +370,7 @@ let suite =
     Alcotest.test_case "golden planted-bug reports" `Quick test_golden_reports;
     Alcotest.test_case "lockstep cosim builds each side once" `Quick
       test_lockstep_builds_once;
+    Alcotest.test_case "cosim checks the tail after the last checkpoint" `Quick
+      test_cosim_checks_tail;
     Alcotest.test_case "report files" `Quick test_write_reports;
   ]

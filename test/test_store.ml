@@ -429,7 +429,7 @@ let scan_resume_point dir =
 
 (* The CLI's capture at its own scale: [capture --machine tiny --iters
    60000 --sample-period 40000 --sample-warmup 3000 --sample-measure
-   5000], i.e. the bare compute loop of bin/optlsim.ml on the OoO core.
+   5000], i.e. the bare Microbench.compute loop on the OoO core.
    Killed after window K and resumed, each placement must seal a store
    whose every interval record and manifest equal an uninterrupted
    capture's byte for byte. The native clock's sub-cycle remainder is
@@ -439,23 +439,10 @@ let cli_schedule =
     measure_insns = 5_000 }
 
 let cli_domain () =
-  let module G = Ptl_workloads.Gasm in
   let module Machine = Ptl_arch.Machine in
-  let g = G.create () in
-  G.jmp g "main";
-  G.label g "main";
-  G.li g G.rbp Machine.heap_base;
-  G.lii g G.rcx 60_000;
-  G.label g "top";
-  G.ld g G.rax ~base:G.rbp ();
-  G.addi g G.rax 1;
-  G.st g ~base:G.rbp G.rax ();
-  G.imuli g G.rbx 1103515245;
-  G.addi g G.rbx 12345;
-  G.dec g G.rcx;
-  G.jne g "top";
-  G.ins g Ptl_isa.Insn.Hlt;
-  let m = Machine.create (G.assemble g) in
+  let m =
+    Machine.create (Ptl_workloads.Microbench.compute ~iters:60_000 ~bare:true)
+  in
   Ptl_hyper.Domain.create ~core:"ooo" ~config:Config.tiny m.Machine.env
     m.Machine.ctx
 
