@@ -29,7 +29,7 @@ let create ?stats ?mem () =
   {
     mem;
     stats;
-    vmem = { Vmem.mem };
+    vmem = Vmem.create mem;
     cycle = 0;
     tsc_offset = 0L;
     kcall = (fun _ -> ());

@@ -19,35 +19,59 @@
       the first time it is written. Replay workers clone the master
       image in O(frames) pointer copies instead of O(bytes), and the
       base stays immutable, so any number of workers (even on separate
-      {!Stdlib.Domain}s) can share one base. *)
+      {!Stdlib.Domain}s) can share one base.
+
+    Frame tables are keyed by MFN through an [int]-specialised
+    [Hashtbl.Make], so a lookup hashes and compares in OCaml instead of
+    calling the polymorphic [caml_hash]/[compare_val] primitives.
+
+    A third mechanism keeps translation memos exact (lib/arch/vmem):
+    {!watch} marks a frame that holds a page-table entry some memo was
+    derived from, and any write to a watched frame — or any wholesale
+    {!restore}/{!apply_delta} — advances {!pt_epoch}. A memo taken at an
+    older epoch is stale. *)
 
 let page_shift = 12
 let page_size = 1 lsl page_shift
 let page_mask = page_size - 1
 
+module Mfn_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (mfn : int) = mfn land max_int
+end)
+
 type t = {
-  frames : (int, Bytes.t) Hashtbl.t;
+  frames : Bytes.t Mfn_tbl.t;
   mutable next_mfn : int;
   mutable allocated : int;
   (* MFNs written or allocated since [clear_dirty]. *)
-  dirty : (int, unit) Hashtbl.t;
+  dirty : unit Mfn_tbl.t;
   (* memo: the last MFN marked dirty, so a run of writes to one page
      costs one compare instead of a hash probe each (-1 = none). A
-     memoized MFN is always already dirty and privately owned. *)
+     memoized MFN is always already dirty, privately owned and not
+     watched. *)
   mutable last_dirty : int;
   (* frames whose bytes are shared with a base image (clone_cow); copy
      before the first write. *)
-  cow : (int, unit) Hashtbl.t;
+  cow : unit Mfn_tbl.t;
+  (* frames holding page-table entries that a translation memo relies
+     on; a write to one advances [pt_epoch]. *)
+  watched : unit Mfn_tbl.t;
+  mutable pt_epoch : int;
 }
 
 let create ?(first_mfn = 0x100) () =
   {
-    frames = Hashtbl.create 1024;
+    frames = Mfn_tbl.create 1024;
     next_mfn = first_mfn;
     allocated = 0;
-    dirty = Hashtbl.create 64;
+    dirty = Mfn_tbl.create 64;
     last_dirty = -1;
-    cow = Hashtbl.create 4;
+    cow = Mfn_tbl.create 4;
+    watched = Mfn_tbl.create 16;
+    pt_epoch = 0;
   }
 
 let mfn_of_paddr paddr = paddr lsr page_shift
@@ -55,30 +79,51 @@ let offset_of_paddr paddr = paddr land page_mask
 let paddr_of_mfn mfn = mfn lsl page_shift
 
 (* Mark [mfn] dirty and break any copy-on-write sharing. Must run
-   before the frame's bytes are fetched on a write path. *)
+   before the frame's bytes are fetched on a write path. A write to a
+   watched frame advances the epoch and is never memoized, so every
+   later write to it takes this path again. *)
 let mark_dirty t mfn =
   if mfn <> t.last_dirty then begin
-    if Hashtbl.length t.cow > 0 && Hashtbl.mem t.cow mfn then begin
-      (match Hashtbl.find_opt t.frames mfn with
-      | Some b -> Hashtbl.replace t.frames mfn (Bytes.copy b)
+    if Mfn_tbl.length t.cow > 0 && Mfn_tbl.mem t.cow mfn then begin
+      (match Mfn_tbl.find_opt t.frames mfn with
+      | Some b -> Mfn_tbl.replace t.frames mfn (Bytes.copy b)
       | None -> ());
-      Hashtbl.remove t.cow mfn
+      Mfn_tbl.remove t.cow mfn
     end;
-    Hashtbl.replace t.dirty mfn ();
-    t.last_dirty <- mfn
+    Mfn_tbl.replace t.dirty mfn ();
+    if Mfn_tbl.length t.watched > 0 && Mfn_tbl.mem t.watched mfn then
+      t.pt_epoch <- t.pt_epoch + 1
+    else t.last_dirty <- mfn
   end
+
+(** The page-table epoch: advanced by every write to a {!watch}ed frame
+    and by every {!restore} and {!apply_delta}. *)
+let pt_epoch t = t.pt_epoch
+
+(** Watch [mfn]: from now on a write to it advances {!pt_epoch}. *)
+let watch t mfn =
+  if not (Mfn_tbl.mem t.watched mfn) then begin
+    Mfn_tbl.replace t.watched mfn ();
+    if t.last_dirty = mfn then t.last_dirty <- -1
+  end
+
+(* Every frame may have changed: advance the epoch. No memo taken before
+   survives that, so the watch set starts over. *)
+let invalidate_translations t =
+  t.pt_epoch <- t.pt_epoch + 1;
+  Mfn_tbl.reset t.watched
 
 (* Frame backing [mfn] for reading: allocating a zeroed frame on first
    touch (allocation is a machine-state change, so it dirties). *)
 let frame_ro t mfn =
-  match Hashtbl.find_opt t.frames mfn with
-  | Some b -> b
-  | None ->
+  match Mfn_tbl.find t.frames mfn with
+  | b -> b
+  | exception Not_found ->
     let b = Bytes.make page_size '\x00' in
-    Hashtbl.add t.frames mfn b;
+    Mfn_tbl.add t.frames mfn b;
     t.allocated <- t.allocated + 1;
     if mfn <> t.last_dirty then begin
-      Hashtbl.replace t.dirty mfn ();
+      Mfn_tbl.replace t.dirty mfn ();
       t.last_dirty <- mfn
     end;
     b
@@ -116,15 +161,15 @@ let allocated_pages t = t.allocated
     allocation state is part of the machine state). *)
 let diff a b =
   let differing = ref [] in
-  Hashtbl.iter
+  Mfn_tbl.iter
     (fun mfn fa ->
-      match Hashtbl.find_opt b.frames mfn with
+      match Mfn_tbl.find_opt b.frames mfn with
       | Some fb -> if not (Bytes.equal fa fb) then differing := mfn :: !differing
       | None -> differing := mfn :: !differing)
     a.frames;
-  Hashtbl.iter
+  Mfn_tbl.iter
     (fun mfn _ ->
-      if not (Hashtbl.mem a.frames mfn) then differing := mfn :: !differing)
+      if not (Mfn_tbl.mem a.frames mfn) then differing := mfn :: !differing)
     b.frames;
   List.sort_uniq compare !differing
 
@@ -189,15 +234,17 @@ let read_string t paddr n = String.init n (fun i -> Char.chr (read8 t (paddr + i
 (** Deep copy (for domain checkpointing): every frame is materialized
     privately, so the copy is safe to share read-only across domains. *)
 let copy t =
-  let frames = Hashtbl.create (Hashtbl.length t.frames) in
-  Hashtbl.iter (fun mfn b -> Hashtbl.add frames mfn (Bytes.copy b)) t.frames;
+  let frames = Mfn_tbl.create (Mfn_tbl.length t.frames) in
+  Mfn_tbl.iter (fun mfn b -> Mfn_tbl.add frames mfn (Bytes.copy b)) t.frames;
   {
     frames;
     next_mfn = t.next_mfn;
     allocated = t.allocated;
-    dirty = Hashtbl.copy t.dirty;
+    dirty = Mfn_tbl.copy t.dirty;
     last_dirty = t.last_dirty;
-    cow = Hashtbl.create 4;
+    cow = Mfn_tbl.create 4;
+    watched = Mfn_tbl.create 16;
+    pt_epoch = 0;
   }
 
 (** Restore [t] to the state captured in [snapshot] (in place, so existing
@@ -205,14 +252,15 @@ let copy t =
     the restore itself rewrote the machine state, so a later delta
     against an older base must include it. *)
 let restore t ~snapshot =
-  Hashtbl.reset t.frames;
-  Hashtbl.reset t.cow;
-  Hashtbl.reset t.dirty;
+  Mfn_tbl.reset t.frames;
+  Mfn_tbl.reset t.cow;
+  Mfn_tbl.reset t.dirty;
   t.last_dirty <- -1;
-  Hashtbl.iter
+  invalidate_translations t;
+  Mfn_tbl.iter
     (fun mfn b ->
-      Hashtbl.add t.frames mfn (Bytes.copy b);
-      Hashtbl.replace t.dirty mfn ())
+      Mfn_tbl.add t.frames mfn (Bytes.copy b);
+      Mfn_tbl.replace t.dirty mfn ())
     snapshot.frames;
   t.next_mfn <- snapshot.next_mfn;
   t.allocated <- snapshot.allocated
@@ -222,7 +270,7 @@ let restore t ~snapshot =
 (** Forget the dirty set: subsequent {!delta}s are relative to the state
     at this call (typically right after a base image is captured). *)
 let clear_dirty t =
-  Hashtbl.reset t.dirty;
+  Mfn_tbl.reset t.dirty;
   t.last_dirty <- -1
 
 (** The pages written or allocated since {!clear_dirty} plus the
@@ -237,9 +285,9 @@ type delta = {
 
 let delta t =
   let pages =
-    Hashtbl.fold
+    Mfn_tbl.fold
       (fun mfn () acc ->
-        match Hashtbl.find_opt t.frames mfn with
+        match Mfn_tbl.find_opt t.frames mfn with
         | Some b -> (mfn, Bytes.copy b) :: acc
         | None -> acc)
       t.dirty []
@@ -262,17 +310,18 @@ let delta_bytes d = Array.length d.d_pages * page_size
 let apply_delta t d =
   Array.iter
     (fun (mfn, b) ->
-      (match Hashtbl.find_opt t.frames mfn with
+      (match Mfn_tbl.find_opt t.frames mfn with
       | Some _ -> ()
       | None -> t.allocated <- t.allocated + 1);
-      Hashtbl.replace t.frames mfn (Bytes.copy b);
-      Hashtbl.remove t.cow mfn;
-      Hashtbl.replace t.dirty mfn ())
+      Mfn_tbl.replace t.frames mfn (Bytes.copy b);
+      Mfn_tbl.remove t.cow mfn;
+      Mfn_tbl.replace t.dirty mfn ())
     d.d_pages;
   t.next_mfn <- d.d_next_mfn;
   (* allocation only grows, so the capture-point count is authoritative *)
   t.allocated <- d.d_allocated;
-  t.last_dirty <- -1
+  t.last_dirty <- -1;
+  invalidate_translations t
 
 (** A memory whose frames share bytes with [base], copied privately on
     first write. [base] must not be mutated afterwards (deep {!copy}
@@ -280,19 +329,21 @@ let apply_delta t d =
     through the sharing, so one base may back any number of clones on
     any number of domains. *)
 let clone_cow base =
-  let n = Hashtbl.length base.frames in
-  let frames = Hashtbl.create (max 16 n) in
-  let cow = Hashtbl.create (max 16 n) in
-  Hashtbl.iter
+  let n = Mfn_tbl.length base.frames in
+  let frames = Mfn_tbl.create (max 16 n) in
+  let cow = Mfn_tbl.create (max 16 n) in
+  Mfn_tbl.iter
     (fun mfn b ->
-      Hashtbl.add frames mfn b;
-      Hashtbl.replace cow mfn ())
+      Mfn_tbl.add frames mfn b;
+      Mfn_tbl.replace cow mfn ())
     base.frames;
   {
     frames;
     next_mfn = base.next_mfn;
     allocated = base.allocated;
-    dirty = Hashtbl.create 64;
+    dirty = Mfn_tbl.create 64;
     last_dirty = -1;
     cow;
+    watched = Mfn_tbl.create 16;
+    pt_epoch = 0;
   }

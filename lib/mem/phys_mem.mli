@@ -2,7 +2,8 @@
 
     Like Xen, frames have arbitrary non-contiguous machine frame numbers
     (paper §3). Physical addresses are OCaml [int]s; multi-byte accesses
-    are little-endian and may cross frame boundaries. *)
+    are little-endian and may cross frame boundaries. Frame tables are
+    keyed by MFN with an [int]-specialised hash table. *)
 
 type t
 
@@ -42,6 +43,20 @@ val write_sized : t -> int -> Ptl_util.W64.size -> int64 -> unit
 
 val write_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
+
+(** {2 Page-table watch}
+
+    A translation memo (lib/arch/vmem) is exact only while the
+    page-table entries it was derived from stay unchanged. *)
+
+(** Advanced by every write to a {!watch}ed frame ({!write8},
+    {!write64}, {!write_sized}, {!write_string} or {!frame}) and by
+    every {!restore} and {!apply_delta}. A memo taken at an older epoch
+    is stale. *)
+val pt_epoch : t -> int
+
+(** Watch a frame that holds a page-table entry a memo relies on. *)
+val watch : t -> int -> unit
 
 (** Deep copy, for domain checkpointing. *)
 val copy : t -> t

@@ -1019,23 +1019,51 @@ type sq_result =
   | Sq_unknown_addr  (* an older store address is still unresolved *)
   | Sq_partial  (* overlap that cannot be forwarded: wait/replay *)
 
-let store_queue_search t th (load : rob_entry) =
-  ignore t;
+(* Index in the LSQ of the youngest entry older than [e], or -1. The
+   LSQ is in [seq] order, so a binary search finds it. *)
+let youngest_older lsq (e : rob_entry) =
+  let lo = ref 0 and hi = ref (Ring.length lsq) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if (Ring.get lsq mid).seq < e.seq then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* The youngest older store that is unresolved or overlaps the load
+   decides, so walk youngest-first from the load and stop there. *)
+let store_queue_search th (load : rob_entry) =
   let n = W64.bytes_of_size load.uop.Uop.mem_size in
-  let result = ref Sq_none in
-  Ring.iter th.lsq (fun e ->
-      if e.seq < load.seq && Uop.is_store e.uop then begin
-        if not e.addr_valid then result := Sq_unknown_addr
-        else begin
-          let en = W64.bytes_of_size e.uop.Uop.mem_size in
-          if ranges_overlap e.paddr en load.paddr n then begin
-            if e.paddr = load.paddr && en >= n then
-              result := Sq_forward (W64.truncate load.uop.Uop.mem_size e.store_data)
-            else result := Sq_partial
-          end
-        end
-      end);
+  let result = ref Sq_none and i = ref (youngest_older th.lsq load) in
+  while !i >= 0 do
+    let e = Ring.get th.lsq !i in
+    decr i;
+    match e.uop.Uop.op with
+    | (Uop.St | Uop.Strel) when not e.addr_valid ->
+      result := Sq_unknown_addr;
+      i := -1
+    | Uop.St | Uop.Strel ->
+      let en = W64.bytes_of_size e.uop.Uop.mem_size in
+      if ranges_overlap e.paddr en load.paddr n then begin
+        result :=
+          if e.paddr = load.paddr && en >= n then
+            Sq_forward (W64.truncate load.uop.Uop.mem_size e.store_data)
+          else Sq_partial;
+        i := -1
+      end
+    | _ -> ()
+  done;
   !result
+
+(* Is a locked operation older than [load] still in the LSQ? *)
+let older_locked_pending th (load : rob_entry) =
+  let found = ref false and i = ref (youngest_older th.lsq load) in
+  while !i >= 0 && not !found do
+    (match (Ring.get th.lsq !i).uop.Uop.op with
+    | Uop.Ldl | Uop.Strel -> found := true
+    | _ -> ());
+    decr i
+  done;
+  !found
 
 (* ---------- execute ---------- *)
 
@@ -1139,13 +1167,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
        still in flight. This both serializes locked sequences (deadlock
        prevention, §2.2) and stops speculative loads from reading stale
        data past an in-flight lock acquisition. *)
-    let older_locked_pending =
-      Ring.fold th.lsq false (fun acc older ->
-          acc
-          || (older.seq < e.seq
-             && (older.uop.Uop.op = Uop.Ldl || older.uop.Uop.op = Uop.Strel)))
-    in
-    if older_locked_pending then begin
+    if older_locked_pending th e then begin
       Stats.incr t.c_replays;
       if !Trace.on then trace_replay t e "fence";
       e.replays <- e.replays + 1;
@@ -1193,7 +1215,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
           e.locked_acquired <- false
         end
       in
-      match store_queue_search t th e with
+      match store_queue_search th e with
       | Sq_unknown_addr when not t.config.Config.load_hoisting ->
         (* K8: no load hoisting — wait for older store addresses *)
         replay_release ~reason:"sq-unknown" 2

@@ -78,7 +78,11 @@ let ( let* ) r f = match r with Error _ as e -> e | Ok x -> f x
 (* ---------------------------------------------------------------- *)
 
 let magic = "OPTLSTOR"
-let version = 1
+
+(* Version 2: [Phys_mem.t] (marshalled inside the base checkpoint) gained
+   the page-table watch fields and moved to an int-keyed frame table; a
+   version-1 base would unmarshal into the wrong shape. *)
+let version = 2
 
 (* magic(8) + version(2 LE) + kind(1) + payload length(8 LE) + crc(4 LE) *)
 let header_size = 8 + 2 + 1 + 8 + 4

@@ -591,6 +591,284 @@ let test_pwc_basics () =
   Alcotest.(check int) "flush leaves no entries" 0
     (List.length (Pwc.entries pwc))
 
+(* ---- translation memo exactness ---- *)
+
+module Vmem = Ptl_arch.Vmem
+module Context = Ptl_arch.Context
+module Fault = Ptl_arch.Fault
+module Rng = Ptl_util.Rng
+
+(* One step of a random schedule. Page indices pick from [memo_vaddrs],
+   address-space indices from the two roots, frame indices from the
+   data-frame pool. *)
+type pte_how = By_write64 | By_write8 | By_frame
+
+type memo_op =
+  | Map of { space : int; page : int; frame : int; w : bool; u : bool; nx : bool }
+  | Map_huge of { space : int; w : bool; u : bool; nx : bool }
+  | Unmap of { space : int; page : int }
+  | Pte_write of { space : int; page : int; level : int; bit : int64; how : pte_how }
+  | Scribble of { frame : int; slot : int; target : int; flags : int64 }
+  | Set_cr3 of int
+  | Set_user of bool
+  | Checkpoint
+  | Restore
+  | Take_delta
+  | Apply_delta
+  | Clone
+  | Translate of { page : int; off : int; write : bool; fetch : bool }
+
+let huge_va = 0x4000_0000L
+
+(* user pages, a second PDE, the huge region, a kernel-half page, a
+   non-canonical address and one whose low 63 bits alias 0x400000 *)
+let memo_vaddrs =
+  [| 0x40_0000L; 0x40_1000L; 0x40_2000L; 0x60_0000L; huge_va;
+     Int64.add huge_va 0x1000L; Int64.add huge_va 0x1F_F000L;
+     0xFFFF_8000_0000_0000L; 0x0000_8000_0000_0000L; 0x8000_0000_0040_0000L |]
+
+(* bits a raw PTE write toggles: P, W, U, A, D, PS, NX *)
+let pte_bits =
+  [| Pagetable.pte_p; Pagetable.pte_w; Pagetable.pte_u; Pagetable.pte_a;
+     Pagetable.pte_d; Pagetable.pte_ps; Int64.min_int |]
+
+let gen_memo_op rng =
+  let b () = Rng.bool rng and likely () = Rng.int rng 4 > 0 in
+  let space = Rng.int rng 2 and page = Rng.int rng (Array.length memo_vaddrs) in
+  match Rng.int rng 200 with
+  | n when n < 24 ->
+    Map { space; page; frame = Rng.int rng 6; w = likely (); u = likely (); nx = not (likely ()) }
+  | n when n < 28 -> Map_huge { space; w = likely (); u = likely (); nx = not (likely ()) }
+  | n when n < 34 -> Unmap { space; page }
+  | n when n < 50 ->
+    let how = match Rng.int rng 3 with 0 -> By_write64 | 1 -> By_write8 | _ -> By_frame in
+    Pte_write { space; page; level = Rng.int rng 4; bit = Rng.choose rng pte_bits; how }
+  | n when n < 52 ->
+    Scribble
+      { frame = Rng.int rng 16; slot = Rng.int rng 512; target = Rng.int rng 16;
+        flags = Int64.of_int (Rng.int rng 0x80) }
+  | n when n < 58 -> Set_cr3 space
+  | n when n < 64 -> Set_user (b ())
+  | n when n < 67 -> Checkpoint
+  | n when n < 70 -> Restore
+  | n when n < 73 -> Take_delta
+  | n when n < 76 -> Apply_delta
+  | n when n < 77 -> Clone
+  | _ ->
+    Translate
+      { page; off = (if Rng.int rng 8 = 0 then 0xFFF else Rng.int rng 0x1000);
+        write = b (); fetch = Rng.int rng 4 = 0 }
+
+(* A memory under test: its address spaces, the data-frame pool and the
+   checkpoint state the schedule builds up. *)
+type memo_world = {
+  mutable m : Phys_mem.t;
+  mutable env : Vmem.env;
+  ctx : Context.t;
+  roots : int array;
+  pool : int array;
+  mutable snap : Phys_mem.t option;
+  mutable saved : Phys_mem.delta option;
+}
+
+let memo_world () =
+  let m = Phys_mem.create () in
+  let roots = Array.init 2 (fun _ -> Phys_mem.alloc_page m) in
+  let pool = Array.init 6 (fun _ -> Phys_mem.alloc_page m) in
+  let ctx = Context.create ~vcpu_id:0 in
+  ctx.Context.cr3 <- roots.(0);
+  { m; env = Vmem.create m; ctx; roots; pool; snap = None; saved = None }
+
+(* Physical address of the entry for [vaddr] at [level] (3 = root),
+   if every level above it is present. *)
+let pte_addr_at m ~cr3 ~vaddr ~level =
+  let rec go l table =
+    let pa = Phys_mem.paddr_of_mfn table + (8 * Pagetable.vpn_index vaddr l) in
+    if l = level then Some pa
+    else
+      let pte = Phys_mem.read64 m pa in
+      if Int64.logand pte Pagetable.pte_p = 0L then None
+      else go (l - 1) (Pagetable.pte_mfn pte)
+  in
+  go 3 cr3
+
+let canonical vaddr =
+  let top = Int64.shift_right vaddr 47 in
+  top = 0L || top = -1L
+
+(* Apply a state-changing op; [Translate] is the caller's. *)
+let memo_apply w op =
+  let alloc () = Phys_mem.alloc_page w.m in
+  match op with
+  | Map { space; page; frame; w = writable; u; nx } ->
+    let vaddr = memo_vaddrs.(page) in
+    if canonical vaddr then
+      Pagetable.map w.m ~cr3_mfn:w.roots.(space) ~vaddr ~mfn:w.pool.(frame) ~writable
+        ~user:u ~nx ~alloc ()
+  | Map_huge { space; w = writable; u; nx } ->
+    (* the data frames are never touched, so none is allocated *)
+    Pagetable.map w.m ~cr3_mfn:w.roots.(space) ~vaddr:huge_va ~mfn:0x40000
+      ~writable ~user:u ~nx ~huge:true ~alloc ()
+  | Unmap { space; page } ->
+    let vaddr = memo_vaddrs.(page) in
+    if canonical vaddr then
+      Pagetable.unmap w.m ~cr3_mfn:w.roots.(space) ~vaddr
+  | Pte_write { space; page; level; bit; how } -> (
+    let vaddr = memo_vaddrs.(page) in
+    match
+      if canonical vaddr then
+        pte_addr_at w.m ~cr3:w.roots.(space) ~vaddr ~level
+      else None
+    with
+    | None -> ()
+    | Some pa -> (
+      let old = Phys_mem.read64 w.m pa in
+      let v = Int64.logxor old bit in
+      match how with
+      | By_write64 -> Phys_mem.write64 w.m pa v
+      | By_write8 ->
+        for i = 0 to 7 do
+          let byte x = Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xFF in
+          if byte v <> byte old then Phys_mem.write8 w.m (pa + i) (byte v)
+        done
+      | By_frame ->
+        let b = Phys_mem.frame w.m (Phys_mem.mfn_of_paddr pa) in
+        Bytes.set_int64_le b (pa land Phys_mem.page_mask) v))
+  | Scribble { frame; slot; target; flags } ->
+    let mfn = w.roots.(0) + frame in
+    let pte =
+      Int64.logor (Int64.of_int ((w.roots.(0) + target) lsl Phys_mem.page_shift)) flags
+    in
+    Phys_mem.write64 w.m (Phys_mem.paddr_of_mfn mfn + (8 * slot)) pte
+  | Set_cr3 i -> w.ctx.Context.cr3 <- w.roots.(i)
+  | Set_user u -> w.ctx.Context.mode <- (if u then Context.User else Context.Kernel)
+  | Checkpoint ->
+    w.snap <- Some (Phys_mem.copy w.m);
+    Phys_mem.clear_dirty w.m
+  | Restore -> Option.iter (fun s -> Phys_mem.restore w.m ~snapshot:s) w.snap
+  | Take_delta -> w.saved <- Some (Phys_mem.delta w.m)
+  | Apply_delta ->
+    (* overlaid on the live memory: the pages it carries go back to
+       their contents when it was taken *)
+    Option.iter (Phys_mem.apply_delta w.m) w.saved
+  | Clone ->
+    w.m <- Phys_mem.clone_cow (Phys_mem.copy w.m);
+    w.env <- Vmem.create w.m
+  | Translate _ -> ()
+
+type memo_outcome = Paddr of int | Pf of int64 * bool * bool * bool * bool
+
+let pp_outcome = function
+  | Paddr pa -> Printf.sprintf "paddr %#x" pa
+  | Pf (va, np, wr, us, fe) ->
+    Printf.sprintf "#PF %Lx np=%b w=%b u=%b f=%b" va np wr us fe
+
+(* The translation under test, through [Vmem]. *)
+let vmem_translate w ~vaddr ~write ~fetch =
+  match Vmem.translate w.env w.ctx ~vaddr ~write ~fetch ~at_rip:0L with
+  | pa -> Paddr pa
+  | exception
+      Fault.Guest_fault
+        { Fault.kind = Fault.Page_fault { vaddr; not_present; write; user; fetch }; _ } ->
+    Pf (vaddr, not_present, write, user, fetch)
+
+(* The referee: a fresh walk every time, faults recorded in cr2 the way
+   the architecture does. *)
+let walk_translate w ~vaddr ~write ~fetch =
+  let user = w.ctx.Context.mode = Context.User in
+  match
+    Pagetable.walk w.m ~cr3_mfn:w.ctx.Context.cr3 ~vaddr ~write ~user ~exec:fetch ()
+  with
+  | Ok tr -> Paddr (Pagetable.to_paddr tr vaddr)
+  | Error f ->
+    w.ctx.Context.cr2 <- vaddr;
+    Pf (vaddr, f.Pagetable.not_present, write, user, fetch)
+
+(* Run [ops] on two identical worlds, translating through [translate] on
+   one and walking afresh on the other. The first step where the
+   results, cr2, frame bytes (A/D bits included), allocation or dirty
+   deltas differ, if any. *)
+let memo_divergence ~translate ops =
+  let a = memo_world () and b = memo_world () in
+  let rec go step = function
+    | [] -> None
+    | op :: rest ->
+      let results =
+        match op with
+        | Translate { page; off; write; fetch } ->
+          let vaddr = Int64.add memo_vaddrs.(page) (Int64.of_int off) in
+          let ra = translate a ~vaddr ~write ~fetch
+          and rb = walk_translate b ~vaddr ~write ~fetch in
+          if ra <> rb then Some (pp_outcome ra ^ " vs " ^ pp_outcome rb) else None
+        | _ ->
+          memo_apply a op;
+          memo_apply b op;
+          None
+      in
+      let why =
+        match results with
+        | Some _ -> results
+        | None ->
+          if a.ctx.Context.cr2 <> b.ctx.Context.cr2 then Some "cr2"
+          else if Phys_mem.diff a.m b.m <> [] then Some "frame bytes"
+          else if Phys_mem.delta a.m <> Phys_mem.delta b.m then Some "dirty delta"
+          else None
+      in
+      (match why with
+      | Some w -> Some (Printf.sprintf "step %d: %s" step w)
+      | None -> go (step + 1) rest)
+  in
+  go 0 ops
+
+(* Half the steps repeat the last translation, as real code re-touches
+   its pages: that is what the memo serves. *)
+let memo_schedule seed =
+  let rng = Rng.create seed in
+  let last = ref None in
+  List.init 200 (fun _ ->
+      match !last with
+      | Some op when Rng.bool rng -> op
+      | _ ->
+        let op = gen_memo_op rng in
+        (match op with Translate _ -> last := Some op | _ -> ());
+        op)
+
+let prop_memo_exact =
+  QCheck.Test.make ~name:"translation memo = uncached walk, step by step" ~count:60
+    QCheck.int (fun seed ->
+      match memo_divergence ~translate:vmem_translate (memo_schedule seed) with
+      | None -> true
+      | Some why -> QCheck.Test.fail_reportf "schedule %d: %s" seed why)
+
+(* A memo that ignores the page-table epoch: the property above must
+   catch it on the same schedules. *)
+let test_memo_stale_caught () =
+  let stale_translate () =
+    let memo = Hashtbl.create 16 in
+    fun w ~vaddr ~write ~fetch ->
+      let key =
+        (Int64.shift_right vaddr 12, w.ctx.Context.cr3, w.ctx.Context.mode, write, fetch)
+      in
+      let off = Int64.to_int vaddr land Phys_mem.page_mask in
+      match Hashtbl.find_opt memo key with
+      | Some page -> Paddr (page lor off)
+      | None -> (
+        match vmem_translate w ~vaddr ~write ~fetch with
+        | Paddr pa as r ->
+          Hashtbl.replace memo key (pa land lnot Phys_mem.page_mask);
+          r
+        | r -> r)
+  in
+  let rng = Test_seed.rng ~salt:25 () in
+  let caught = ref 0 in
+  for _ = 1 to 20 do
+    let ops = memo_schedule (Rng.int rng 1_000_000) in
+    if memo_divergence ~translate:(stale_translate ()) ops <> None then incr caught
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "stale memo caught on %d of 20 schedules" !caught)
+    true (!caught >= 10)
+
 let suite =
   [
     Alcotest.test_case "phys rw" `Quick test_phys_rw;
@@ -626,4 +904,7 @@ let suite =
     Alcotest.test_case "coherence moesi" `Quick test_coherence_moesi;
     Alcotest.test_case "coherence instant" `Quick test_coherence_instant;
     Test_seed.to_alcotest prop_coherence_invariants;
+    Test_seed.to_alcotest prop_memo_exact;
+    Alcotest.test_case "memo that ignores the epoch is caught" `Quick
+      test_memo_stale_caught;
   ]

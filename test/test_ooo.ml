@@ -441,6 +441,114 @@ let run_digest ~config ~threads img =
     ctxs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* r13 = rbp after four dependent multiplies: an address that resolves
+   late. *)
+let late_rbp g =
+  G.lii g G.r13 7;
+  for _ = 1 to 4 do G.imul g G.r13 G.r13 done;
+  G.andi g G.r13 0;
+  G.add g G.r13 G.rbp
+
+(* Load/store-queue ordering. A load has two older stores to its
+   address, and one of them resolves its address late. The store queue
+   search must answer with the youngest older store that is unresolved
+   or overlaps the load: forward from it when it is the early one, wait
+   or hoist when it is the late one. [late] picks which of the two is
+   late; [`Load] makes the load itself late instead, with a younger
+   store to its address already resolved, which it must not see. *)
+let lsq_image ~late =
+  let g = G.create ~base:0x40_0000L () in
+  G.li g G.rbp Machine.heap_base;
+  G.lii g G.r12 40;
+  G.lii g G.r14 0;
+  G.label g "loop";
+  late_rbp g;
+  G.mov g G.rcx G.r12;
+  G.addi g G.rcx 100;
+  G.mov g G.rdx G.r12;
+  G.addi g G.rdx 200;
+  (match late with
+  | `Older ->
+    G.st g ~base:G.r13 G.rcx ();
+    G.st g ~base:G.rbp G.rdx ();
+    G.ld g G.rax ~base:G.rbp ()
+  | `Younger ->
+    G.st g ~base:G.rbp G.rcx ();
+    G.st g ~base:G.r13 G.rdx ();
+    G.ld g G.rax ~base:G.rbp ()
+  | `Load ->
+    G.st g ~base:G.rbp G.rcx ();
+    G.ld g G.rax ~base:G.r13 ();
+    G.st g ~base:G.rbp G.rdx ());
+  G.add g G.r14 G.rax;
+  G.dec g G.r12;
+  G.jne g "loop";
+  G.ins g Insn.Hlt;
+  G.assemble g
+
+(* A locked exchange in flight ahead of plain loads: every younger load
+   waits for it. Each iteration opens with a late-address load that the
+   exchange behind it must not hold up. *)
+let locked_image () =
+  let g = G.create ~base:0x40_0000L () in
+  G.li g G.rbp Machine.heap_base;
+  G.lii g G.r12 30;
+  G.lii g G.r14 0;
+  G.label g "loop";
+  late_rbp g;
+  G.ld g G.rcx ~base:G.r13 ~disp:16 ();
+  G.add g G.r14 G.rcx;
+  G.mov g G.rax G.r12;
+  G.ins g (Insn.Xchg (W64.B8, Insn.Mem (Insn.mem_bd G.rbp 0L), G.rax));
+  G.ld g G.rcx ~base:G.rbp ~disp:8 ();
+  G.add g G.r14 G.rcx;
+  G.ld g G.rcx ~base:G.rbp ();
+  G.add g G.r14 G.rcx;
+  G.st g ~base:G.rbp ~disp:8 G.r14 ();
+  G.dec g G.r12;
+  G.jne g "loop";
+  G.ins g Insn.Hlt;
+  G.assemble g
+
+(* r14 (the sum of every loaded value) and the replay and commit
+   counters of a run to idle. *)
+let lsq_counts ~config img =
+  let m = Machine.create img in
+  let core = Ooo.create config m.Machine.env [| m.Machine.ctx |] in
+  let cycles = Ooo.run core ~max_cycles:2_000_000 in
+  let s = Stats.get m.Machine.env.Ptl_arch.Env.stats in
+  Printf.sprintf
+    "r14=%Ld cycles=%d replays=%d hoist=%d insns=%d uops=%d loads=%d stores=%d"
+    (Machine.gpr m G.r14) cycles (s "ooo.issue.replays")
+    (s "ooo.lsq.hoist_violations") (s "ooo.commit.insns")
+    (s "ooo.commit.uops") (s "ooo.commit.loads") (s "ooo.commit.stores")
+
+let test_lsq_ordering () =
+  let hoisting = { Config.tiny with Config.load_hoisting = true } in
+  List.iter
+    (fun (name, config, img, expected) ->
+      Alcotest.(check string) name expected (lsq_counts ~config img))
+    [
+      ("older late, tiny", Config.tiny, lsq_image ~late:`Older,
+        "r14=8820 cycles=999 replays=38 hoist=0 insns=684 uops=684 loads=40 stores=80");
+      ("older late, hoisting", hoisting, lsq_image ~late:`Older,
+        "r14=8820 cycles=1114 replays=0 hoist=38 insns=684 uops=684 loads=40 stores=80");
+      ("younger late, tiny", Config.tiny, lsq_image ~late:`Younger,
+        "r14=8820 cycles=1053 replays=160 hoist=0 insns=684 uops=684 loads=40 stores=80");
+      ("younger late, hoisting", hoisting, lsq_image ~late:`Younger,
+        "r14=8820 cycles=1409 replays=0 hoist=38 insns=684 uops=684 loads=40 stores=80");
+      ("load late, tiny", Config.tiny, lsq_image ~late:`Load,
+        "r14=4820 cycles=1045 replays=0 hoist=0 insns=684 uops=684 loads=40 stores=80");
+      ("load late, hoisting", hoisting, lsq_image ~late:`Load,
+        "r14=4820 cycles=1045 replays=0 hoist=0 insns=684 uops=684 loads=40 stores=80");
+      ("older late, k8-ptlsim", Config.k8_ptlsim, lsq_image ~late:`Older,
+        "r14=8820 cycles=1565 replays=34 hoist=0 insns=684 uops=684 loads=40 stores=80");
+      ("locked, tiny", Config.tiny, locked_image (),
+        "r14=31138512897 cycles=1103 replays=430 hoist=0 insns=544 uops=604 loads=120 stores=60");
+      ("locked, k8-ptlsim", Config.k8_ptlsim, locked_image (),
+        "r14=31138512897 cycles=1893 replays=734 hoist=0 insns=544 uops=604 loads=120 stores=60");
+    ]
+
 let test_golden_tiny () =
   Alcotest.(check string) "tiny digest" "b5008e3b4f7658d099dfd8a4ff480a70"
     (run_digest ~config:Config.tiny ~threads:1 (golden_image ~iters:400))
@@ -503,5 +611,7 @@ let suite =
     Alcotest.test_case "golden digest: k8-ptlsim" `Quick test_golden_k8;
     Alcotest.test_case "golden digest: smt locks" `Quick test_golden_smt_locks;
     Alcotest.test_case "golden digest: traced k8-ptlsim" `Quick test_golden_k8_trace;
+    Alcotest.test_case "lsq: youngest older store wins, locks fence" `Quick
+      test_lsq_ordering;
     Test_seed.to_alcotest prop_cosim_equivalence;
   ]

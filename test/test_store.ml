@@ -149,7 +149,16 @@ let test_bad_magic_and_version () =
   (* version field is the little-endian u16 at offset 8 *)
   Bytes.set_uint16_le b 8 99;
   write_file path (Bytes.to_string b);
-  check_error "future version" "bad_version" (Store.load_interval st 0)
+  check_error "future version" "bad_version" (Store.load_interval st 0);
+  (* a version-1 record marshals the old memory layout: refused, never
+     misread *)
+  Bytes.set_uint16_le b 8 1;
+  write_file path (Bytes.to_string b);
+  match Store.load_interval st 0 with
+  | Error (Store.E_bad_version { found; expected; _ }) ->
+    Alcotest.(check (pair int int)) "version 1 refused" (1, 2) (found, expected)
+  | Ok _ -> Alcotest.fail "version 1: accepted"
+  | Error e -> Alcotest.fail ("version 1: " ^ Store.error_to_string e)
 
 let test_bad_kind () =
   let st = make_store () in
