@@ -1053,7 +1053,7 @@ let run_replay_cmd guard store_dir jobs quiet =
       flush stdout;
       Printf.eprintf
         "replay: %d from cache, %d replayed on %d job(s), %d quarantined\n%!"
-        rp.Fleet.rp_cached rp.Fleet.rp_replayed jobs
+        rp.Fleet.rp_cached rp.Fleet.rp_replayed rp.Fleet.rp_jobs
         (List.length rp.Fleet.rp_quarantined);
       if rp.Fleet.rp_quarantined <> [] then exit exit_degraded)
 

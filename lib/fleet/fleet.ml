@@ -144,8 +144,16 @@ let max_socket_path = 100
 (* The replay pool                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(* Replay the intervals [indices] on [jobs] {!Stdlib.Domain}s pulling
-   from a shared atomic cursor, each on fully private state
+(* The number of domains a pool asked for [jobs] workers runs [n]
+   intervals on: at most [n] and at most the host's recommended domain
+   count. An OCaml 5 minor collection stops every domain, so a domain
+   beyond the core count makes each collection wait for a descheduled
+   one ([~jobs:4] ran at 0.43x of [~jobs:1] on a 2-core host). *)
+let pool_jobs ~jobs n =
+  max 1 (min (min jobs n) (Stdlib.Domain.recommended_domain_count ()))
+
+(* Replay the intervals [indices] on [pool_jobs ~jobs] {!Stdlib.Domain}s
+   pulling from a shared atomic cursor, each on fully private state
    ({!Sample.replay_delta} over the delta [load] fetches for it; an
    [Error] is that interval's diagnostic). Every per-interval failure —
    a load error, a {!Sim_failure}, any other exception — becomes a
@@ -193,7 +201,7 @@ let replay_pool ~jobs ?progress ?wrap ~core ~config ~schedule ~base ~load
       Atomic.set cursor n;
       Some (e, bt)
   in
-  let jobs = max 1 (min jobs n) in
+  let jobs = pool_jobs ~jobs n in
   let doms = Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker) in
   let mine = worker () in
   let deaths = mine :: List.map Stdlib.Domain.join (Array.to_list doms) in
@@ -570,15 +578,18 @@ type replayed = {
       (** intervals whose replay (or record load) failed, sorted by
           index — in-process replay is deterministic, so one attempt is
           the whole retry budget *)
+  rp_jobs : int;
+      (** domains the replay pool ran on: [jobs] capped at the intervals
+          to replay and at {!Stdlib.Domain.recommended_domain_count} *)
 }
 
-(** Replay every interval of [store] in this process ([jobs] worker
-    {!Stdlib.Domain}s; 1 = inline), using and refilling the result
-    cache. Byte-identical to {!serve} + workers and to an in-process
-    {!run_parallel} of the same capture. [config] overrides the
-    manifest's machine configuration — the sweep engine's per-leg entry
-    point: every leg
-    replays the same checkpoints, cached under its own config digest.
+(** Replay every interval of [store] in this process (up to [jobs]
+    worker {!Stdlib.Domain}s, see [rp_jobs]; 1 = inline), using and
+    refilling the result cache. Byte-identical to {!serve} + workers
+    and to an in-process {!run_parallel} of the same capture. [config]
+    overrides the manifest's machine configuration — the sweep engine's
+    per-leg entry point: every leg replays the same checkpoints, cached
+    under its own config digest.
     A corrupt interval record or a replay exception quarantines that
     interval ([rp_quarantined]) instead of aborting the run; only a
     missing/corrupt base image (nothing can replay) is a hard error. *)
@@ -599,14 +610,14 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
     Array.of_list
       (List.filter (fun i -> not hit.(i)) (List.init count Fun.id))
   in
+  let pool = pool_jobs ~jobs (Array.length miss) in
   let* replayed, quarantined =
     if Array.length miss = 0 then Ok (0, [])
     else begin
       let* base = Store.load_base store in
       log
         (Printf.sprintf "replay: %d cached, %d to replay on %d job(s)"
-           (List.length cached) (Array.length miss)
-           (max 1 (min jobs (Array.length miss))));
+           (List.length cached) (Array.length miss) pool);
       let out =
         replay_pool ~jobs ?wrap ~core:m.Store.m_core ~config ~schedule ~base
           ~load:(fun i -> store_err (Store.load_interval store i))
@@ -630,6 +641,7 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
       rp_cached = List.length cached;
       rp_replayed = replayed;
       rp_quarantined = quarantined;
+      rp_jobs = pool;
     }
 
 (** Checkpoint-parallel sampled run in one process: one native master
@@ -681,4 +693,5 @@ let run_parallel ?(roi = false) ?(placement = Sample.Fixed)
     rp_cached = 0;
     rp_replayed = replayed;
     rp_quarantined = quarantined;
+    rp_jobs = pool_jobs ~jobs n;
   }

@@ -128,15 +128,18 @@ type replayed = {
       (** intervals whose replay (or record load) failed, sorted by
           index — in-process replay is deterministic, so one attempt is
           the whole retry budget *)
+  rp_jobs : int;
+      (** domains the replay pool ran on: [jobs] capped at the intervals
+          to replay and at {!Stdlib.Domain.recommended_domain_count} *)
 }
 
-(** Replay every interval of [store] in this process ([jobs] worker
-    {!Stdlib.Domain}s; 1 = inline), using and refilling the result
-    cache. Byte-identical to {!serve} + workers and to an in-process
-    {!run_parallel} of the same capture. [config] overrides the
-    manifest's machine configuration — the sweep engine's per-leg entry
-    point: every leg
-    replays the same checkpoints, cached under its own config digest.
+(** Replay every interval of [store] in this process (up to [jobs]
+    worker {!Stdlib.Domain}s, see [rp_jobs]; 1 = inline), using and
+    refilling the result cache. Byte-identical to {!serve} + workers
+    and to an in-process {!run_parallel} of the same capture. [config]
+    overrides the manifest's machine configuration — the sweep engine's
+    per-leg entry point: every leg replays the same checkpoints, cached
+    under its own config digest.
     A corrupt interval record or a replay exception quarantines that
     interval ([rp_quarantined]) instead of aborting the run; only a
     missing/corrupt base image (nothing can replay) is a hard error. *)

@@ -1108,21 +1108,35 @@ let resolve_branch t th (e : rob_entry) (out : Exec.outcome) =
 
 (* With load hoisting enabled, a store resolving its address must check
    for younger loads that already executed against the same bytes; such
-   loads consumed stale data and the pipeline replays from their
-   instruction (the paper's replay-on-misspeculation machinery). *)
+   loads consumed stale data and the pipeline replays from the oldest of
+   them (the paper's replay-on-misspeculation machinery). A load is no
+   victim when a store between the two, with a resolved address, covers
+   all of its bytes: the load took its value from that store. Any such
+   store overlaps [store] too, so only overlapping stores are kept. *)
 let check_hoist_violation t th (store : rob_entry) =
   let sn = W64.bytes_of_size store.uop.Uop.mem_size in
-  let victim = ref None in
-  Ring.iter th.lsq (fun e ->
-      if
-        e.seq > store.seq && Uop.is_load e.uop && e.addr_valid
-        && (e.state = Done || e.state = Issued)
-        && ranges_overlap store.paddr sn e.paddr (W64.bytes_of_size e.uop.Uop.mem_size)
-      then
-        match !victim with
-        | Some (v : rob_entry) when v.seq <= e.seq -> ()
-        | _ -> victim := Some e)
-      ;
+  let covering = ref [] and victim = ref None in
+  let i = ref (youngest_older th.lsq store + 1) in
+  while !i < Ring.length th.lsq && Option.is_none !victim do
+    let e = Ring.get th.lsq !i in
+    incr i;
+    let en = W64.bytes_of_size e.uop.Uop.mem_size in
+    if e.seq > store.seq && e.addr_valid
+       && ranges_overlap store.paddr sn e.paddr en
+    then
+      match e.uop.Uop.op with
+      | Uop.St | Uop.Strel -> covering := e :: !covering
+      | _ ->
+        let covers (c : rob_entry) =
+          c.paddr <= e.paddr
+          && e.paddr + en <= c.paddr + W64.bytes_of_size c.uop.Uop.mem_size
+        in
+        if
+          Uop.is_load e.uop
+          && (e.state = Done || e.state = Issued)
+          && not (List.exists covers !covering)
+        then victim := Some e
+  done;
   match !victim with
   | None -> ()
   | Some load ->

@@ -488,6 +488,26 @@ let test_replay_pool_quarantine () =
   Alcotest.(check int) "no worker still stepping after the kill surfaced" seen
     (Atomic.get steps)
 
+(* the pool starts no more domains than the host recommends: ~jobs:8
+   runs on at most recommended_domain_count domains, reports the capped
+   count, and merges to exactly the ~jobs:1 result *)
+let test_replay_pool_capped () =
+  let cr, _, expected = Lazy.force captured in
+  let count = Array.length cr.Sample.cr_deltas in
+  let run jobs =
+    let dir, _ = fresh_paths "fleet_cap" in
+    match Fleet.replay ~jobs (make_store ~dir cr) with
+    | Ok rp -> rp
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+  in
+  let one = run 1 and eight = run 8 in
+  Alcotest.(check int) "one job" 1 one.Fleet.rp_jobs;
+  Alcotest.(check int) "eight jobs capped at the host and the intervals"
+    (min count (min 8 (Stdlib.Domain.recommended_domain_count ())))
+    eight.Fleet.rp_jobs;
+  Alcotest.(check bool) "jobs=8 identical to jobs=1" true
+    (one.Fleet.rp_result = expected && eight.Fleet.rp_result = expected)
+
 let suite =
   [
     Alcotest.test_case "lease queue basics" `Quick test_lease_queue_basics;
@@ -506,4 +526,6 @@ let suite =
       `Quick test_poison_interval_quarantine;
     Alcotest.test_case "replay pool quarantines, propagates kills" `Quick
       test_replay_pool_quarantine;
+    Alcotest.test_case "replay pool caps domains at the host" `Quick
+      test_replay_pool_capped;
   ]

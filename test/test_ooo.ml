@@ -455,7 +455,10 @@ let late_rbp g =
    or overlaps the load: forward from it when it is the early one, wait
    or hoist when it is the late one. [late] picks which of the two is
    late; [`Load] makes the load itself late instead, with a younger
-   store to its address already resolved, which it must not see. *)
+   store to its address already resolved, which it must not see.
+   [`Covered] delays the load just past the early store, so it forwards
+   from that store while the late one is still unresolved: with
+   hoisting on, the late store's resolution must replay nothing. *)
 let lsq_image ~late =
   let g = G.create ~base:0x40_0000L () in
   G.li g G.rbp Machine.heap_base;
@@ -479,7 +482,14 @@ let lsq_image ~late =
   | `Load ->
     G.st g ~base:G.rbp G.rcx ();
     G.ld g G.rax ~base:G.r13 ();
-    G.st g ~base:G.rbp G.rdx ());
+    G.st g ~base:G.rbp G.rdx ()
+  | `Covered ->
+    G.st g ~base:G.r13 G.rcx ();
+    G.st g ~base:G.rbp G.rdx ();
+    G.mov g G.r15 G.rbp;
+    G.addi g G.r15 0;
+    G.addi g G.r15 0;
+    G.ld g G.rax ~base:G.r15 ());
   G.add g G.r14 G.rax;
   G.dec g G.r12;
   G.jne g "loop";
@@ -537,6 +547,10 @@ let test_lsq_ordering () =
         "r14=8820 cycles=1053 replays=160 hoist=0 insns=684 uops=684 loads=40 stores=80");
       ("younger late, hoisting", hoisting, lsq_image ~late:`Younger,
         "r14=8820 cycles=1409 replays=0 hoist=38 insns=684 uops=684 loads=40 stores=80");
+      ("covered, tiny", Config.tiny, lsq_image ~late:`Covered,
+        "r14=8820 cycles=1035 replays=0 hoist=0 insns=804 uops=804 loads=40 stores=80");
+      ("covered, hoisting", hoisting, lsq_image ~late:`Covered,
+        "r14=8820 cycles=1035 replays=0 hoist=0 insns=804 uops=804 loads=40 stores=80");
       ("load late, tiny", Config.tiny, lsq_image ~late:`Load,
         "r14=4820 cycles=1045 replays=0 hoist=0 insns=684 uops=684 loads=40 stores=80");
       ("load late, hoisting", hoisting, lsq_image ~late:`Load,
