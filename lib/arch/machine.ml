@@ -31,7 +31,9 @@ let map_pages env (ctx : Context.t) ~vaddr ~npages ~writable ~user =
       ()
   done
 
-(** Copy [bytes] into guest memory at [vaddr], mapping pages as needed. *)
+(** Copy [bytes] into guest memory at [vaddr], mapping pages as needed.
+    Each page slice is written with one frame copy, which dirties the
+    frame once. *)
 let load_blob env (ctx : Context.t) ~vaddr ~bytes ~writable ~user =
   let mem = env.Env.mem in
   let base = Int64.logand vaddr (Int64.lognot (Int64.of_int Pm.page_mask)) in
@@ -48,16 +50,18 @@ let load_blob env (ctx : Context.t) ~vaddr ~bytes ~writable ~user =
         ()
     end
   done;
-  String.iteri
-    (fun i c ->
-      let va = Int64.add vaddr (Int64.of_int i) in
-      match Pt.probe mem ~cr3_mfn:ctx.Context.cr3 ~vaddr:va with
-      | Some mfn ->
-        Pm.write8 mem
-          (Pm.paddr_of_mfn mfn + Int64.to_int (Int64.logand va (Int64.of_int Pm.page_mask)))
-          (Char.code c)
-      | None -> assert false)
-    bytes
+  (* one probe and one copy per page slice *)
+  let len = String.length bytes in
+  let pos = ref 0 in
+  while !pos < len do
+    let va = Int64.add vaddr (Int64.of_int !pos) in
+    let off = Int64.to_int va land Pm.page_mask in
+    let n = min (len - !pos) (Pm.page_size - off) in
+    (match Pt.probe mem ~cr3_mfn:ctx.Context.cr3 ~vaddr:va with
+    | Some mfn -> Pm.blit_string mem bytes !pos (Pm.paddr_of_mfn mfn + off) n
+    | None -> assert false);
+    pos := !pos + n
+  done
 
 (** Map the heap with 2 MiB PS PDEs instead of 4 KiB PTEs: each chunk gets
     a contiguous, 512-aligned frame block so the PDE's base mfn covers the
@@ -107,6 +111,101 @@ let create ?stats ?(mode = Context.Kernel) ?entry ?(heap_pages = 64)
 let read_mem t ~vaddr ~size =
   Vmem.read t.env.Env.vmem t.ctx ~vaddr ~size ~at_rip:0L
 
+(** One side of a page-wise memory compare, built per compared range.
+    [slice va], for a quadword-aligned offset into the range, returns
+    bytes holding the memory from [va] to the end of its page (or of the
+    range) and the index of [va] in them; [None] compares the range
+    quadword by quadword instead. [quad va] reads one quadword, for
+    quadwords straddling a page boundary. *)
+type mem_side = {
+  slice : (int64 -> Bytes.t * int) option;
+  quad : int64 -> int64;
+}
+
+(** A machine's side: each page is translated once per compare (a read
+    walk, setting accessed bits as {!read_mem} does) and its frame read
+    in place. *)
+let mem_side t =
+  {
+    slice =
+      Some
+        (fun vaddr ->
+          let pa =
+            Vmem.translate t.env.Env.vmem t.ctx ~vaddr ~write:false ~fetch:false
+              ~at_rip:0L
+          in
+          (Pm.frame_ro t.env.Env.mem (Pm.mfn_of_paddr pa), pa land Pm.page_mask));
+    quad = (fun vaddr -> read_mem t ~vaddr ~size:Ptl_util.W64.B8);
+  }
+
+let rec same_quads a ia b ib n =
+  n = 0
+  || (Bytes.get_int64_le a ia = Bytes.get_int64_le b ib
+     && same_quads a (ia + 8) b (ib + 8) (n - 1))
+
+(** The first 8 quadwords over [ranges] ((vaddr, bytes) pairs) at which
+    two memories differ, as (vaddr, a, b) in range order; [a base bytes]
+    and [b base bytes] give each side of one range. Within a page the
+    sides are compared as byte runs and only a differing run is split
+    into quadwords; reading stops at the eighth difference, so the list
+    and the pages read match {!quad_diffs} over per-quad readers. *)
+let side_diffs ranges a b =
+  let limit = 8 in
+  let out = ref [] and count = ref 0 in
+  let note va x y =
+    if x <> y then begin
+      incr count;
+      out := (va, x, y) :: !out
+    end
+  in
+  List.iter
+    (fun (base, bytes) ->
+      let nq = bytes / 8 in
+      if !count < limit && nq > 0 then begin
+        let sa = a base (nq * 8) and sb = b base (nq * 8) in
+        let by_quad va =
+          let x = sa.quad va in
+          let y = sb.quad va in
+          note va x y
+        in
+        let i = ref 0 in
+        while !i < nq && !count < limit do
+          let va = Int64.add base (Int64.of_int (!i * 8)) in
+          let off = Int64.to_int va land Pm.page_mask in
+          if off > Pm.page_size - 8 then begin
+            by_quad va;
+            incr i
+          end
+          else begin
+            (* the quadwords from [va] to the end of its page *)
+            let run = min (nq - !i) ((Pm.page_size - off) / 8) in
+            (match (sa.slice, sb.slice) with
+            | Some fa, Some fb ->
+              let ba, ia = fa va in
+              let bb, ib = fb va in
+              if not (same_quads ba ia bb ib run) then
+                for j = 0 to run - 1 do
+                  if !count < limit then
+                    note
+                      (Int64.add va (Int64.of_int (j * 8)))
+                      (Bytes.get_int64_le ba (ia + (j * 8)))
+                      (Bytes.get_int64_le bb (ib + (j * 8)))
+                done
+            | _ ->
+              for j = 0 to run - 1 do
+                if !count < limit then by_quad (Int64.add va (Int64.of_int (j * 8)))
+              done);
+            i := !i + run
+          end
+        done
+      end)
+    ranges;
+  List.rev !out
+
+(** {!side_diffs} between two machines. *)
+let mem_diffs ranges a b =
+  side_diffs ranges (fun _ _ -> mem_side a) (fun _ _ -> mem_side b)
+
 (** A quadword reader for comparing memory images: each page is
     translated once (a read walk, setting accessed bits as {!read_mem}
     does) and then read physically; a quadword straddling two pages goes
@@ -130,7 +229,8 @@ let quad_reader t =
 
 (** The first 8 quadwords over [ranges] ((vaddr, bytes) pairs) at which
     the readers [a] and [b] differ, as (vaddr, a, b) in range order.
-    Reading stops at the eighth difference. *)
+    Reading stops at the eighth difference. The per-quad reference for
+    {!side_diffs}. *)
 let quad_diffs ranges a b =
   let limit = 8 in
   let out = ref [] and count = ref 0 in

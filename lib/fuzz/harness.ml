@@ -3,13 +3,17 @@
     divergences are shrunk and reported with a majority verdict.
 
     Each iteration derives a per-iteration seed from the master seed,
-    generates a program ({!Fuzzgen}), and co-simulates it
-    ({!Ptl_hyper.Cosim}): the timed core and the sequential reference
-    step forward together from identical initial state, comparing
-    committed register/flag/memory state at instruction-count
-    checkpoints. A second pass runs the same image in lockstep on the
-    sequential core and the independent spec-derived reference
-    interpreter ({!Ptl_oracle.Cross}). On divergence of either pair the
+    generates a program ({!Fuzzgen}), and checks all three models in one
+    lockstep pass over two machines. The timed core and the sequential
+    reference step forward together from identical initial state
+    ({!Ptl_hyper.Cosim}), comparing committed register/flag/memory state
+    at instruction-count checkpoints, and the independent spec-derived
+    reference interpreter rides the reference core ({!Ptl_oracle.Cross}),
+    compared after every committed unit. Once the timed pair agrees, the
+    reference and the oracle step on to the oracle pass's own stopping
+    point, where memory is compared. When the timed pair diverges, the
+    oracle gets its own pass on a third machine, as it does throughout
+    shrinking and reporting. On divergence of either pair the
     failing slot sequence is minimized with delta debugging
     ({!Shrink}), the minimal case is re-run with
     {!Ptl_trace} armed and per-instruction checkpoints, and a
@@ -119,8 +123,9 @@ let render_report ~seed ~core ~len ~classes ~replay_extra d =
     reports (the CLI passes its [--fuzz-inject] flag through it).
     [oracle] (on by default) adds the spec-table reference interpreter as
     a third model, cross-checked in lockstep against the sequential core
-    every iteration; [table] substitutes a mutated spec table (the
-    planted-bug self-tests use {!Ptl_spec.Spec.drop_flag_write}). *)
+    every iteration, riding the co-simulation's reference; [table]
+    substitutes a mutated spec table (the planted-bug self-tests use
+    {!Ptl_spec.Spec.drop_flag_write}). *)
 let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     ?(oracle = true) ?(table = Spec.table)
     ?(classes = Fuzzgen.all_classes) ?(len = default_len)
@@ -160,14 +165,13 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     (* Commit bound: static size times the worst dynamic expansion (loop
        iterations, REP counts), plus slack. *)
     let max_insns = (orig_insns * 64) + 256 in
+    let validate ?observe slots =
+      Cosim.validate ~config ~core ?inject ?wrap ~budget:step_budget ~mem_ranges
+        ~check_every ?observe ~max_insns
+        (Fuzzgen.build (Fuzzgen.with_slots prog slots))
+    in
     let diverged slots =
-      let img = Fuzzgen.build (Fuzzgen.with_slots prog slots) in
-      match
-        Cosim.validate ~config ~core ?inject ?wrap ~budget:step_budget
-          ~mem_ranges ~check_every ~max_insns img
-      with
-      | Cosim.Agree _ -> false
-      | Cosim.Diverged _ -> true
+      match validate slots with Cosim.Agree _ -> false | Cosim.Diverged _ -> true
     in
     (* The third model: lockstep oracle-vs-seq over the same image. An
        [Unsupported] stop means the generator emitted something outside
@@ -180,12 +184,30 @@ let run ?(config = Config.tiny) ?(core = "ooo") ?inject ?guard
     let cross_diverged slots =
       match cross slots with Cross.Diverged _ -> true | _ -> false
     in
-    let timed_div = diverged prog.Fuzzgen.slots in
+    (* One lockstep pass checks all three models: the oracle rides the
+       co-simulation's reference core. Once the co-simulation agrees,
+       the ride continues to its own stopping point; if the co-simulation
+       diverges, the oracle gets its own pass, as the slow path below. *)
+    let rider = ref None in
+    let observe m seq =
+      let r = Cross.ride ~table ~max_insns ~mem_ranges m seq in
+      rider := Some r;
+      Cross.observe r
+    in
+    let timed =
+      validate ?observe:(if oracle then Some observe else None) prog.Fuzzgen.slots
+    in
+    let timed_div = match timed with Cosim.Agree _ -> false | Cosim.Diverged _ -> true in
     let oracle_div =
       if not oracle then false
       else begin
         incr oracle_checked;
-        match cross prog.Fuzzgen.slots with
+        let result =
+          match (timed, !rider) with
+          | Cosim.Agree _, Some r -> Cross.finish_ride r
+          | _ -> cross prog.Fuzzgen.slots
+        in
+        match result with
         | Cross.Agree _ -> false
         | Cross.Diverged _ -> true
         | Cross.Unsupported _ ->

@@ -67,8 +67,9 @@ val default_check_every : int
     reports (the CLI passes its [--fuzz-inject] flag through it).
     [oracle] (on by default) adds the spec-table reference interpreter as
     a third model, cross-checked in lockstep against the sequential core
-    every iteration; [table] substitutes a mutated spec table (the
-    planted-bug self-tests use {!Ptl_spec.Spec.drop_flag_write}). *)
+    every iteration, riding the co-simulation's reference; [table]
+    substitutes a mutated spec table (the planted-bug self-tests use
+    {!Ptl_spec.Spec.drop_flag_write}). *)
 val run :
   ?config:Config.t ->
   ?core:string ->

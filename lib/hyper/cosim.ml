@@ -11,8 +11,15 @@
     program length, so [check_every = 1] names the first divergent
     instruction directly, where the paper binary-searches over re-runs.
 
+    Memory is compared page by page: one translation per page per
+    machine, the two frames' bytes compared in place, and only a
+    differing page split into quadwords for the report.
+
     The model side is resolved through {!Ptl_ooo.Registry}, so any timed
     core ("ooo", "smt", "inorder") can be validated with the same driver.
+    An observer may ride the reference core and see every step it takes:
+    the fuzz harness hangs the spec oracle's lockstep pass there, so
+    three models share one pass and two machines.
     When the {!Ptl_trace} subsystem is armed, a divergence carries the
     trace window leading up to the mismatch; [inject] lets test harnesses
     plant a deliberate microarchitectural bug (e.g. a mutated flags write)
@@ -81,11 +88,14 @@ let run_model ?(config = Config.tiny) ?(core = "ooo") ?inject ?wrap
    it to [n] committed instructions. Once a step commits nothing or finds
    the VCPU idle it stays stopped, where a run from the start would stop.
    Tracing is off while it steps, so its commits and cycle stamps stay out
-   of the model's trace window. *)
-let start_reference image =
+   of the model's trace window. [observe m seq], when given, is called
+   once with the machine and core before any step and returns a callback
+   that sees the status of every step. *)
+let start_reference ?observe image =
   let m = Machine.create image in
   let ctx = m.Machine.ctx in
   let seq = Seqcore.create ~max_bb_insns:1 m.Machine.env ctx in
+  let observe = match observe with Some f -> f m seq | None -> ignore in
   let live = ref true in
   let advance n =
     let tracing = !Trace.on in
@@ -94,7 +104,9 @@ let start_reference image =
       ~finally:(fun () -> Trace.on := tracing)
       (fun () ->
         while !live && ctx.Context.insns_committed < n && ctx.Context.running do
-          match Seqcore.step_block seq with
+          let status = Seqcore.step_block seq in
+          observe status;
+          match status with
           | Seqcore.Executed 0 | Seqcore.Idle -> live := false
           | Seqcore.Executed _ | Seqcore.Interrupted -> ()
         done)
@@ -102,13 +114,13 @@ let start_reference image =
   (m, advance)
 
 (* Full architectural comparison: registers/flags/rip plus the first few
-   differing quadwords over the memory ranges the program writes. *)
+   differing quadwords over the memory ranges the program writes,
+   compared page by page. *)
 let diff_machines ~mem_ranges ref_m model_m =
   Context.diff ref_m.Machine.ctx model_m.Machine.ctx
   @ List.map
       (fun (va, a, b) -> Printf.sprintf "mem[%#Lx]: %#Lx vs %#Lx" va a b)
-      (Machine.quad_diffs mem_ranges (Machine.quad_reader ref_m)
-         (Machine.quad_reader model_m))
+      (Machine.mem_diffs mem_ranges ref_m model_m)
 
 (* Snapshot the tail of the armed trace window as text lines. *)
 let trace_window lines =
@@ -122,11 +134,12 @@ let trace_window lines =
     count before comparing. [budget] bounds the model's steps over the
     whole run. When tracing is armed the ring is cleared once, before the
     model is built, so a [Diverged] result carries the model-side window
-    leading up to the mismatch. *)
+    leading up to the mismatch. [observe] rides the reference: see
+    {!start_reference}. *)
 let validate ?(config = Config.tiny) ?(core = "ooo") ?inject ?wrap
     ?(budget = 50_000_000) ?(mem_ranges = []) ?(trace_lines = 64)
-    ?(check_every = 50) ~max_insns image =
-  let ref_m, advance_reference = start_reference image in
+    ?(check_every = 50) ?observe ~max_insns image =
+  let ref_m, advance_reference = start_reference ?observe image in
   if !Trace.on then Trace.clear ();
   let model_m, advance = start_model ~config ~core ?inject ?wrap ~budget image in
   let rec go n =

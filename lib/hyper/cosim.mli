@@ -52,7 +52,12 @@ val run_model :
     [budget] bounds the model's steps over the whole run. When tracing is
     armed, the ring is cleared once before the model is built, the
     reference steps with tracing off, and a divergence carries the last
-    [trace_lines] model events as text. *)
+    [trace_lines] model events as text. [observe m seq], when given, is
+    called once with the reference machine and its core (built with
+    [~max_bb_insns:1]) before either steps, and the callback it returns
+    sees the status of every reference [step_block], so a second
+    reference model (the spec oracle, {!Ptl_oracle.Cross.ride}) can ride
+    this pass instead of building its own machine. *)
 val validate :
   ?config:Ptl_ooo.Config.t ->
   ?core:string ->
@@ -66,6 +71,8 @@ val validate :
   ?mem_ranges:(int64 * int) list ->
   ?trace_lines:int ->
   ?check_every:int ->
+  ?observe:
+    (Ptl_arch.Machine.t -> Ptl_arch.Seqcore.t -> Ptl_arch.Seqcore.status -> unit) ->
   max_insns:int ->
   Ptl_isa.Asm.image ->
   result

@@ -55,6 +55,7 @@ type line = {
 type t = {
   config : config;
   sets : int;
+  line_shift : int;  (* log2 of the line size *)
   lines : line array array;
   rng : Rng.t;
   mutable tick : int;
@@ -77,6 +78,7 @@ let create ?(stats_prefix = "") stats config =
   {
     config;
     sets;
+    line_shift = Bitops.log2 config.line_size;
     lines =
       Array.init sets (fun _ ->
           Array.init config.ways (fun _ -> { tag = -1; dirty = false; stamp = 0 }));
@@ -87,10 +89,9 @@ let create ?(stats_prefix = "") stats config =
     writebacks = counter "writebacks";
   }
 
-let line_shift t = Bitops.log2 t.config.line_size
 let line_addr t paddr = Bitops.align_down paddr t.config.line_size
-let set_of t paddr = (paddr lsr line_shift t) land (t.sets - 1)
-let tag_of t paddr = paddr lsr line_shift t
+let set_of t paddr = (paddr lsr t.line_shift) land (t.sets - 1)
+let tag_of t paddr = paddr lsr t.line_shift
 
 (** Bank touched by an access (banks divide the line along 8-byte words,
     K8-style). *)
@@ -157,7 +158,7 @@ let access t paddr ~write =
     let writeback =
       if victim.tag >= 0 && victim.dirty then begin
         Ptl_stats.Statstree.incr t.writebacks;
-        Some (victim.tag lsl line_shift t)
+        Some (victim.tag lsl t.line_shift)
       end
       else None
     in

@@ -47,6 +47,9 @@ type t = {
   l3 : Cache.t option;
   (* line paddr -> cycle at which the fill completes *)
   mshr : (int, int) Hashtbl.t;
+  (* no entry of [mshr] completes before this cycle ([max_int] when it
+     is empty), so expiry has nothing to drop until then *)
+  mutable mshr_next : int;
   loads : Stats.counter;
   stores : Stats.counter;
   ifetches : Stats.counter;
@@ -67,6 +70,7 @@ let create ?(prefix = "mem") stats config =
     l2 = Cache.create ~stats_prefix:prefix stats config.l2;
     l3 = Option.map (fun c -> Cache.create ~stats_prefix:prefix stats c) config.l3;
     mshr = Hashtbl.create 64;
+    mshr_next = max_int;
     loads = Stats.counter stats (prefix ^ ".loads");
     stores = Stats.counter stats (prefix ^ ".stores");
     ifetches = Stats.counter stats (prefix ^ ".ifetches");
@@ -81,11 +85,15 @@ let set_remote_write_hit t f = t.remote_write_hit <- f
 
 let l1d t = t.l1d
 
-(* Drop completed MSHR entries. *)
+let earliest_mshr t = Hashtbl.fold (fun _ r acc -> min r acc) t.mshr max_int
+
+(* Drop completed MSHR entries. Nothing completes before [mshr_next], so
+   the table is only folded on an access at or after that cycle. *)
 let expire_mshrs t ~cycle =
-  if Hashtbl.length t.mshr > 0 then begin
+  if t.mshr_next <= cycle then begin
     let dead = Hashtbl.fold (fun line ready acc -> if ready <= cycle then line :: acc else acc) t.mshr [] in
-    List.iter (Hashtbl.remove t.mshr) dead
+    List.iter (Hashtbl.remove t.mshr) dead;
+    t.mshr_next <- earliest_mshr t
   end
 
 (* Latency to bring a line into the given L1 from below, filling lower
@@ -173,13 +181,13 @@ let data_access t ~cycle ~paddr ~write =
         (* A full MSHR file delays the new miss until the earliest
            outstanding fill returns. *)
         if Hashtbl.length t.mshr >= t.config.mshrs then begin
-          let earliest = Hashtbl.fold (fun _ r acc -> min r acc) t.mshr max_int in
-          max 0 (earliest - cycle)
+          max 0 (earliest_mshr t - cycle)
         end
         else 0
       in
       let lat = t.config.l1d.latency + extra + miss_latency t ~write ~paddr in
       Hashtbl.replace t.mshr line (cycle + lat);
+      t.mshr_next <- min t.mshr_next (cycle + lat);
       prefetch t paddr;
       lat)
 
@@ -252,7 +260,8 @@ let restore t ~snapshot =
   | None, None -> ()
   | _ -> invalid_arg "Hierarchy.restore: l3 presence mismatch");
   Hashtbl.reset t.mshr;
-  List.iter (fun (k, v) -> Hashtbl.replace t.mshr k v) snapshot.sn_mshr
+  List.iter (fun (k, v) -> Hashtbl.replace t.mshr k v) snapshot.sn_mshr;
+  t.mshr_next <- earliest_mshr t
 
 (** Compare the live hierarchy against a snapshot; returns one line per
     mismatch across every cache level and the MSHR table. *)

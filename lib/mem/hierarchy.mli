@@ -35,6 +35,10 @@ type t = {
   l3 : Cache.t option;
   (* line paddr -> cycle at which the fill completes *)
   mshr : (int, int) Hashtbl.t;
+  (* no entry of [mshr] completes before this cycle ([max_int] when it
+     is empty): expiry skips the table until then, so a direct insert
+     into [mshr] that completes earlier must lower it *)
+  mutable mshr_next : int;
   loads : Stats.counter;
   stores : Stats.counter;
   ifetches : Stats.counter;

@@ -135,6 +135,17 @@ let frame t mfn =
   mark_dirty t mfn;
   frame_ro t mfn
 
+(** Copy [len] bytes of [src] from [src_off] to [paddr]. The span must
+    lie within one frame, which is marked dirty once, as a write. *)
+let blit_string t src src_off paddr len =
+  if len > 0 then begin
+    let mfn = mfn_of_paddr paddr in
+    let off = offset_of_paddr paddr in
+    if off + len > page_size then invalid_arg "Phys_mem.blit_string: crosses a frame";
+    mark_dirty t mfn;
+    Bytes.blit_string src src_off (frame_ro t mfn) off len
+  end
+
 (** Allocate a fresh frame and return its MFN. *)
 let alloc_page t =
   let mfn = t.next_mfn in

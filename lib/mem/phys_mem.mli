@@ -21,6 +21,17 @@ val paddr_of_mfn : int -> int
     copy-on-write sharing is broken first. *)
 val frame : t -> int -> Bytes.t
 
+(** Frame backing an MFN for reading, allocating a zeroed frame on first
+    touch as {!read8} does. The returned bytes must not be written. *)
+val frame_ro : t -> int -> Bytes.t
+
+(** [blit_string t src src_off paddr len] copies [len] bytes of [src]
+    from [src_off] to [paddr]. The span must lie within one frame. The
+    frame is marked dirty once, so copy-on-write sharing is broken first
+    and a {!watch}ed frame advances {!pt_epoch} once for the whole copy,
+    where {!write8} advances it once per byte. *)
+val blit_string : t -> string -> int -> int -> int -> unit
+
 (** Allocate a fresh frame; returns its MFN. *)
 val alloc_page : t -> int
 

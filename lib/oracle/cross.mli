@@ -35,6 +35,33 @@ val run_oracle :
   ?table:Spec.table ->
   ?max_insns:int -> Asm.image -> Spec.state
 
+(** One lockstep pass of the oracle against a sequential core that
+    commits one unit per [Seqcore.step_block] ({!check}'s pass, with the
+    core stepped by whoever owns it). *)
+type rider
+
+(** Start a pass over [m], a fresh machine, and a core on it built with
+    [~max_bb_insns:1]; arguments as {!check}. The core must not have
+    stepped yet, and every later [step_block] of it must be reported to
+    {!observe} until the pass has its result. *)
+val ride :
+  ?table:Spec.table ->
+  ?max_insns:int ->
+  ?mem_ranges:(int64 * int) list ->
+  ?probe:(index:int -> before:int -> after:int -> unit) ->
+  Machine.t -> Seqcore.t -> rider
+
+(** Report one [step_block] of the pass's core that returned (one that
+    raised [Assists.Triple_fault] ends the caller's run). Steps after the
+    pass has its result are ignored: it compares up to its own stopping
+    point (the oracle reaching [max_insns], or the core halting) and the
+    memory ranges there. *)
+val observe : rider -> Seqcore.status -> unit
+
+(** Step the pass's core to the pass's stopping point and return the
+    result, exactly as {!check} on the same image would. *)
+val finish_ride : rider -> result
+
 (** Run [image] in lockstep on the sequential core and the oracle.
     [probe ~index ~before ~after] fires after every oracle unit with the
     0-based unit index and the oracle's flags on either side of it (the

@@ -473,6 +473,25 @@ let read_byte st addr =
     | Some b -> b
     | None -> ( match st.backing addr with Some b -> b | None -> 0))
 
+let read_range st base len =
+  let buf = Bytes.make len '\000' in
+  for i = 0 to len - 1 do
+    let addr = Int64.add base (Int64.of_int i) in
+    check_mapped st ~write:false addr;
+    match st.backing addr with
+    | Some b -> Bytes.unsafe_set buf i (Char.unsafe_chr b)
+    | None -> ()
+  done;
+  let put addr b =
+    let off = Int64.sub addr base in
+    if off >= 0L && off < Int64.of_int len then
+      Bytes.unsafe_set buf (Int64.to_int off) (Char.unsafe_chr b)
+  in
+  Hashtbl.iter put st.mem;
+  (* the journal is newest first: apply it oldest first so the newest wins *)
+  List.iter (fun (a, b) -> put a b) (List.rev st.journal);
+  buf
+
 let write_byte st addr b =
   check_mapped st ~write:true addr;
   st.journal <- (addr, b land 0xFF) :: st.journal

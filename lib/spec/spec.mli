@@ -116,6 +116,12 @@ val read_byte : state -> int64 -> int
 (** Little-endian load of [size] bytes, as {!read_byte}. *)
 val read_mem : state -> W64.size -> int64 -> int64
 
+(** [read_range st base len]: the [len] bytes from [base] as {!read_byte}
+    sees them, built from the backing, then the committed writes, then
+    the pending journal. Raises the {!Spec_fault} {!read_byte} raises at
+    the lowest unmapped address in the range. *)
+val read_range : state -> int64 -> int -> Bytes.t
+
 (** Flush the step's journaled writes into committed memory. The oracle
     driver calls this after a successful step; a faulting step drops the
     journal instead, so no partial instruction is ever visible. *)
