@@ -362,8 +362,8 @@ let guard_term ~degrade =
             "Enable guard rails: sampled structural invariant checks \
              (ROB/LSQ ordering, physical-register conservation, \
              issue-queue slot conservation, cache tag/LRU and MSHR \
-             consistency, TLB consistency) plus periodic checkpoints. \
-             Failures print a diagnostic bundle and exit 3.")
+             consistency, TLB consistency). Failures print a diagnostic \
+             bundle and exit 3.")
   in
   let interval =
     Arg.(
@@ -377,8 +377,9 @@ let guard_term ~degrade =
       & opt nat 1_000_000
       & info [ "guard-checkpoint-every" ] ~docv:"CYCLES"
           ~doc:
-            "Cycles between rollback checkpoints (default 1000000); 0 \
-             takes one checkpoint at simulation start only.")
+            "Cycles between the rollback checkpoints $(b,--guard-degrade) \
+             takes (default 1000000); 0 takes one at simulation start \
+             only. Without $(b,--guard-degrade) no checkpoint is taken.")
   in
   let degrade_arg =
     Arg.(
@@ -932,9 +933,10 @@ let run_capture_cmd (s, core) config iters max_mcycles store_dir resume =
           store_dir;
         None
       | Ok (Some pt) ->
+        let n = pt.Store.pt_resume.Sample.rs_count in
         Printf.eprintf
           "capture: resuming from journaled interval %d (%d already on disk)\n%!"
-          (pt.Store.pt_count - 1) pt.Store.pt_count;
+          (n - 1) n;
         Some pt
   in
   let j =
@@ -951,27 +953,12 @@ let run_capture_cmd (s, core) config iters max_mcycles store_dir resume =
   let on_base b =
     match Store.journal_base j b with Ok () -> () | Error e -> journal_err e
   in
-  let on_window (w : Sample.window) =
-    match
-      Store.journal_interval j ~index:w.Sample.w_index
-        ~delta_bytes:w.Sample.w_delta_bytes ~full_bytes:w.Sample.w_full_bytes
-        w.Sample.w_delta
-    with
+  let on_window index d =
+    match Store.journal_interval j ~index d with
     | Ok () -> ()
     | Error e -> journal_err e
   in
-  let rs =
-    Option.map
-      (fun pt ->
-        {
-          Sample.rs_base = pt.Store.pt_base;
-          rs_last = pt.Store.pt_last;
-          rs_count = pt.Store.pt_count;
-          rs_delta_bytes = pt.Store.pt_delta_bytes;
-          rs_full_bytes = pt.Store.pt_full_bytes;
-        })
-      partial
-  in
+  let rs = Option.map (fun pt -> pt.Store.pt_resume) partial in
   let m = Machine.create program in
   let d = Domain.create ~core ~config m.Machine.env m.Machine.ctx in
   let max_cycles = max_mcycles * 1_000_000 in

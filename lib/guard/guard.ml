@@ -14,8 +14,8 @@
       core and memory subsystems expose;
     - a {b supervisor} wrapping any {!Ptl_ooo.Registry.instance}: it
       samples the registered invariants every [interval] steps, takes
-      periodic {!Ptl_hyper.Checkpoint} snapshots, and on a watchdog
-      lockup or invariant violation emits a {!Ptl_ooo.Sim_failure}
+      periodic {!Ptl_hyper.Checkpoint} snapshots under [degrade], and on
+      a watchdog lockup or invariant violation emits a {!Ptl_ooo.Sim_failure}
       diagnostic bundle — then either re-raises (default) or, under
       [degrade], rolls back to the last checkpoint and finishes the run
       on the sequential reference core so long experiments make forward
@@ -250,7 +250,7 @@ let checks_for_instance ?strict_tlb (env : Env.t) (inst : Registry.instance) =
 
 type config = {
   interval : int;  (* run the invariant set every N steps *)
-  checkpoint_every : int;  (* cycles between snapshots; 0 = none *)
+  checkpoint_every : int;  (* cycles between snapshots under degrade; 0 = none *)
   degrade : bool;  (* roll back + finish on the seq core on failure *)
   strict_tlb : bool;  (* arm the TLB↔pagetable agreement check *)
 }
@@ -328,7 +328,9 @@ let sup_step s () =
      with Sim_failure.Sim_failure f -> handle_failure s f);
     if not s.degraded then begin
       s.steps <- s.steps + 1;
-      if s.cfg.checkpoint_every > 0 && s.env.Env.cycle >= s.next_checkpoint
+      (* only a degrading supervisor ever reads a checkpoint back *)
+      if s.cfg.degrade && s.cfg.checkpoint_every > 0
+         && s.env.Env.cycle >= s.next_checkpoint
       then take_checkpoint s;
       if s.steps mod s.cfg.interval = 0 then
         run_checks s ~sweep:(s.steps / s.cfg.interval)
@@ -360,10 +362,11 @@ let register_check (inst : Registry.instance) c =
 
 (** Wrap [inst] in a supervisor over the (single) context [ctx]. The
     wrapped instance steps the original core, samples the invariant set
-    every [interval] steps, snapshots every [checkpoint_every] cycles
-    (when > 0, or once at wrap time under [degrade]), and contains
-    failures per [config]. Diagnostic bundles go to [out] (stderr by
-    default). *)
+    every [interval] steps, and contains failures per [config]. Under
+    [degrade] it snapshots once at wrap time and then every
+    [checkpoint_every] cycles (when > 0); without [degrade] nothing
+    would read a snapshot back, so none is taken. Diagnostic bundles go
+    to [out] (stderr by default). *)
 let wrap ?(config = default_config) ?(out = stderr) ~env ~ctx inst =
   let s =
     {

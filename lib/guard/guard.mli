@@ -39,7 +39,7 @@ val checks_for_instance :
 
 type config = {
   interval : int;  (* run the invariant set every N steps *)
-  checkpoint_every : int;  (* cycles between snapshots; 0 = none *)
+  checkpoint_every : int;  (* cycles between snapshots under degrade; 0 = none *)
   degrade : bool;  (* roll back + finish on the seq core on failure *)
   strict_tlb : bool;  (* arm the TLB↔pagetable agreement check *)
 }
@@ -53,10 +53,11 @@ val register_check : Registry.instance -> check -> unit
 
 (** Wrap [inst] in a supervisor over the (single) context [ctx]. The
     wrapped instance steps the original core, samples the invariant set
-    every [interval] steps, snapshots every [checkpoint_every] cycles
-    (when > 0, or once at wrap time under [degrade]), and contains
-    failures per [config]. Diagnostic bundles go to [out] (stderr by
-    default). *)
+    every [interval] steps, and contains failures per [config]. Under
+    [degrade] it snapshots once at wrap time and then every
+    [checkpoint_every] cycles (when > 0); without [degrade] nothing
+    would read a snapshot back, so none is taken. Diagnostic bundles go
+    to [out] (stderr by default). *)
 val wrap :
   ?config:config ->
   ?out:out_channel ->

@@ -110,10 +110,9 @@ let delta_pages d = Pm.delta_pages d.dk_pages
     the full image it replaces. *)
 let delta_page_bytes d = Pm.delta_bytes d.dk_pages
 
-(** Page payload of a full image of [env]'s memory (what a per-window
-    memory copy would cost). *)
-let full_page_bytes (env : Env.t) =
-  Pm.allocated_pages env.Env.mem * Pm.page_size
+(** Page payload of a full image of guest memory at the delta's capture
+    point (what a per-window memory copy would cost). *)
+let full_page_bytes d = Pm.delta_image_bytes d.dk_pages
 
 (** A private physical memory reproducing the delta's capture point:
     a copy-on-write clone of the base overlaid with the dirty pages.

@@ -48,11 +48,12 @@ val capture_delta :
 (** Guest memory pages a delta carries (its footprint). *)
 val delta_pages : delta -> int
 
-(** Serialized page payload of a delta / of a full image of [env]'s
-    memory — the apples-to-apples capture-cost comparison. *)
+(** Serialized page payload of a delta / of a full image of guest
+    memory at its capture point — the apples-to-apples capture-cost
+    comparison. *)
 val delta_page_bytes : delta -> int
 
-val full_page_bytes : Ptl_arch.Env.t -> int
+val full_page_bytes : delta -> int
 
 (** Private memory reproducing the delta's capture point: a
     copy-on-write clone of the base overlaid with the dirty pages;

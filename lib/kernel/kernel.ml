@@ -189,29 +189,25 @@ let map_kernel_into t ~cr3 =
     t.kernel_pages
 
 let load_image t ~cr3 (img : Ptl_isa.Asm.image) ~user =
-  let base = img.Ptl_isa.Asm.img_base in
-  let len = String.length img.Ptl_isa.Asm.code in
-  let first = Int64.to_int (Int64.logand base (Int64.of_int Pm.page_mask)) in
-  let npages = (first + len + Pm.page_size - 1) / Pm.page_size in
-  let page_base = Int64.sub base (Int64.of_int first) in
-  for i = 0 to npages - 1 do
-    let va = Int64.add page_base (Int64.of_int (i * Pm.page_size)) in
-    let mfn = Pm.alloc_page t.env.Env.mem in
-    Pt.map t.env.Env.mem ~cr3_mfn:cr3 ~vaddr:va ~mfn ~writable:true ~user
-      ~alloc:(fun () -> Pm.alloc_page t.env.Env.mem)
-      ();
-    if not user then t.kernel_pages <- (va, mfn) :: t.kernel_pages
-  done;
-  String.iteri
-    (fun i c ->
-      let va = Int64.add base (Int64.of_int i) in
-      match Pt.probe t.env.Env.mem ~cr3_mfn:cr3 ~vaddr:va with
-      | Some mfn ->
-        Pm.write8 t.env.Env.mem
-          (Pm.paddr_of_mfn mfn + Int64.to_int (Int64.logand va (Int64.of_int Pm.page_mask)))
-          (Char.code c)
-      | None -> assert false)
-    img.Ptl_isa.Asm.code
+  let mem = t.env.Env.mem in
+  let base = img.Ptl_isa.Asm.img_base and code = img.Ptl_isa.Asm.code in
+  let len = String.length code in
+  let first = Int64.to_int base land Pm.page_mask in
+  alloc_mapped t ~cr3
+    ~vaddr:(Int64.sub base (Int64.of_int first))
+    ~npages:((first + len + Pm.page_size - 1) / Pm.page_size)
+    ~user;
+  (* one probe and one frame copy per page slice *)
+  let pos = ref 0 in
+  while !pos < len do
+    let va = Int64.add base (Int64.of_int !pos) in
+    let off = Int64.to_int va land Pm.page_mask in
+    let n = min (len - !pos) (Pm.page_size - off) in
+    (match Pt.probe mem ~cr3_mfn:cr3 ~vaddr:va with
+    | Some mfn -> Pm.blit_string mem code !pos (Pm.paddr_of_mfn mfn + off) n
+    | None -> assert false);
+    pos := !pos + n
+  done
 
 (* Allocate [n] bytes of kernel heap (guest VA, page granular pool). *)
 let kheap_alloc t n =

@@ -76,6 +76,11 @@ val next_event_cycle : t -> int
 (** A kernel for the VCPU [ctx] on [env]; {!boot} installs it. *)
 val create : ?config:config -> Env.t -> Context.t -> t
 
+(** Map fresh frames for [image] into the address space [cr3] and copy
+    it in, one frame copy per page slice. Kernel-mode ([user = false])
+    pages are recorded in [kernel_pages]. *)
+val load_image : t -> cr3:int -> Ptl_isa.Asm.image -> user:bool -> unit
+
 (** Make [image] runnable under [name] (the [spawn] syscall's argument). *)
 val register_program : t -> name:string -> Ptl_isa.Asm.image -> unit
 

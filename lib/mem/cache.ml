@@ -65,12 +65,27 @@ type t = {
   writebacks : Ptl_stats.Statstree.counter;
 }
 
+(** Why [config] describes no buildable cache, if it does not: the line
+    size and the set count must be powers of two and the lines must split
+    evenly into the ways. *)
+let check_geometry config =
+  if not (Bitops.is_pow2 config.line_size) then
+    Error (Printf.sprintf "line size %d is not a power of two" config.line_size)
+  else
+    let nlines = config.size_bytes / config.line_size in
+    if nlines = 0 || config.ways < 1 || nlines mod config.ways <> 0 then
+      Error
+        (Printf.sprintf "%d lines of %d bytes cannot split into %d ways" nlines
+           config.line_size config.ways)
+    else if not (Bitops.is_pow2 (nlines / config.ways)) then
+      Error (Printf.sprintf "%d sets is not a power of two" (nlines / config.ways))
+    else Ok ()
+
 let create ?(stats_prefix = "") stats config =
-  if not (Bitops.is_pow2 config.line_size) then invalid_arg "Cache: line size";
-  let nlines = config.size_bytes / config.line_size in
-  if nlines mod config.ways <> 0 then invalid_arg "Cache: geometry";
-  let sets = nlines / config.ways in
-  if not (Bitops.is_pow2 sets) then invalid_arg "Cache: sets must be a power of two";
+  (match check_geometry config with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Cache " ^ config.name ^ ": " ^ reason));
+  let sets = config.size_bytes / config.line_size / config.ways in
   let prefix =
     if stats_prefix = "" then "cache." ^ config.name else stats_prefix ^ "." ^ config.name
   in

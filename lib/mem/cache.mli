@@ -25,6 +25,12 @@ val k8_l2 : config
 
 type t
 
+(** Why [config] describes no buildable cache, if it does not: the line
+    size and the set count must be powers of two and the lines must split
+    evenly into the ways. *)
+val check_geometry : config -> (unit, string) result
+
+(** Raises [Invalid_argument] where {!check_geometry} gives an error. *)
 val create : ?stats_prefix:string -> Ptl_stats.Statstree.t -> config -> t
 
 val line_addr : t -> int -> int

@@ -310,9 +310,11 @@ let delta t =
 let delta_pages d = Array.length d.d_pages
 
 (** Serialized size of a delta, counting page payloads only (the
-    honest apples-to-apples number against [allocated_pages x
-    page_size] for a full image). *)
+    honest apples-to-apples number against {!delta_image_bytes}). *)
 let delta_bytes d = Array.length d.d_pages * page_size
+
+(** Page payload of a full image of the memory at capture time. *)
+let delta_image_bytes d = d.d_allocated * page_size
 
 (** Overlay [d] onto [t] (typically a fresh {!clone_cow} of the base
     image [d] was captured against): dirty page contents replace the

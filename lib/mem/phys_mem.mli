@@ -102,8 +102,12 @@ val delta : t -> delta
 val delta_pages : delta -> int
 
 (** Serialized size of a delta's page payloads ([delta_pages] x
-    [page_size]); compare against [allocated_pages x page_size]. *)
+    [page_size]); compare against {!delta_image_bytes}. *)
 val delta_bytes : delta -> int
+
+(** Page payload of a full image of the memory the delta was taken
+    from ([allocated_pages x page_size] at capture time). *)
+val delta_image_bytes : delta -> int
 
 (** Overlay a delta onto a clone/restore of the base it was captured
     against. Page bytes are copied in, so one delta may be shared. *)

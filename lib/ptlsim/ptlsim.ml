@@ -88,7 +88,6 @@ module Domain = Ptl_hyper.Domain
 module Ptlmon = Ptl_hyper.Ptlmon
 module Ptlcall = Ptl_hyper.Ptlcall
 module Checkpoint = Ptl_hyper.Checkpoint
-module Dma_trace = Ptl_hyper.Dma_trace
 module Cosim = Ptl_hyper.Cosim
 
 (* guard rails: invariant registry + crash-containment supervisor *)

@@ -619,9 +619,10 @@ let replay_delta ?(progress = fun () -> ()) ?wrap ~core_name ~config
 
 (** What one master capture pass produced: the shared base image, one
     delta checkpoint per measured window, the whole-run totals, and the
-    capture-cost accounting (delta vs full page payloads). This is what
-    [optlsim capture] spills into a durable store (lib/store) and what
-    {!Ptl_fleet.Fleet.run_parallel} replays in-process. *)
+    capture-cost accounting (delta vs full page payloads, summed over
+    [cr_deltas]). This is what [optlsim capture] spills into a durable
+    store (lib/store) and what {!Ptl_fleet.Fleet.run_parallel} replays
+    in-process. *)
 type capture_run = {
   cr_base : Checkpoint.base;
   cr_deltas : Checkpoint.delta array;  (** by capture index *)
@@ -631,25 +632,13 @@ type capture_run = {
   cr_full_bytes : int;  (** what full per-window images would have cost *)
 }
 
-(** One captured window, streamed to [?on_window] as it lands — the
-    journaling hook resumable capture is built on. *)
-type window = {
-  w_index : int;
-  w_delta : Checkpoint.delta;
-  w_delta_bytes : int;
-  w_full_bytes : int;
-}
-
 (** Where an interrupted capture left off: the base image, the last
     journaled delta (whose capture moment the resumed pass restarts
-    from), how many windows are already safe on disk, and their byte
-    accounting (so the resumed run's totals cover the whole pass). *)
+    from) and how many windows are already safe on disk. *)
 type resume_point = {
   rs_base : Checkpoint.base;
   rs_last : Checkpoint.delta;
   rs_count : int;
-  rs_delta_bytes : int;
-  rs_full_bytes : int;
 }
 
 (** The master pass of checkpoint-parallel sampling: drive the whole
@@ -662,24 +651,25 @@ type resume_point = {
     in-process or from a durable store via lib/fleet). ROI gating as in
     {!run}.
 
-    [on_base] / [on_window] stream the base image and each delta as
-    they are captured (journaling); [resume] restarts an interrupted
-    pass from its last journaled window instead of from scratch. The
+    [on_base] / [on_window] stream the base image and each delta (with
+    its capture index) as they are captured (journaling); [resume]
+    restarts an interrupted pass from its last journaled window instead
+    of from scratch. The
     domain must be rebuilt exactly as for the original pass (same
     workload, machine, schedule, placement): the resumed pass restores
     the last delta's capture moment — {!Checkpoint.resume_delta}
     re-arms dirty tracking to the original run's — re-draws the placer
     prefix, and re-drives the already-journaled window natively, so
     every subsequent delta is byte-identical to the uninterrupted
-    run's. On resume [cr_deltas] holds only the windows captured by
-    this process (the journal already has the prefix), while the
-    insn/cycle/byte totals cover the whole pass.
+    run's. On resume [cr_deltas] and its byte sums cover only the
+    windows captured by this process (the journal already has the
+    prefix), while the insn/cycle totals cover the whole pass.
 
     Raises [Invalid_argument] for kernel-hosted domains — host-side
     minios state is not checkpointable (the CLI offers [--sample-jobs]
     only with [compute --bare]). *)
 let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
-    ?(max_cycles = max_int) ?(on_base = fun _ -> ()) ?(on_window = fun _ -> ())
+    ?(max_cycles = max_int) ?(on_base = fun _ -> ()) ?(on_window = fun _ _ -> ())
     ?resume ~schedule (d : Domain.t) =
   if d.Domain.kernel <> None then
     invalid_arg
@@ -691,7 +681,6 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   and c_ckpt_pages = Stats.counter stats "sample.checkpoint_pages" in
   let window_insns = schedule.warmup_insns + schedule.measure_insns in
   let deltas = ref [] (* newest first; reversed below *) in
-  let delta_bytes = ref 0 and full_bytes = ref 0 in
   let enter uarch =
     match resume with
     | None ->
@@ -706,8 +695,6 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     match resume with
     | None -> 0
     | Some rs ->
-      delta_bytes := rs.rs_delta_bytes;
-      full_bytes := rs.rs_full_bytes;
       (* re-draw the placer prefix — stateful [Rand_offset] placers must
          see every period in order — keeping the offset of the window we
          restarted from *)
@@ -731,15 +718,10 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
        pass, which starts from a fresh domain *)
     d.Domain.native_frac <- 0;
     let dk = Checkpoint.capture_delta ~base ~uarch:p.uarch env ctx in
-    let db = Checkpoint.delta_page_bytes dk
-    and fb = Checkpoint.full_page_bytes env in
     deltas := dk :: !deltas;
-    delta_bytes := !delta_bytes + db;
-    full_bytes := !full_bytes + fb;
     Stats.incr c_ckpt;
     Stats.add c_ckpt_pages (Checkpoint.delta_pages dk);
-    on_window
-      { w_index = period; w_delta = dk; w_delta_bytes = db; w_full_bytes = fb };
+    on_window period dk;
     (* cold memos at the capture point, matching a resumed pass *)
     p.reset_memos ();
     (* advance natively through the window so the next period starts
@@ -750,13 +732,15 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     drive_periods ~roi ~placement ~max_insns ~max_cycles ~schedule ~enter
       ~resume:resume_at ~window d
   in
+  let deltas = Array.of_list (List.rev !deltas) in
+  let sum f = Array.fold_left (fun a dk -> a + f dk) 0 deltas in
   {
     cr_base = base;
-    cr_deltas = Array.of_list (List.rev !deltas);
+    cr_deltas = deltas;
     cr_insns = insns;
     cr_cycles = cycles;
-    cr_delta_bytes = !delta_bytes;
-    cr_full_bytes = !full_bytes;
+    cr_delta_bytes = sum Checkpoint.delta_page_bytes;
+    cr_full_bytes = sum Checkpoint.full_page_bytes;
   }
 
 (* ---------------------------------------------------------------- *)

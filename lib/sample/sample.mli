@@ -138,7 +138,8 @@ val replay_delta :
 
 (** One master capture pass: shared base image, one delta checkpoint
     per measured window (by capture index), whole-run totals, and the
-    capture-cost accounting (delta vs full-image page payloads). What
+    capture-cost accounting (delta vs full-image page payloads, summed
+    over [cr_deltas]). What
     [optlsim capture] spills into a store and {!Ptl_fleet.Fleet.run_parallel}
     replays in-process. *)
 type capture_run = {
@@ -150,24 +151,13 @@ type capture_run = {
   cr_full_bytes : int;
 }
 
-(** One captured window, streamed to [run_capture]'s [?on_window] as it
-    lands — the journaling hook resumable capture is built on. *)
-type window = {
-  w_index : int;
-  w_delta : Ptl_hyper.Checkpoint.delta;
-  w_delta_bytes : int;
-  w_full_bytes : int;
-}
-
 (** Where an interrupted capture left off: base image, last journaled
-    delta (the resumed pass restarts from its capture moment), windows
-    already safe on disk ([rs_count >= 1]) and their byte accounting. *)
+    delta (the resumed pass restarts from its capture moment) and the
+    windows already safe on disk ([rs_count >= 1]). *)
 type resume_point = {
   rs_base : Ptl_hyper.Checkpoint.base;
   rs_last : Ptl_hyper.Checkpoint.delta;
   rs_count : int;
-  rs_delta_bytes : int;
-  rs_full_bytes : int;
 }
 
 (** The master pass of checkpoint-parallel sampling: native execution
@@ -176,20 +166,21 @@ type resume_point = {
     window (the windows advance natively; workers replay them timed).
     Raises [Invalid_argument] on kernel-hosted domains.
 
-    [on_base]/[on_window] stream the base and each delta as captured
-    (journaling). [resume] restarts an interrupted pass from its last
-    journaled window; the domain must be rebuilt exactly as for the
-    original pass (same workload, machine, schedule, placement). Every
-    resumed delta is then byte-identical to the uninterrupted run's;
-    [cr_deltas] holds only this process's windows while the
-    insn/cycle/byte totals cover the whole pass. *)
+    [on_base]/[on_window] stream the base and each delta (with its
+    capture index) as captured (journaling). [resume] restarts an
+    interrupted pass from its last journaled window; the domain must be
+    rebuilt exactly as for the original pass (same workload, machine,
+    schedule, placement). Every resumed delta is then byte-identical to
+    the uninterrupted run's; [cr_deltas] and its byte sums cover only
+    this process's windows while the insn/cycle totals cover the whole
+    pass. *)
 val run_capture :
   ?roi:bool ->
   ?placement:placement ->
   ?max_insns:int ->
   ?max_cycles:int ->
   ?on_base:(Ptl_hyper.Checkpoint.base -> unit) ->
-  ?on_window:(window -> unit) ->
+  ?on_window:(int -> Ptl_hyper.Checkpoint.delta -> unit) ->
   ?resume:resume_point ->
   schedule:schedule ->
   Ptl_hyper.Domain.t ->

@@ -10,6 +10,7 @@
     {v
     MANIFEST            workload/core/config/schedule identity + totals
     base                shared base image (guest memory + warmed uarch)
+                        and the identity of the capture that wrote it
     interval-NNNNNN     one delta checkpoint per measured window
     result-DIGEST-NNNNNN  cached replay results, keyed by config digest
     v}
@@ -81,8 +82,9 @@ let magic = "OPTLSTOR"
 
 (* Version 2: [Phys_mem.t] (marshalled inside the base checkpoint) gained
    the page-table watch fields and moved to an int-keyed frame table; a
-   version-1 base would unmarshal into the wrong shape. *)
-let version = 2
+   version-1 base would unmarshal into the wrong shape. Version 3: the
+   base record carries the capture's identity around the checkpoint. *)
+let version = 3
 
 (* magic(8) + version(2 LE) + kind(1) + payload length(8 LE) + crc(4 LE) *)
 let header_size = 8 + 2 + 1 + 8 + 4
@@ -91,7 +93,6 @@ let kind_manifest = 'M'
 let kind_base = 'B'
 let kind_interval = 'I'
 let kind_result = 'R'
-let kind_progress = 'P'
 
 (* Temp names are unique per (process, atomic counter): two workers
    racing to cache the same (config-digest, index) entry must never
@@ -265,7 +266,7 @@ type stored_result = {
 }
 
 (* ---------------------------------------------------------------- *)
-(* Writing a store                                                   *)
+(* Writing a store: the capture journal                              *)
 (* ---------------------------------------------------------------- *)
 
 let mkdir_p dir =
@@ -279,73 +280,29 @@ let mkdir_p dir =
   if Sys.file_exists dir && Sys.is_directory dir then Ok ()
   else Error (E_io { path = dir; reason = "cannot create store directory" })
 
-(** Spill a finished capture pass into [dir]. The manifest is written
-    last, so a crashed capture leaves a store that {!open_store}
-    rejects instead of a silently short one. *)
-let create ~dir ~workload ~core ~(schedule : Sample.schedule) ~placement
-    (cr : Sample.capture_run) ~(config : Config.t) =
-  let* () = mkdir_p dir in
-  let* () = write_value ~path:(base_path dir) ~kind:kind_base cr.Sample.cr_base in
-  let count = Array.length cr.Sample.cr_deltas in
-  let rec write_intervals i =
-    if i >= count then Ok ()
-    else
-      let path = Filename.concat dir (interval_name i) in
-      let* () = write_value ~path ~kind:kind_interval cr.Sample.cr_deltas.(i) in
-      write_intervals (i + 1)
-  in
-  let* () = write_intervals 0 in
-  let m =
-    {
-      m_workload = workload;
-      m_core = core;
-      m_config = config;
-      m_config_digest = config_digest config;
-      m_ff = schedule.Sample.ff_insns;
-      m_warmup = schedule.Sample.warmup_insns;
-      m_measure = schedule.Sample.measure_insns;
-      m_placement = placement;
-      m_count = count;
-      m_total_insns = cr.Sample.cr_insns;
-      m_total_cycles = cr.Sample.cr_cycles;
-      m_delta_bytes = cr.Sample.cr_delta_bytes;
-      m_full_bytes = cr.Sample.cr_full_bytes;
-    }
-  in
-  let* () = write_value ~path:(manifest_path dir) ~kind:kind_manifest m in
-  Ok { dir; manifest = m }
+(* While a capture is in flight the directory holds the base record
+   (which carries the capture's identity) and the interval records
+   journaled so far. The MANIFEST only appears at [finish_capture] — a
+   crashed capture is never mistaken for a complete store — and
+   [scan_partial] turns the journal back into a resume point: the
+   longest valid prefix of interval records wins, so a record torn
+   mid-write simply gets recaptured. A fresh capture first clears the
+   store's own files, so every record on disk belongs to the capture
+   that wrote the base. *)
 
-(* ---------------------------------------------------------------- *)
-(* The capture journal: resumable captures                           *)
-(* ---------------------------------------------------------------- *)
-
-(* While a capture is in flight the directory holds the base, the
-   interval records journaled so far, and a PROGRESS record (kind 'P',
-   rewritten atomically after every window) carrying the capture's
-   identity plus per-window byte accounting. The MANIFEST only appears
-   at [finish_capture] — a crashed capture is never mistaken for a
-   complete store — and [scan_partial] turns the journal back into a
-   resume point: the longest valid prefix of interval records wins, so
-   a record torn mid-write simply gets recaptured. *)
-
-let progress_path dir = Filename.concat dir "PROGRESS"
-
-(** The on-disk progress payload. [pg_windows] carries one
-    (delta_bytes, full_bytes) pair per journaled window, oldest first
-    — the accounting the final manifest sums, reconstructible for any
-    resume prefix. *)
-type progress = {
-  pg_workload : string;
-  pg_core : string;
-  pg_config_digest : string;
-  pg_ff : int;
-  pg_warmup : int;
-  pg_measure : int;
-  pg_placement : string;
-  pg_windows : (int * int) list;
+(** The base record's payload: the shared image plus what was captured
+    and how, so a journal identifies itself without a manifest. *)
+type stored_base = {
+  sb_workload : string;
+  sb_core : string;
+  sb_config_digest : string;
+  sb_schedule : Sample.schedule;
+  sb_placement : string;
+  sb_base : Checkpoint.base;
 }
 
-(** An in-flight capture being journaled. *)
+(** An in-flight capture being journaled, with running sums of the
+    capture-cost accounting over the intervals journaled so far. *)
 type journal = {
   j_dir : string;
   j_workload : string;
@@ -353,30 +310,16 @@ type journal = {
   j_config : Config.t;
   j_schedule : Sample.schedule;
   j_placement : string;
-  mutable j_windows : (int * int) list;  (* newest first *)
+  mutable j_count : int;
+  mutable j_delta_bytes : int;
+  mutable j_full_bytes : int;
 }
-
-let write_progress j =
-  write_value ~path:(progress_path j.j_dir) ~kind:kind_progress
-    {
-      pg_workload = j.j_workload;
-      pg_core = j.j_core;
-      pg_config_digest = config_digest j.j_config;
-      pg_ff = j.j_schedule.Sample.ff_insns;
-      pg_warmup = j.j_schedule.Sample.warmup_insns;
-      pg_measure = j.j_schedule.Sample.measure_insns;
-      pg_placement = j.j_placement;
-      pg_windows = List.rev j.j_windows;
-    }
 
 (** A resume point recovered from an interrupted capture's journal. *)
 type partial = {
-  pt_count : int;  (** valid journaled interval records (a prefix) *)
-  pt_delta_bytes : int;  (** accounting over that prefix *)
+  pt_resume : Sample.resume_point;
+  pt_delta_bytes : int;  (** accounting over the journaled prefix *)
   pt_full_bytes : int;
-  pt_windows : (int * int) list;  (** per-window accounting, oldest first *)
-  pt_base : Checkpoint.base;
-  pt_last : Checkpoint.delta;  (** interval [pt_count - 1]: the resume state *)
   pt_workload : string;
   pt_core : string;
   pt_config_digest : string;
@@ -384,64 +327,91 @@ type partial = {
   pt_placement : string;
 }
 
-(** Open a capture journal on [dir]. A fresh journal deletes any stale
-    MANIFEST first (an interrupted re-capture must not masquerade as
-    the previous complete store); [resume] primes the journal with a
-    {!scan_partial} resume point instead, so the next
-    {!journal_interval} continues at [pt_count]. *)
+(* Delete the store files in [dir]: MANIFEST and base first, so a clear
+   cut short leaves neither a complete store nor a resumable journal. *)
+let clear dir =
+  let remove f =
+    let path = Filename.concat dir f in
+    match Sys.remove path with
+    | () -> Ok ()
+    | exception Sys_error reason ->
+      if Sys.file_exists path then Error (E_io { path; reason }) else Ok ()
+  in
+  match Sys.readdir dir with
+  | exception Sys_error reason -> Error (E_io { path = dir; reason })
+  | files ->
+    let records =
+      List.filter
+        (fun f ->
+          String.starts_with ~prefix:"interval-" f
+          || String.starts_with ~prefix:"result-" f)
+        (Array.to_list files)
+    in
+    List.fold_left
+      (fun acc f ->
+        let* () = acc in
+        remove f)
+      (Ok ())
+      ("MANIFEST" :: "base" :: records)
+
+(** Open a capture journal on [dir]. A fresh journal first deletes the
+    store files already there (MANIFEST and base first, then interval
+    records and cached results), so neither a previous store nor its
+    result cache outlives the re-capture; [resume] primes the journal
+    with a {!scan_partial} resume point instead, so the next
+    {!journal_interval} continues at its count. *)
 let begin_capture ~dir ~workload ~core ~(schedule : Sample.schedule)
     ~placement ~(config : Config.t) ?resume () =
   let* () = mkdir_p dir in
-  match resume with
-  | Some pt ->
-    Ok
-      {
-        j_dir = dir;
-        j_workload = workload;
-        j_core = core;
-        j_config = config;
-        j_schedule = schedule;
-        j_placement = placement;
-        j_windows = List.rev pt.pt_windows;
-      }
-  | None ->
-    if Sys.file_exists (manifest_path dir) then
-      (try Sys.remove (manifest_path dir) with Sys_error _ -> ());
-    Ok
-      {
-        j_dir = dir;
-        j_workload = workload;
-        j_core = core;
-        j_config = config;
-        j_schedule = schedule;
-        j_placement = placement;
-        j_windows = [];
-      }
+  let* count, delta_bytes, full_bytes =
+    match resume with
+    | None ->
+      let* () = clear dir in
+      Ok (0, 0, 0)
+    | Some pt ->
+      Ok (pt.pt_resume.Sample.rs_count, pt.pt_delta_bytes, pt.pt_full_bytes)
+  in
+  Ok
+    {
+      j_dir = dir;
+      j_workload = workload;
+      j_core = core;
+      j_config = config;
+      j_schedule = schedule;
+      j_placement = placement;
+      j_count = count;
+      j_delta_bytes = delta_bytes;
+      j_full_bytes = full_bytes;
+    }
 
 (** Journal the shared base image (once, before any interval). *)
 let journal_base j (base : Checkpoint.base) =
-  let* () = write_value ~path:(base_path j.j_dir) ~kind:kind_base base in
-  write_progress j
+  write_value ~path:(base_path j.j_dir) ~kind:kind_base
+    {
+      sb_workload = j.j_workload;
+      sb_core = j.j_core;
+      sb_config_digest = config_digest j.j_config;
+      sb_schedule = j.j_schedule;
+      sb_placement = j.j_placement;
+      sb_base = base;
+    }
 
-(** Journal one captured window as it lands: the interval record first,
-    then the PROGRESS update — so a crash between the two merely
-    recaptures (and identically rewrites) the last window on resume.
-    [index] must be the next unjournaled window. *)
-let journal_interval j ~index ~delta_bytes ~full_bytes
-    (d : Checkpoint.delta) =
-  let expected = List.length j.j_windows in
-  if index <> expected then Error (E_bad_index { index; count = expected })
+(** Journal one captured window as it lands. [index] must be the next
+    unjournaled window. *)
+let journal_interval j ~index (d : Checkpoint.delta) =
+  if index <> j.j_count then Error (E_bad_index { index; count = j.j_count })
   else begin
     let path = Filename.concat j.j_dir (interval_name index) in
     let* () = write_value ~path ~kind:kind_interval d in
-    j.j_windows <- (delta_bytes, full_bytes) :: j.j_windows;
-    write_progress j
+    j.j_count <- index + 1;
+    j.j_delta_bytes <- j.j_delta_bytes + Checkpoint.delta_page_bytes d;
+    j.j_full_bytes <- j.j_full_bytes + Checkpoint.full_page_bytes d;
+    Ok ()
   end
 
-(** Seal a journaled capture: write the MANIFEST (readers now see a
-    complete store) and retire the PROGRESS record. *)
+(** Seal a journaled capture: write the MANIFEST, after which readers
+    see a complete store. *)
 let finish_capture j ~total_insns ~total_cycles =
-  let windows = List.rev j.j_windows in
   let m =
     {
       m_workload = j.j_workload;
@@ -452,72 +422,68 @@ let finish_capture j ~total_insns ~total_cycles =
       m_warmup = j.j_schedule.Sample.warmup_insns;
       m_measure = j.j_schedule.Sample.measure_insns;
       m_placement = j.j_placement;
-      m_count = List.length windows;
+      m_count = j.j_count;
       m_total_insns = total_insns;
       m_total_cycles = total_cycles;
-      m_delta_bytes = List.fold_left (fun a (d, _) -> a + d) 0 windows;
-      m_full_bytes = List.fold_left (fun a (_, f) -> a + f) 0 windows;
+      m_delta_bytes = j.j_delta_bytes;
+      m_full_bytes = j.j_full_bytes;
     }
   in
   let* () = write_value ~path:(manifest_path j.j_dir) ~kind:kind_manifest m in
-  (try Sys.remove (progress_path j.j_dir) with Sys_error _ -> ());
   Ok { dir = j.j_dir; manifest = m }
 
+(** Spill a finished capture pass into [dir] through the journal. The
+    manifest is written last, so a crashed capture leaves a store that
+    {!open_store} rejects instead of a silently short one. *)
+let create ~dir ~workload ~core ~schedule ~placement (cr : Sample.capture_run)
+    ~config =
+  let* j = begin_capture ~dir ~workload ~core ~schedule ~placement ~config () in
+  let* () = journal_base j cr.Sample.cr_base in
+  let rec intervals i =
+    if i >= Array.length cr.Sample.cr_deltas then Ok ()
+    else
+      let* () = journal_interval j ~index:i cr.Sample.cr_deltas.(i) in
+      intervals (i + 1)
+  in
+  let* () = intervals 0 in
+  finish_capture j ~total_insns:cr.Sample.cr_insns
+    ~total_cycles:cr.Sample.cr_cycles
+
 (** Recover a resume point from an interrupted capture. [Ok None] =
-    nothing usable (no journal, torn progress/base, or no valid
+    nothing usable (a sealed store, no or a torn base, or no valid
     interval record yet) — start fresh. The resumable prefix is the
-    longest run of valid interval records from 0, capped by what the
-    progress record accounts for; anything past it (a record published
-    ahead of its progress update, or torn mid-write) is recaptured
-    deterministically. *)
+    longest run of valid interval records from 0; anything past it
+    (torn mid-write) is recaptured deterministically. *)
 let scan_partial ~dir : (partial option, error) result =
-  if not (Sys.file_exists (progress_path dir)) then Ok None
+  if Sys.file_exists (manifest_path dir) then Ok None
   else
-    match read_value ~path:(progress_path dir) ~kind:kind_progress with
+    match read_value ~path:(base_path dir) ~kind:kind_base with
     | Error _ -> Ok None
-    | Ok (pg : progress) -> (
-      match read_value ~path:(base_path dir) ~kind:kind_base with
-      | Error _ -> Ok None
-      | Ok (base : Checkpoint.base) -> (
-        let limit = List.length pg.pg_windows in
-        let rec prefix i last =
-          if i >= limit then (i, last)
-          else
-            match
-              read_value
-                ~path:(Filename.concat dir (interval_name i))
-                ~kind:kind_interval
-            with
-            | Ok (d : Checkpoint.delta) -> prefix (i + 1) (Some d)
-            | Error _ -> (i, last)
-        in
-        let count, last = prefix 0 None in
-        match last with
-        | None -> Ok None
-        | Some pt_last ->
-          let windows = List.filteri (fun i _ -> i < count) pg.pg_windows in
-          Ok
-            (Some
-               {
-                 pt_count = count;
-                 pt_delta_bytes =
-                   List.fold_left (fun a (d, _) -> a + d) 0 windows;
-                 pt_full_bytes =
-                   List.fold_left (fun a (_, f) -> a + f) 0 windows;
-                 pt_windows = windows;
-                 pt_base = base;
-                 pt_last;
-                 pt_workload = pg.pg_workload;
-                 pt_core = pg.pg_core;
-                 pt_config_digest = pg.pg_config_digest;
-                 pt_schedule =
-                   {
-                     Sample.ff_insns = pg.pg_ff;
-                     warmup_insns = pg.pg_warmup;
-                     measure_insns = pg.pg_measure;
-                   };
-                 pt_placement = pg.pg_placement;
-               })))
+    | Ok (sb : stored_base) -> (
+      let rec prefix i last delta_bytes full_bytes =
+        match
+          read_value ~path:(Filename.concat dir (interval_name i)) ~kind:kind_interval
+        with
+        | Ok (d : Checkpoint.delta) ->
+          prefix (i + 1) (Some d)
+            (delta_bytes + Checkpoint.delta_page_bytes d)
+            (full_bytes + Checkpoint.full_page_bytes d)
+        | Error _ ->
+          Option.map
+            (fun rs_last ->
+              {
+                pt_resume = { Sample.rs_base = sb.sb_base; rs_last; rs_count = i };
+                pt_delta_bytes = delta_bytes;
+                pt_full_bytes = full_bytes;
+                pt_workload = sb.sb_workload;
+                pt_core = sb.sb_core;
+                pt_config_digest = sb.sb_config_digest;
+                pt_schedule = sb.sb_schedule;
+                pt_placement = sb.sb_placement;
+              })
+            last
+      in
+      Ok (prefix 0 None 0 0))
 
 (* ---------------------------------------------------------------- *)
 (* Reading a store                                                   *)
@@ -530,7 +496,8 @@ let open_store ~dir =
   Ok { dir; manifest = m }
 
 let load_base t : (Checkpoint.base, error) result =
-  read_value ~path:(base_path t.dir) ~kind:kind_base
+  let* (sb : stored_base) = read_value ~path:(base_path t.dir) ~kind:kind_base in
+  Ok sb.sb_base
 
 let load_interval t index : (Checkpoint.delta, error) result =
   if index < 0 || index >= t.manifest.m_count then
@@ -578,7 +545,7 @@ let cached_digests t =
   | files ->
     Array.iter
       (fun f ->
-        if String.length f > 7 && String.sub f 0 7 = "result-" then begin
+        if String.starts_with ~prefix:"result-" f then begin
           let path = Filename.concat t.dir f in
           match read_value ~path ~kind:kind_result with
           | Ok (sr : stored_result) ->

@@ -1,9 +1,10 @@
 (** The durable interval store: a versioned, checksummed directory
-    holding one sampled-simulation capture ([MANIFEST], a [base] image,
-    one [interval-NNNNNN] delta checkpoint per measured window, and
-    [result-DIGEST-NNNNNN] cached replay results keyed by config
-    digest), so intervals outlive the capture process, captures resume
-    from a journal, and worker processes replay them later. Every file
+    holding one sampled-simulation capture ([MANIFEST], a [base] image
+    carrying the capture's identity, one [interval-NNNNNN] delta
+    checkpoint per measured window, and [result-DIGEST-NNNNNN] cached
+    replay results keyed by config digest), so intervals outlive the
+    capture process, captures resume from a journal, and worker
+    processes replay them later. Every file
     carries magic, format version, record kind, length and CRC-32, so
     truncation, bit rot and version skew are typed {!error}s. *)
 
@@ -72,9 +73,11 @@ val base_path : string -> string
     [config_digest]. *)
 val result_path : t -> config_digest:string -> int -> string
 
-(** Spill a finished capture pass into [dir]. The manifest is written
-    last, so a crashed capture leaves a store that {!open_store}
-    rejects instead of a silently short one. *)
+(** Spill a finished capture pass into [dir] through the capture
+    journal ({!begin_capture}, {!journal_base}, {!journal_interval} per
+    delta, {!finish_capture}). The manifest is written last, so a
+    crashed capture leaves a store that {!open_store} rejects instead
+    of a silently short one. *)
 val create :
   dir:string ->
   workload:string ->
@@ -88,12 +91,9 @@ type journal
 
 (** A resume point recovered from an interrupted capture's journal. *)
 type partial = {
-  pt_count : int;  (** valid journaled interval records (a prefix) *)
-  pt_delta_bytes : int;  (** accounting over that prefix *)
+  pt_resume : Sample.resume_point;  (** base, last valid interval, count *)
+  pt_delta_bytes : int;  (** accounting over the journaled prefix *)
   pt_full_bytes : int;
-  pt_windows : (int * int) list;  (** per-window accounting, oldest first *)
-  pt_base : Checkpoint.base;
-  pt_last : Checkpoint.delta;  (** interval [pt_count - 1]: the resume state *)
   pt_workload : string;
   pt_core : string;
   pt_config_digest : string;
@@ -101,11 +101,13 @@ type partial = {
   pt_placement : string;
 }
 
-(** Open a capture journal on [dir]. A fresh journal deletes any stale
-    MANIFEST first (an interrupted re-capture must not masquerade as
-    the previous complete store); [resume] primes the journal with a
+(** Open a capture journal on [dir]. A fresh journal first deletes the
+    store files already there — MANIFEST and base first, then interval
+    records and cached results — so neither a previous store nor its
+    result cache outlives the re-capture, and a clear cut short is never
+    taken for a resumable journal. [resume] primes the journal with a
     {!scan_partial} resume point instead, so the next
-    {!journal_interval} continues at [pt_count]. *)
+    {!journal_interval} continues where the journal left off. *)
 val begin_capture :
   dir:string ->
   workload:string ->
@@ -114,31 +116,26 @@ val begin_capture :
   placement:string ->
   config:Config.t -> ?resume:partial -> unit -> (journal, error) result
 
-(** Journal the shared base image (once, before any interval). *)
+(** Journal the shared base image, together with the capture's identity
+    (workload, core, config digest, schedule, placement), once before
+    any interval. *)
 val journal_base : journal -> Checkpoint.base -> (unit, error) result
 
-(** Journal one captured window as it lands: the interval record first,
-    then the PROGRESS update — so a crash between the two merely
-    recaptures (and identically rewrites) the last window on resume.
-    [index] must be the next unjournaled window. *)
+(** Journal one captured window as it lands; its capture-cost accounting
+    is read off the delta. [index] must be the next unjournaled window. *)
 val journal_interval :
-  journal ->
-  index:int ->
-  delta_bytes:int ->
-  full_bytes:int -> Checkpoint.delta -> (unit, error) result
+  journal -> index:int -> Checkpoint.delta -> (unit, error) result
 
 (** Seal a journaled capture: write the MANIFEST (readers now see a
-    complete store) and retire the PROGRESS record. *)
+    complete store). *)
 val finish_capture :
   journal -> total_insns:int -> total_cycles:int -> (t, error) result
 
 (** Recover a resume point from an interrupted capture. [Ok None] =
-    nothing usable (no journal, torn progress/base, or no valid
+    nothing usable (a sealed store, no or a torn base, or no valid
     interval record yet) — start fresh. The resumable prefix is the
-    longest run of valid interval records from 0, capped by what the
-    progress record accounts for; anything past it (a record published
-    ahead of its progress update, or torn mid-write) is recaptured
-    deterministically. *)
+    longest run of valid interval records from 0; anything past it
+    (torn mid-write) is recaptured deterministically. *)
 val scan_partial : dir:string -> (partial option, error) result
 
 (** Open a sealed store, validating its manifest. *)

@@ -374,31 +374,12 @@ type leg = {
 let leg_name settings =
   String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) settings)
 
-(* mirror of the checks Cache.create enforces, so a bad leg is a typed
-   error at spec time instead of an Invalid_argument mid-replay *)
+(* a bad leg is a typed error at spec time instead of an
+   Invalid_argument from Cache.create mid-replay *)
 let check_cache_geometry ~leg (c : Cache.config) =
-  let nlines = c.Cache.size_bytes / c.Cache.line_size in
-  if nlines = 0 || nlines mod c.Cache.ways <> 0 then
-    Error
-      (E_bad_geometry
-         {
-           leg;
-           cache = c.Cache.name;
-           reason =
-             Printf.sprintf "%d lines of %d bytes cannot split into %d ways"
-               nlines c.Cache.line_size c.Cache.ways;
-         })
-  else if not (Bitops.is_pow2 (nlines / c.Cache.ways)) then
-    Error
-      (E_bad_geometry
-         {
-           leg;
-           cache = c.Cache.name;
-           reason =
-             Printf.sprintf "%d sets is not a power of two"
-               (nlines / c.Cache.ways);
-         })
-  else Ok ()
+  Result.map_error
+    (fun reason -> E_bad_geometry { leg; cache = c.Cache.name; reason })
+    (Cache.check_geometry c)
 
 (** Expand a parsed spec into concrete legs over [base]. Each leg's
     config carries the leg name (so its {!Store.config_digest} — the

@@ -200,7 +200,10 @@ let test_delta_round_trip () =
   Alcotest.(check bool) "delta has a footprint" true
     (Checkpoint.delta_pages dk > 0);
   Alcotest.(check bool) "delta smaller than the full image" true
-    (Checkpoint.delta_page_bytes dk < Checkpoint.full_page_bytes env);
+    (Checkpoint.delta_page_bytes dk < Checkpoint.full_page_bytes dk);
+  Alcotest.(check int) "full image = memory allocated at the capture point"
+    (Ptl_mem.Phys_mem.allocated_pages env.Env.mem * Ptl_mem.Phys_mem.page_size)
+    (Checkpoint.full_page_bytes dk);
   let r = referee ~base dk in
   drive d ~insns:4_000;
   Alcotest.(check bool) "drifted past the capture point" true

@@ -380,6 +380,20 @@ let test_degrade_rollback () =
   Alcotest.(check int64) "sum" (sum_expected n) (Machine.gpr m (reg "rax"));
   Alcotest.(check int64) "counter drained" 0L (Machine.gpr m (reg "rcx"))
 
+(* without degrade nothing reads a checkpoint back, so none is taken
+   however short the checkpoint period *)
+let test_no_checkpoints_without_degrade () =
+  let n = 3_000 in
+  let m, inst = make (sum_loop n) in
+  let gcfg =
+    { Guard.default_config with Guard.interval = 8; checkpoint_every = 200 }
+  in
+  run_to_idle (wrap ~gcfg m inst);
+  let st = m.Machine.env.Env.stats in
+  Alcotest.(check int64) "sum" (sum_expected n) (Machine.gpr m (reg "rax"));
+  Alcotest.(check bool) "sweeps ran" true (Stats.get st "guard.check_passes" > 0);
+  Alcotest.(check int) "no checkpoints" 0 (Stats.get st "guard.checkpoints")
+
 (* --- guard inside the fuzz harness: clean sweep stays clean --- *)
 
 let test_fuzz_with_guard_clean () =
@@ -409,6 +423,8 @@ let suite =
     Alcotest.test_case "ooo lockup watchdog" `Quick test_ooo_watchdog;
     Alcotest.test_case "inorder lockup watchdog" `Quick test_inorder_watchdog;
     Alcotest.test_case "degrade: rollback + seq completion" `Quick test_degrade_rollback;
+    Alcotest.test_case "no checkpoints without degrade" `Quick
+      test_no_checkpoints_without_degrade;
     Alcotest.test_case "fuzz harness under guard stays clean" `Quick
       test_fuzz_with_guard_clean;
   ]

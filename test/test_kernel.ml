@@ -533,6 +533,73 @@ let test_demand_paging_segv () =
     Alcotest.(check int) "killed with -1, not exit 0" (-1) code
   | None -> Alcotest.fail "init did not exit"
 
+(* --- page-wise image load = byte-wise load: [Kernel.load_image] leaves
+   the frames, the dirty set, the allocation count, the page-table epoch
+   and the kernel-page list that mapping every page and then writing the
+   image one probed byte at a time leaves. --- *)
+
+module Pm = Ptl_mem.Phys_mem
+module Pt = Ptl_mem.Pagetable
+
+let load_image_bytewise (k : Kernel.t) ~cr3 (img : Ptl_isa.Asm.image) ~user =
+  let mem = k.Kernel.env.Env.mem in
+  let base = img.Ptl_isa.Asm.img_base and code = img.Ptl_isa.Asm.code in
+  let first = Int64.to_int base land Pm.page_mask in
+  let npages = (first + String.length code + Pm.page_size - 1) / Pm.page_size in
+  for i = 0 to npages - 1 do
+    let va = Int64.add base (Int64.of_int ((i * Pm.page_size) - first)) in
+    let mfn = Pm.alloc_page mem in
+    Pt.map mem ~cr3_mfn:cr3 ~vaddr:va ~mfn ~writable:true ~user
+      ~alloc:(fun () -> Pm.alloc_page mem)
+      ();
+    if not user then k.Kernel.kernel_pages <- (va, mfn) :: k.Kernel.kernel_pages
+  done;
+  String.iteri
+    (fun i c ->
+      let va = Int64.add base (Int64.of_int i) in
+      match Pt.probe mem ~cr3_mfn:cr3 ~vaddr:va with
+      | Some mfn ->
+        Pm.write8 mem (Pm.paddr_of_mfn mfn + (Int64.to_int va land Pm.page_mask)) (Char.code c)
+      | None -> assert false)
+    code
+
+let test_load_image_pagewise () =
+  let rng = Ptl_util.Rng.create 9 in
+  let image img_base n =
+    { Ptl_isa.Asm.img_base;
+      code = String.init n (fun _ -> Char.chr (Ptl_util.Rng.int rng 256));
+      symbols = Hashtbl.create 1 }
+  in
+  let kernel_image = (Ptl_kernel.Kbuild.build ()).Ptl_kernel.Kbuild.image in
+  List.iter
+    (fun (name, img, user) ->
+      let mk () =
+        let env = Env.create () in
+        let k = Kernel.create env (Context.create ~vcpu_id:0) in
+        (* a page-table write during the load advances the epoch *)
+        Pm.watch env.Env.mem k.Kernel.kernel_cr3;
+        Pm.clear_dirty env.Env.mem;
+        k
+      in
+      let a = mk () and b = mk () in
+      load_image_bytewise a ~cr3:a.Kernel.kernel_cr3 img ~user;
+      Kernel.load_image b ~cr3:b.Kernel.kernel_cr3 img ~user;
+      let ma = a.Kernel.env.Env.mem and mb = b.Kernel.env.Env.mem in
+      Alcotest.(check (list int)) (name ^ ": frame bytes") [] (Pm.diff ma mb);
+      Alcotest.(check bool) (name ^ ": dirty set") true (Pm.delta ma = Pm.delta mb);
+      Alcotest.(check int) (name ^ ": allocated pages") (Pm.allocated_pages ma)
+        (Pm.allocated_pages mb);
+      Alcotest.(check int) (name ^ ": page-table epoch") (Pm.pt_epoch ma) (Pm.pt_epoch mb);
+      Alcotest.(check bool) (name ^ ": kernel pages") true
+        (a.Kernel.kernel_pages = b.Kernel.kernel_pages))
+    [
+      ("kernel image", kernel_image, false);
+      ("empty image", image 0x40_0000L 0, true);
+      ("unaligned user image", image 0x40_0123L 300, true);
+      ("page-straddling kernel image", image 0x7F_0F80L (Pm.page_size + 500), false);
+      ("multi-page user image", image 0x50_0010L 9000, true);
+    ]
+
 let suite =
   [
     Alcotest.test_case "file write/read" `Quick test_file_write_read;
@@ -547,4 +614,6 @@ let suite =
       test_demand_paging_reclaim;
     Alcotest.test_case "demand paging segv kills the process" `Quick
       test_demand_paging_segv;
+    Alcotest.test_case "page-wise load_image = byte-wise load" `Quick
+      test_load_image_pagewise;
   ]

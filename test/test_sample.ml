@@ -288,7 +288,7 @@ let test_placement_offsets () =
     let d, _ = Test_checkpoint.bare_loop ~iters:30_000 () in
     let ctx = d.Domain.ctx in
     let at = ref [] in
-    let on_window _ = at := ctx.Context.insns_committed :: !at in
+    let on_window _ _ = at := ctx.Context.insns_committed :: !at in
     ignore (Sample.run_capture ~placement ~on_window ~schedule d);
     let at = Array.of_list (List.rev !at) in
     Alcotest.(check bool) "enough windows" true (Array.length at >= n);

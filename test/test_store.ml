@@ -8,6 +8,7 @@
 module Sample = Ptl_sample.Sample
 module Store = Ptl_store.Store
 module Config = Ptl_ooo.Config
+module Fleet = Ptl_fleet.Fleet
 
 let schedule =
   { Sample.ff_insns = 6_000; warmup_insns = 800; measure_insns = 1_200 }
@@ -150,15 +151,17 @@ let test_bad_magic_and_version () =
   Bytes.set_uint16_le b 8 99;
   write_file path (Bytes.to_string b);
   check_error "future version" "bad_version" (Store.load_interval st 0);
-  (* a version-1 record marshals the old memory layout: refused, never
-     misread *)
-  Bytes.set_uint16_le b 8 1;
+  (* a version-2 base record marshals a bare checkpoint, not the
+     identity-carrying payload: refused, never misread *)
+  let path = Store.base_path (Store.dir st) in
+  let b = Bytes.of_string (read_file path) in
+  Bytes.set_uint16_le b 8 2;
   write_file path (Bytes.to_string b);
-  match Store.load_interval st 0 with
+  match Store.load_base st with
   | Error (Store.E_bad_version { found; expected; _ }) ->
-    Alcotest.(check (pair int int)) "version 1 refused" (1, 2) (found, expected)
-  | Ok _ -> Alcotest.fail "version 1: accepted"
-  | Error e -> Alcotest.fail ("version 1: " ^ Store.error_to_string e)
+    Alcotest.(check (pair int int)) "version 2 refused" (2, 3) (found, expected)
+  | Ok _ -> Alcotest.fail "version 2: accepted"
+  | Error e -> Alcotest.fail ("version 2: " ^ Store.error_to_string e)
 
 let test_bad_kind () =
   let st = make_store () in
@@ -328,33 +331,18 @@ let journal_capture ~dir ?(schedule = schedule) ?(placement = Sample.Fixed)
     | Ok () -> ()
     | Error e -> Alcotest.fail (Store.error_to_string e)
   in
-  let on_window (w : Sample.window) =
-    (match
-       Store.journal_interval j ~index:w.Sample.w_index
-         ~delta_bytes:w.Sample.w_delta_bytes
-         ~full_bytes:w.Sample.w_full_bytes w.Sample.w_delta
-     with
+  let on_window index d =
+    (match Store.journal_interval j ~index d with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Store.error_to_string e));
     match interrupt_at with
-    | Some i when w.Sample.w_index = i -> raise Interrupted
+    | Some i when index = i -> raise Interrupted
     | _ -> ()
   in
-  let rs =
-    Option.map
-      (fun pt ->
-        {
-          Sample.rs_base = pt.Store.pt_base;
-          rs_last = pt.Store.pt_last;
-          rs_count = pt.Store.pt_count;
-          rs_delta_bytes = pt.Store.pt_delta_bytes;
-          rs_full_bytes = pt.Store.pt_full_bytes;
-        })
-      resume
-  in
   let cr =
-    Sample.run_capture ~placement ~on_base ~on_window ?resume:rs ~schedule
-      (domain ())
+    Sample.run_capture ~placement ~on_base ~on_window
+      ?resume:(Option.map (fun pt -> pt.Store.pt_resume) resume)
+      ~schedule (domain ())
   in
   (j, cr)
 
@@ -366,22 +354,9 @@ let finish j (cr : Sample.capture_run) =
   | Ok st -> st
   | Error e -> Alcotest.fail (Store.error_to_string e)
 
-(* the journaled path and the one-shot Store.create path must lay down
-   the very same bytes — journaling is free of observable side effects *)
-let test_journal_matches_create () =
-  let cr = Lazy.force capture in
-  let dir_b = fresh_dir () in
-  (match
-     Store.create ~dir:dir_b ~workload:"test-workload" ~core:"ooo" ~schedule
-       ~placement:"fixed" cr ~config:Config.tiny
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Store.error_to_string e));
-  let dir_a = fresh_dir () in
-  let j, cr2 = journal_capture ~dir:dir_a () in
-  ignore (finish j cr2);
-  Alcotest.(check int) "same totals" cr.Sample.cr_insns cr2.Sample.cr_insns;
-  check_same_store "journal vs create" dir_a dir_b
+(* the accounting of the first [n] deltas of a capture *)
+let sum_bytes (cr : Sample.capture_run) n f =
+  Array.fold_left ( + ) 0 (Array.map f (Array.sub cr.Sample.cr_deltas 0 n))
 
 (* crash after window 2's record landed, tear that record mid-write,
    resume: the journal recovers the longest valid prefix (0,1), the
@@ -412,7 +387,11 @@ let test_capture_resume_after_torn_record () =
     | Error e -> Alcotest.fail (Store.error_to_string e)
   in
   Alcotest.(check int) "torn record excluded from the prefix" 2
-    pt.Store.pt_count;
+    pt.Store.pt_resume.Sample.rs_count;
+  Alcotest.(check (pair int int)) "accounting primed from the prefix"
+    (sum_bytes cr 2 Ptl_hyper.Checkpoint.delta_page_bytes,
+     sum_bytes cr 2 Ptl_hyper.Checkpoint.full_page_bytes)
+    (pt.Store.pt_delta_bytes, pt.Store.pt_full_bytes);
   Alcotest.(check string) "journal identifies its workload" "test-workload"
     pt.Store.pt_workload;
   Alcotest.(check bool) "journal identifies its schedule" true
@@ -421,8 +400,6 @@ let test_capture_resume_after_torn_record () =
   ignore (finish j cr2);
   Alcotest.(check int) "resumed totals are whole-run" cr.Sample.cr_insns
     cr2.Sample.cr_insns;
-  Alcotest.(check bool) "progress record retired" false
-    (Sys.file_exists (Filename.concat dir_c "PROGRESS"));
   check_same_store "resumed vs uninterrupted" dir_c dir_b;
   (* a sealed store has nothing to resume *)
   match Store.scan_partial ~dir:dir_c with
@@ -480,6 +457,47 @@ let test_cli_capture_resume () =
     [ (Sample.Fixed, [ 2; 5 ]); (Sample.Rand_offset 5, [ 2; 5 ]);
       (Sample.Stratified, [ 1; 3 ]) ]
 
+(* A fresh capture into a used directory inherits nothing from the
+   previous store: capture A, fill its result cache, then capture a
+   shorter B with another schedule into the same directory without
+   resuming. The directory holds only B's files, B's replay finds
+   nothing cached, and it equals B's replay in a fresh directory. *)
+let test_recapture_clears_store () =
+  let replay st =
+    match Fleet.replay ~jobs:1 st with
+    | Ok rp -> rp
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+  in
+  let schedule_b =
+    { Sample.ff_insns = 5_000; warmup_insns = 700; measure_insns = 1_000 }
+  in
+  let cr_b =
+    Sample.run_capture ~schedule:schedule_b
+      (fst (Test_checkpoint.bare_loop ~iters:12_000 ()))
+  in
+  let capture_b dir =
+    match
+      Store.create ~dir ~workload:"workload-b" ~core:"ooo"
+        ~schedule:schedule_b ~placement:"fixed" cr_b ~config:Config.tiny
+    with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+  in
+  let st_a = make_store () in
+  let count_a = (Store.manifest st_a).Store.m_count in
+  Alcotest.(check int) "A's cache filled" count_a (replay st_a).Fleet.rp_replayed;
+  let st = capture_b (Store.dir st_a) in
+  let count_b = (Store.manifest st).Store.m_count in
+  Alcotest.(check bool) "B is shorter than A" true (count_b < count_a);
+  let files = dir_files (Store.dir st) in
+  let rp = replay st in
+  Alcotest.(check int) "nothing served from A's cache" 0 rp.Fleet.rp_cached;
+  Alcotest.(check bool) "same result as a fresh directory" true
+    (rp.Fleet.rp_result = (replay (capture_b (fresh_dir ()))).Fleet.rp_result);
+  Alcotest.(check (list string)) "only B's files remain"
+    ("MANIFEST" :: "base" :: List.init count_b (Printf.sprintf "interval-%06d"))
+    files
+
 let suite =
   [
     Alcotest.test_case "round trip through disk" `Quick test_round_trip;
@@ -496,10 +514,10 @@ let suite =
       test_leg_cache_disjoint;
     Alcotest.test_case "result cache write race" `Quick
       test_result_cache_race;
-    Alcotest.test_case "journaled capture = one-shot capture" `Quick
-      test_journal_matches_create;
     Alcotest.test_case "interrupted capture resumes byte-identically"
       `Quick test_capture_resume_after_torn_record;
     Alcotest.test_case "CLI-scale capture resumes byte-identically" `Quick
       test_cli_capture_resume;
+    Alcotest.test_case "fresh capture clears a used directory" `Quick
+      test_recapture_clears_store;
   ]

@@ -1,7 +1,7 @@
 (* Guest-code library validation: the RC4 and LZ guest assembly routines
    must agree byte-for-byte with their OCaml oracles, on both the
    functional and the out-of-order cores; plus hypervisor-layer tests
-   (ptlcall parsing, checkpoints, DMA trace replay, cosim validation). *)
+   (ptlcall parsing, checkpoints, cosim validation). *)
 
 open Ptl_util
 module G = Ptl_workloads.Gasm
@@ -12,7 +12,6 @@ module Seqcore = Ptl_arch.Seqcore
 module Context = Ptl_arch.Context
 module Ptlcall = Ptl_hyper.Ptlcall
 module Checkpoint = Ptl_hyper.Checkpoint
-module Dma_trace = Ptl_hyper.Dma_trace
 module Cosim = Ptl_hyper.Cosim
 module Ooo = Ptl_ooo.Ooo_core
 module Config = Ptl_ooo.Config
@@ -218,37 +217,26 @@ let test_checkpoint_restore () =
   ignore (Machine.run_seq m);
   Alcotest.(check int64) "replay identical" 1275L (Machine.gpr m G.rax)
 
-let test_dma_trace_replay () =
-  (* record: two DMA writes + interrupts at chosen cycles; replay against
-     a restored checkpoint and observe identical memory effects *)
-  let img = counting_image () in
-  let m = Machine.create img in
+let test_checkpoint_rewinds_memory_and_clock () =
+  (* memory written, an interrupt raised and the clock moved after a
+     capture: [diff] sees the drift, [restore] undoes all of it *)
+  let m = Machine.create (counting_image ()) in
   let env = m.Machine.env and ctx = m.Machine.ctx in
+  let mem = env.Ptl_arch.Env.mem in
+  let before = Ptl_mem.Phys_mem.read_string mem 0x5000 13 in
   let ck = Checkpoint.capture env ctx in
-  let trace = Dma_trace.create () in
-  env.Ptl_arch.Env.cycle <- 1000;
-  Dma_trace.record trace env ~vector:33 ~dma:[ (0x5000, "hello") ] ();
   env.Ptl_arch.Env.cycle <- 2500;
-  Dma_trace.record trace env ~dma:[ (0x5008, "world") ] ();
-  Alcotest.(check int) "two events" 2 (Dma_trace.length trace);
-  (* restore and replay *)
+  Ptl_mem.Phys_mem.write_string mem 0x5000 "hello";
+  Ptl_mem.Phys_mem.write_string mem 0x5008 "world";
+  Context.raise_irq ctx 33;
+  Alcotest.(check bool) "diff sees the drift" true
+    (Checkpoint.diff ck env ctx <> []);
   Checkpoint.restore ck env ctx;
-  let inj = Dma_trace.injector trace in
-  Alcotest.(check (option int)) "first due at 1000" (Some 1000) (Dma_trace.next_cycle inj);
-  env.Ptl_arch.Env.cycle <- 999;
-  Dma_trace.pump inj env ctx;
-  Alcotest.(check int) "nothing yet" 2 (Dma_trace.pending inj);
-  env.Ptl_arch.Env.cycle <- 1000;
-  Dma_trace.pump inj env ctx;
-  Alcotest.(check int) "first fired" 1 (Dma_trace.pending inj);
-  Alcotest.(check bool) "irq queued" true (Context.has_pending_irq ctx);
-  Alcotest.(check string) "dma bytes" "hello"
-    (Ptl_mem.Phys_mem.read_string env.Ptl_arch.Env.mem 0x5000 5);
-  env.Ptl_arch.Env.cycle <- 3000;
-  Dma_trace.pump inj env ctx;
-  Alcotest.(check int) "drained" 0 (Dma_trace.pending inj);
-  Alcotest.(check string) "second dma" "world"
-    (Ptl_mem.Phys_mem.read_string env.Ptl_arch.Env.mem 0x5008 5)
+  Alcotest.(check (list string)) "restored exactly" [] (Checkpoint.diff ck env ctx);
+  Alcotest.(check int) "clock rewound" 0 env.Ptl_arch.Env.cycle;
+  Alcotest.(check string) "memory rewound" before
+    (Ptl_mem.Phys_mem.read_string mem 0x5000 13);
+  Alcotest.(check bool) "no interrupt pending" false (Context.has_pending_irq ctx)
 
 let test_cosim_validate_agrees () =
   let img = counting_image () in
@@ -269,6 +257,7 @@ let suite =
     Alcotest.test_case "checksum guest" `Quick test_checksum_guest;
     Alcotest.test_case "ptlcall parse" `Quick test_ptlcall_parse;
     Alcotest.test_case "checkpoint capture/restore/replay" `Quick test_checkpoint_restore;
-    Alcotest.test_case "dma trace record/replay" `Quick test_dma_trace_replay;
+    Alcotest.test_case "checkpoint rewinds memory and clock" `Quick
+      test_checkpoint_rewinds_memory_and_clock;
     Alcotest.test_case "cosim validate" `Quick test_cosim_validate_agrees;
   ]
