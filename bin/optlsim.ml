@@ -349,10 +349,12 @@ let catch_sim_failure f =
     exit exit_sim_failure
 
 (* The --guard family as a supervisor config, None = unguarded.
-   [degrade] says whether the subcommand honours --guard-degrade: only
-   live runs do — fuzzing would make the model its own reference, and
-   a replayed interval degraded to the sequential core would silently
-   change its measurements (quarantine is the containment path). *)
+   [degrade] says whether the subcommand honours --guard-degrade and
+   --guard-checkpoint-every (rollback checkpoints are taken only under
+   degrade): only live runs do — fuzzing would make the model its own
+   reference, and a replayed interval degraded to the sequential core
+   would silently change its measurements (quarantine is the
+   containment path). *)
 let guard_term ~degrade =
   let flag_on =
     Arg.(
@@ -408,7 +410,8 @@ let guard_term ~degrade =
     else None
   in
   Term.(
-    const mk $ flag_on $ interval $ checkpoint_every
+    const mk $ flag_on $ interval
+    $ (if degrade then checkpoint_every else const 0)
     $ (if degrade then degrade_arg else const false)
     $ strict_tlb)
 

@@ -19,6 +19,7 @@ type t = {
 let stack_top = 0x7FFF_F000L
 let stack_pages = 16
 let heap_base = 0x6000_0000L
+let default_heap_pages = 64
 
 (** Map [npages] fresh frames at [vaddr] (page-aligned). *)
 let map_pages env (ctx : Context.t) ~vaddr ~npages ~writable ~user =
@@ -83,7 +84,7 @@ let map_huge_heap env (ctx : Context.t) ~npages =
     kernel, so privileged instructions work in standalone programs).
     [huge_heap] backs the heap with 2 MiB pages (TLB-friendly variant of
     the same address space). *)
-let create ?stats ?(mode = Context.Kernel) ?entry ?(heap_pages = 64)
+let create ?stats ?(mode = Context.Kernel) ?entry ?(heap_pages = default_heap_pages)
     ?(huge_heap = false) image =
   let env = Env.create ?stats () in
   let ctx = Context.create ~vcpu_id:0 in

@@ -70,19 +70,30 @@ let size t name = match find t name with Some f -> Some f.size | None -> None
 let block_resident (f : file) blk =
   blk < Array.length f.cache_paddr && f.cache_paddr.(blk) >= 0
 
+(* Copy [len] bytes of [src] from [src_off] to the physically
+   contiguous span at [paddr], one frame slice at a time. *)
+let blit_phys mem src src_off paddr len =
+  let module Pm = Ptl_mem.Phys_mem in
+  let pos = ref 0 in
+  while !pos < len do
+    let pa = paddr + !pos in
+    let n = min (len - !pos) (Pm.page_size - (pa land Pm.page_mask)) in
+    Pm.blit_string mem src (src_off + !pos) pa n;
+    pos := !pos + n
+  done
+
+let zero_block = String.make block_size '\x00'
+
 (** DMA block [blk] from disk into the page-cache frame at [paddr]
-    (host-side copy: this is the disk controller writing guest memory). *)
+    (host-side copy: this is the disk controller writing guest memory).
+    The block and the zero tail of a partial block are each copied one
+    frame slice at a time. *)
 let dma_block_in mem (f : file) blk ~paddr =
   let off = blk * block_size in
   let n = min block_size (max 0 (f.size - off)) in
-  for i = 0 to n - 1 do
-    Ptl_mem.Phys_mem.write8 mem (paddr + i) (Char.code (Bytes.get f.data (off + i)))
-  done;
-  (* zero-fill the tail of a partial block *)
-  for i = n to block_size - 1 do
-    Ptl_mem.Phys_mem.write8 mem (paddr + i) 0
-  done;
-  ()
+  (* the copy is done before [f.data] can change *)
+  blit_phys mem (Bytes.unsafe_to_string f.data) off paddr n;
+  blit_phys mem zero_block 0 (paddr + n) (block_size - n)
 
 (** Write-back [n] bytes from the page-cache frame into the disk image
     (host-side, on file write completion). *)

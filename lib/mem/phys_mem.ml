@@ -20,6 +20,12 @@
       image in O(frames) pointer copies instead of O(bytes), and the
       base stays immutable, so any number of workers (even on separate
       {!Stdlib.Domain}s) can share one base.
+    - {b one shared zero frame}: a frame's first touch by an allocation
+      or a read maps one immutable page of zeroes, copy-on-write like a
+      clone's frames, so a machine pays for the frames it writes, not
+      for the frames it maps. Allocation, the dirty set and every
+      snapshot ({!copy}, {!restore}, {!delta}, {!apply_delta}, each a
+      deep copy) are as if each frame had been zeroed privately.
 
     Frame tables are keyed by MFN through an [int]-specialised
     [Hashtbl.Make], so a lookup hashes and compares in OCaml instead of
@@ -53,8 +59,8 @@ type t = {
      memoized MFN is always already dirty, privately owned and not
      watched. *)
   mutable last_dirty : int;
-  (* frames whose bytes are shared with a base image (clone_cow); copy
-     before the first write. *)
+  (* frames whose bytes are shared, with a base image (clone_cow) or
+     as [zero_frame]; copy before the first write. *)
   cow : unit Mfn_tbl.t;
   (* frames holding page-table entries that a translation memo relies
      on; a write to one advances [pt_epoch]. *)
@@ -78,22 +84,39 @@ let mfn_of_paddr paddr = paddr lsr page_shift
 let offset_of_paddr paddr = paddr land page_mask
 let paddr_of_mfn mfn = mfn lsl page_shift
 
-(* Mark [mfn] dirty and break any copy-on-write sharing. Must run
-   before the frame's bytes are fetched on a write path. A write to a
-   watched frame advances the epoch and is never memoized, so every
-   later write to it takes this path again. *)
-let mark_dirty t mfn =
-  if mfn <> t.last_dirty then begin
-    if Mfn_tbl.length t.cow > 0 && Mfn_tbl.mem t.cow mfn then begin
-      (match Mfn_tbl.find_opt t.frames mfn with
-      | Some b -> Mfn_tbl.replace t.frames mfn (Bytes.copy b)
-      | None -> ());
-      Mfn_tbl.remove t.cow mfn
-    end;
+(* The bytes of every frame no write has reached yet. Never written:
+   write paths copy a shared frame first, so any number of memories on
+   any number of domains may map it. *)
+let zero_frame = Bytes.make page_size '\x00'
+
+(** Frame backing [mfn] for a write: marked dirty, private (copy-on-write
+    sharing broken first) and allocated zeroed on first touch. A write
+    to a watched frame advances the epoch and is never memoized, so
+    every later write to it takes this path again. *)
+let frame t mfn =
+  if mfn = t.last_dirty then Mfn_tbl.find t.frames mfn
+  else begin
+    let b =
+      match Mfn_tbl.find t.frames mfn with
+      | b ->
+        if Mfn_tbl.length t.cow > 0 && Mfn_tbl.mem t.cow mfn then begin
+          let own = Bytes.copy b in
+          Mfn_tbl.replace t.frames mfn own;
+          Mfn_tbl.remove t.cow mfn;
+          own
+        end
+        else b
+      | exception Not_found ->
+        let own = Bytes.make page_size '\x00' in
+        Mfn_tbl.add t.frames mfn own;
+        t.allocated <- t.allocated + 1;
+        own
+    in
     Mfn_tbl.replace t.dirty mfn ();
     if Mfn_tbl.length t.watched > 0 && Mfn_tbl.mem t.watched mfn then
       t.pt_epoch <- t.pt_epoch + 1
-    else t.last_dirty <- mfn
+    else t.last_dirty <- mfn;
+    b
   end
 
 (** The page-table epoch: advanced by every write to a {!watch}ed frame
@@ -113,37 +136,26 @@ let invalidate_translations t =
   t.pt_epoch <- t.pt_epoch + 1;
   Mfn_tbl.reset t.watched
 
-(* Frame backing [mfn] for reading: allocating a zeroed frame on first
-   touch (allocation is a machine-state change, so it dirties). *)
+(* Frame backing [mfn] for reading. First touch maps [zero_frame]
+   copy-on-write; allocation is a machine-state change, so it dirties,
+   but the memo never names a shared frame. *)
 let frame_ro t mfn =
   match Mfn_tbl.find t.frames mfn with
   | b -> b
   | exception Not_found ->
-    let b = Bytes.make page_size '\x00' in
-    Mfn_tbl.add t.frames mfn b;
+    Mfn_tbl.add t.frames mfn zero_frame;
+    Mfn_tbl.replace t.cow mfn ();
     t.allocated <- t.allocated + 1;
-    if mfn <> t.last_dirty then begin
-      Mfn_tbl.replace t.dirty mfn ();
-      t.last_dirty <- mfn
-    end;
-    b
-
-(** Frame backing [mfn], allocating a zeroed frame on first touch. The
-    returned bytes may be written, so the frame is marked dirty and any
-    copy-on-write sharing is broken first. *)
-let frame t mfn =
-  mark_dirty t mfn;
-  frame_ro t mfn
+    Mfn_tbl.replace t.dirty mfn ();
+    zero_frame
 
 (** Copy [len] bytes of [src] from [src_off] to [paddr]. The span must
     lie within one frame, which is marked dirty once, as a write. *)
 let blit_string t src src_off paddr len =
   if len > 0 then begin
-    let mfn = mfn_of_paddr paddr in
     let off = offset_of_paddr paddr in
     if off + len > page_size then invalid_arg "Phys_mem.blit_string: crosses a frame";
-    mark_dirty t mfn;
-    Bytes.blit_string src src_off (frame_ro t mfn) off len
+    Bytes.blit_string src src_off (frame t (mfn_of_paddr paddr)) off len
   end
 
 (** Allocate a fresh frame and return its MFN. *)
@@ -188,9 +200,8 @@ let read8 t paddr =
   Char.code (Bytes.get (frame_ro t (mfn_of_paddr paddr)) (offset_of_paddr paddr))
 
 let write8 t paddr v =
-  let mfn = mfn_of_paddr paddr in
-  mark_dirty t mfn;
-  Bytes.set (frame_ro t mfn) (offset_of_paddr paddr) (Char.chr (v land 0xFF))
+  Bytes.set (frame t (mfn_of_paddr paddr)) (offset_of_paddr paddr)
+    (Char.chr (v land 0xFF))
 
 (* Multi-byte accesses use the fast within-page path when possible and a
    byte loop when the access straddles a frame boundary. *)
@@ -210,9 +221,7 @@ let read_n t paddr n =
 let write_n t paddr n v =
   let off = offset_of_paddr paddr in
   if off + n <= page_size then begin
-    let mfn = mfn_of_paddr paddr in
-    mark_dirty t mfn;
-    let b = frame_ro t mfn in
+    let b = frame t (mfn_of_paddr paddr) in
     match n with
     | 1 -> Bytes.set b off (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
     | 2 -> Bytes.set_uint16_le b off (Int64.to_int (Int64.logand v 0xFFFFL))

@@ -3,7 +3,14 @@
     Like Xen, frames have arbitrary non-contiguous machine frame numbers
     (paper §3). Physical addresses are OCaml [int]s; multi-byte accesses
     are little-endian and may cross frame boundaries. Frame tables are
-    keyed by MFN with an [int]-specialised hash table. *)
+    keyed by MFN with an [int]-specialised hash table.
+
+    A frame first touched by an allocation or a read maps one shared,
+    immutable zero frame copy-on-write; its first write copies it. So
+    mapping a frame costs a table entry, not 4 KiB. Contents,
+    {!allocated_pages}, the dirty set and every snapshot ({!copy},
+    {!restore}, {!delta}, {!apply_delta} all copy deeply, so marshalled
+    images hold no sharing) are exactly those of private zeroed frames. *)
 
 type t
 
@@ -22,7 +29,8 @@ val paddr_of_mfn : int -> int
 val frame : t -> int -> Bytes.t
 
 (** Frame backing an MFN for reading, allocating a zeroed frame on first
-    touch as {!read8} does. The returned bytes must not be written. *)
+    touch as {!read8} does. The returned bytes must not be written: they
+    may be the shared zero frame or a clone's base. *)
 val frame_ro : t -> int -> Bytes.t
 
 (** [blit_string t src src_off paddr len] copies [len] bytes of [src]

@@ -1012,7 +1012,7 @@ let build_exc_image (c : exc_case) =
 let predict table mode (image : Asm.image) =
   let o =
     Oracle.create ~table ~mode
-      ~valid:(Cross.valid_for_machine image)
+      ~mapped:(Cross.valid_for_machine image)
       ~rip:image.Asm.img_base image
   in
   (Oracle.state o).Spec.regs.(Regs.rsp) <- Machine.stack_top;

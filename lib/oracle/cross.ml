@@ -32,22 +32,20 @@ type result =
 
 let page = 4096
 
-(** Mapped-address predicate matching the address space [Machine.create]
-    builds: the code image's pages, [Machine.stack_pages] below
-    [Machine.stack_top], and the default 64 heap pages at
-    [Machine.heap_base]. *)
+(** Mapped addresses, as inclusive intervals, matching the address
+    space [Machine.create] builds: the code image's pages,
+    [Machine.stack_pages] below [Machine.stack_top], and
+    [Machine.default_heap_pages] heap pages at [Machine.heap_base]. *)
 let valid_for_machine (image : Asm.image) =
-  let base = image.Asm.img_base in
-  let npages = (String.length image.Asm.code + page - 1) / page in
-  let code_hi = Int64.add base (Int64.of_int (npages * page)) in
-  let stack_lo =
-    Int64.sub Machine.stack_top (Int64.of_int (Machine.stack_pages * page))
-  in
-  let heap_hi = Int64.add Machine.heap_base (Int64.of_int (64 * page)) in
-  fun va ->
-    (va >= base && va < code_hi)
-    || (va >= stack_lo && va < Machine.stack_top)
-    || (va >= Machine.heap_base && va < heap_hi)
+  let span lo pages = (lo, Int64.add lo (Int64.of_int ((pages * page) - 1))) in
+  let code_pages = (String.length image.Asm.code + page - 1) / page in
+  [
+    span image.Asm.img_base code_pages;
+    span
+      (Int64.sub Machine.stack_top (Int64.of_int (Machine.stack_pages * page)))
+      Machine.stack_pages;
+    span Machine.heap_base Machine.default_heap_pages;
+  ]
 
 (** Architectural differences between the oracle state and a machine
     context, formatted one per line ("oracle" vs "core"). *)
@@ -111,7 +109,7 @@ let oracle_for ~table (m : Machine.t) =
         | Context.User -> Spec.User
         | Context.Kernel -> Spec.Kernel)
       ~flags:ctx.Context.flags
-      ~valid:(valid_for_machine m.Machine.image)
+      ~mapped:(valid_for_machine m.Machine.image)
       ~rip:ctx.Context.rip m.Machine.image
   in
   let st = Oracle.state o in

@@ -14,11 +14,11 @@ type result =
   | Diverged of { after : int; diffs : string list }
   | Unsupported of { after : int; what : string }
 
-(** Mapped-address predicate matching the address space [Machine.create]
-    builds: the code image's pages, [Machine.stack_pages] below
-    [Machine.stack_top], and the default 64 heap pages at
-    [Machine.heap_base]. *)
-val valid_for_machine : Asm.image -> int64 -> bool
+(** Mapped addresses, as inclusive [(lo, hi)] intervals, matching the
+    address space [Machine.create] builds: the code image's pages,
+    [Machine.stack_pages] below [Machine.stack_top], and
+    [Machine.default_heap_pages] heap pages at [Machine.heap_base]. *)
+val valid_for_machine : Asm.image -> (int64 * int64) list
 
 (** Compare the oracle's final state against an arbitrary machine (used
     by the fuzz harness to break seq-vs-timed ties with the oracle's

@@ -30,21 +30,18 @@ type outcome =
 
 let state t = t.st
 
-(** Build an oracle over an assembled image. [valid] is the
-    mapped-address predicate (see [Cross.valid_for_machine] for the
-    predicate matching [Machine.create]'s address space). Freshly mapped
-    pages read as zero, so the backing store only covers the code image. *)
-let create ?(table = Spec.table) ?(mode = Spec.Kernel) ?(flags = 0) ~valid
+(** Build an oracle over an assembled image. [mapped] lists the mapped
+    addresses as inclusive intervals (see [Cross.valid_for_machine] for
+    the intervals of [Machine.create]'s address space). Freshly mapped
+    pages read as zero, so only the code image has contents. *)
+let create ?(table = Spec.table) ?(mode = Spec.Kernel) ?(flags = 0) ~mapped
     ~rip (image : Asm.image) =
-  let base = image.Asm.img_base in
-  let len = Int64.of_int (String.length image.Asm.code) in
-  let backing va =
-    let off = Int64.sub va base in
-    if off >= 0L && off < len then
-      Some (Char.code image.Asm.code.[Int64.to_int off])
-    else None
-  in
-  { st = Spec.make_state ~rip ~flags ~mode ~backing ~valid (); table }
+  {
+    st =
+      Spec.make_state ~rip ~flags ~mode ~image_base:image.Asm.img_base
+        ~image:image.Asm.code ~mapped ();
+    table;
+  }
 
 let rollback st regs xmms st0 flags =
   Array.blit regs 0 st.Spec.regs 0 (Array.length regs);

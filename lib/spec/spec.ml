@@ -118,11 +118,11 @@ let fault_vector = function
 type mode = User | Kernel
 
 (** The oracle's whole world: registers, flags, rip and a byte-granular
-    sparse memory over a backing function (the code image; unmapped-but-
-    valid pages read as zero, like the machine's freshly mapped pages).
-    Memory writes are journaled per step so a faulting instruction
-    leaves no partial state behind, mirroring the sequential core's
-    buffered macro-instruction commit. *)
+    sparse memory over the code image (mapped bytes outside it read as
+    zero, like the machine's freshly mapped pages). The mapped space is
+    a list of inclusive intervals. Memory writes are journaled per step
+    so a faulting instruction leaves no partial state behind, mirroring
+    the sequential core's buffered macro-instruction commit. *)
 type state = {
   regs : int64 array;  (* 16 GPRs, x86-64 encoding order *)
   xmms : int64 array;
@@ -134,17 +134,19 @@ type state = {
   mutable insns : int;  (* committed-unit count, aligned with seqcore *)
   mem : (int64, int) Hashtbl.t;  (* committed byte writes *)
   mutable journal : (int64 * int) list;  (* this step's pending writes *)
-  backing : int64 -> int option;  (* initial contents (code image) *)
-  valid : int64 -> bool;  (* mapped-address predicate, for #PF *)
+  image_base : int64;  (* address of [image]'s first byte *)
+  image : string;  (* initial contents (the code image) *)
+  mapped : (int64 * int64) list;  (* inclusive [lo, hi], sorted by lo *)
 }
 
 exception Spec_fault of fault
 exception Unsupported_insn of string
 
-let make_state ~rip ~flags ~mode ~backing ~valid () =
+let make_state ~rip ~flags ~mode ~image_base ~image ~mapped () =
   { regs = Array.make 16 0L; xmms = Array.make 16 0L; st0 = 0L; rip; flags;
     mode; halted = false; insns = 0; mem = Hashtbl.create 256; journal = [];
-    backing; valid }
+    image_base; image;
+    mapped = List.sort (fun (a, _) (b, _) -> Int64.compare a b) mapped }
 
 (* ------------------------------------------------------------------ *)
 (* Independent word arithmetic                                         *)
@@ -461,8 +463,22 @@ let set_reg st sz r v =
     st.regs.(r) <- Int64.logor (Int64.logand st.regs.(r) (Int64.lognot m))
         (Int64.logand v m)
 
+(* The lowest address in [lo, hi] that no interval covers, if any. *)
+let first_unmapped st lo hi =
+  let rec go cur = function
+    | [] -> Some cur
+    | (a, b) :: rest ->
+      if b < cur then go cur rest
+      else if a > cur then Some cur
+      else if b >= hi then None
+      else go (Int64.succ b) rest
+  in
+  go lo st.mapped
+
 let check_mapped st ~write addr =
-  if not (st.valid addr) then raise (Spec_fault (Access_fault { addr; write }))
+  match first_unmapped st addr addr with
+  | None -> ()
+  | Some _ -> raise (Spec_fault (Access_fault { addr; write }))
 
 let read_byte st addr =
   check_mapped st ~write:false addr;
@@ -471,17 +487,29 @@ let read_byte st addr =
   | None -> (
     match Hashtbl.find_opt st.mem addr with
     | Some b -> b
-    | None -> ( match st.backing addr with Some b -> b | None -> 0))
+    | None ->
+      let off = Int64.sub addr st.image_base in
+      if off >= 0L && off < Int64.of_int (String.length st.image) then
+        Char.code st.image.[Int64.to_int off]
+      else 0)
 
 let read_range st base len =
   let buf = Bytes.make len '\000' in
-  for i = 0 to len - 1 do
-    let addr = Int64.add base (Int64.of_int i) in
-    check_mapped st ~write:false addr;
-    match st.backing addr with
-    | Some b -> Bytes.unsafe_set buf i (Char.unsafe_chr b)
-    | None -> ()
-  done;
+  if len > 0 then begin
+    (match first_unmapped st base (Int64.add base (Int64.of_int (len - 1))) with
+    | Some addr -> raise (Spec_fault (Access_fault { addr; write = false }))
+    | None -> ());
+    (* the image overlap, as offsets into the image and the range *)
+    let img_len = Int64.of_int (String.length st.image) in
+    let lo = Int64.max base st.image_base in
+    let hi = Int64.min (Int64.add base (Int64.of_int len)) (Int64.add st.image_base img_len) in
+    if lo < hi then
+      Bytes.blit_string st.image
+        (Int64.to_int (Int64.sub lo st.image_base))
+        buf
+        (Int64.to_int (Int64.sub lo base))
+        (Int64.to_int (Int64.sub hi lo))
+  end;
   let put addr b =
     let off = Int64.sub addr base in
     if off >= 0L && off < Int64.of_int len then

@@ -68,11 +68,13 @@ val fault_vector : fault -> int
 type mode = User | Kernel
 
 (** The oracle's whole world: registers, flags, rip and a byte-granular
-    sparse memory over a backing function (the code image; unmapped-but-
-    valid pages read as zero, like the machine's freshly mapped pages).
-    Memory writes are journaled per step so a faulting instruction
-    leaves no partial state behind, mirroring the sequential core's
-    buffered macro-instruction commit. *)
+    sparse memory. Its address space is data, not code: the initial
+    contents are the code image ([image] from [image_base]; mapped bytes
+    outside it read as zero, like the machine's freshly mapped pages)
+    and the mapped addresses are a list of inclusive intervals, so a
+    hole may be any set of bytes. Memory writes are journaled per step
+    so a faulting instruction leaves no partial state behind, mirroring
+    the sequential core's buffered macro-instruction commit. *)
 type state = {
   regs : int64 array;  (* 16 GPRs, x86-64 encoding order *)
   xmms : int64 array;
@@ -84,8 +86,9 @@ type state = {
   mutable insns : int;  (* committed-unit count, aligned with seqcore *)
   mem : (int64, int) Hashtbl.t;  (* committed byte writes *)
   mutable journal : (int64 * int) list;  (* this step's pending writes *)
-  backing : int64 -> int option;  (* initial contents (code image) *)
-  valid : int64 -> bool;  (* mapped-address predicate, for #PF *)
+  image_base : int64;  (* address of [image]'s first byte *)
+  image : string;  (* initial contents (the code image) *)
+  mapped : (int64 * int64) list;  (* inclusive [lo, hi], sorted by lo *)
 }
 
 (** Raised by a row's semantics when the instruction faults. *)
@@ -94,14 +97,15 @@ exception Spec_fault of fault
 (** Raised for an instruction no row (or row shape) covers. *)
 exception Unsupported_insn of string
 
-(** A fresh state at [rip] with zeroed registers: [backing] gives the
-    initial byte contents of memory, [valid] which addresses are
-    mapped. *)
+(** A fresh state at [rip] with zeroed registers: [image] from
+    [image_base] gives the initial byte contents of memory (zero
+    elsewhere), [mapped] the inclusive [(lo, hi)] intervals of mapped
+    addresses, in any order (the state keeps them sorted by [lo]). *)
 val make_state :
   rip:int64 ->
   flags:int ->
   mode:mode ->
-  backing:(int64 -> int option) -> valid:(int64 -> bool) -> unit -> state
+  image_base:int64 -> image:string -> mapped:(int64 * int64) list -> unit -> state
 
 (** Operand width in bits. *)
 val bits : W64.size -> int
@@ -117,9 +121,10 @@ val read_byte : state -> int64 -> int
 val read_mem : state -> W64.size -> int64 -> int64
 
 (** [read_range st base len]: the [len] bytes from [base] as {!read_byte}
-    sees them, built from the backing, then the committed writes, then
-    the pending journal. Raises the {!Spec_fault} {!read_byte} raises at
-    the lowest unmapped address in the range. *)
+    sees them, built from the image overlap, then the committed writes,
+    then the pending journal. Raises the {!Spec_fault} {!read_byte}
+    raises at the lowest unmapped address in the range, found from the
+    intervals without a per-byte check. *)
 val read_range : state -> int64 -> int -> Bytes.t
 
 (** Flush the step's journaled writes into committed memory. The oracle

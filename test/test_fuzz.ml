@@ -619,18 +619,19 @@ let prop_machine_compare =
       Machine.mem_diffs ranges a b
       = Machine.quad_diffs ranges (Machine.quad_reader a) (Machine.quad_reader b))
 
-(* An oracle state over [blank_image]'s address space, whose backing also
-   covers the first two heap pages, with committed writes and a pending
-   journal (rewriting some of the same bytes) from [rng]. *)
-let random_oracle rng ranges ~valid =
-  let backing va =
-    let off = Int64.sub va Machine.heap_base in
-    if off >= 0L && off < Int64.of_int (2 * Pm.page_size) then
-      Some (Int64.to_int off * 7 land 0xFF)
-    else None
-  in
+(* Mapped spaces: everything, or everything but the [n] bytes from
+   [hole]. *)
+let all_mapped = [ (Int64.min_int, Int64.max_int) ]
+let mapped_but hole n = [ (Int64.min_int, Int64.pred hole); (Int64.add hole n, Int64.max_int) ]
+
+(* An oracle state over the [mapped] space, whose image covers the first
+   two heap pages, with committed writes and a pending journal
+   (rewriting some of the same bytes) from [rng]. *)
+let random_oracle rng ranges ~mapped =
   let st =
-    Spec.make_state ~rip:0L ~flags:0 ~mode:Spec.Kernel ~backing ~valid ()
+    Spec.make_state ~rip:0L ~flags:0 ~mode:Spec.Kernel ~image_base:Machine.heap_base
+      ~image:(String.init (2 * Pm.page_size) (fun i -> Char.chr (i * 7 land 0xFF)))
+      ~mapped ()
   in
   let pend (va, v) = st.Spec.journal <- (va, v) :: st.Spec.journal in
   List.iter pend (random_spots rng ranges 40);
@@ -640,7 +641,7 @@ let random_oracle rng ranges ~valid =
   List.iter (fun (va, v) -> pend (va, v lxor 0x5A)) spots;
   st
 
-(* The machine the oracle is compared against: the backing, then
+(* The machine the oracle is compared against: the image, then
    [Machine.create]'s zeroes, with some of the oracle's bytes copied. *)
 let machine_like rng st ranges =
   let m = Machine.create blank_image in
@@ -680,11 +681,8 @@ let prop_oracle_compare =
       let ranges = random_ranges rng in
       (* every other seed leaves a hole in the oracle's mapped space *)
       let hole = heap_va (Ptl_util.Rng.int rng (6 * Pm.page_size)) in
-      let valid =
-        if seed land 1 = 0 then fun _ -> true
-        else fun va -> va < hole || va >= Int64.add hole 16L
-      in
-      let st = random_oracle rng ranges ~valid in
+      let mapped = if seed land 1 = 0 then all_mapped else mapped_but hole 16L in
+      let st = random_oracle rng ranges ~mapped in
       let m = machine_like rng st ranges in
       oracle_mem_lines st m ranges = reference_mem_lines st m ranges)
 
@@ -695,7 +693,7 @@ let test_unmapped_oracle_byte () =
   List.iter
     (fun hole_off ->
       let hole = Int64.add base (Int64.of_int hole_off) in
-      let st = random_oracle rng ranges ~valid:(fun va -> va <> hole) in
+      let st = random_oracle rng ranges ~mapped:(mapped_but hole 1L) in
       let fault = Spec.Access_fault { addr = hole; write = false } in
       let tag = Printf.sprintf "hole at +%d: " hole_off in
       (match Spec.read_range st base len with
@@ -709,28 +707,53 @@ let test_unmapped_oracle_byte () =
         (oracle_mem_lines st m ranges = Error fault))
     [ 0; 13; len - 1 ]
 
+(* [Spec.read_range] over each range returns, or raises, what
+   [read_byte] does byte by byte. *)
+let read_range_bytewise st ranges =
+  List.for_all
+    (fun (base, len) ->
+      let bytewise =
+        try
+          Ok
+            (Bytes.init len (fun i ->
+                 Char.chr (Spec.read_byte st (Int64.add base (Int64.of_int i)))))
+        with Spec.Spec_fault f -> Error f
+      in
+      let ranged = try Ok (Spec.read_range st base len) with Spec.Spec_fault f -> Error f in
+      bytewise = ranged)
+    ranges
+
 let prop_read_range =
   QCheck.Test.make ~name:"Spec.read_range = read_byte per byte" ~count:120
     QCheck.int (fun seed ->
       let rng = Ptl_util.Rng.create seed in
       let ranges = random_ranges rng in
       let hole = heap_va (Ptl_util.Rng.int rng (6 * Pm.page_size)) in
-      let valid =
-        if seed land 1 = 0 then fun _ -> true else fun va -> va <> hole
+      let mapped = if seed land 1 = 0 then all_mapped else mapped_but hole 1L in
+      let st = random_oracle rng ranges ~mapped in
+      read_range_bytewise st ranges)
+
+(* The interval arithmetic on its own: up to five intervals whose ends
+   sit at, next to or inside the ranges' ends, overlapping, touching,
+   out of order or empty, so the lowest unmapped byte falls anywhere. *)
+let prop_read_range_intervals =
+  QCheck.Test.make ~name:"Spec.read_range = read_byte per byte, random intervals" ~count:200
+    QCheck.int (fun seed ->
+      let rng = Ptl_util.Rng.create seed in
+      let ranges = random_ranges rng in
+      let ends =
+        Array.of_list
+          (List.concat_map
+             (fun (base, len) ->
+               let last = Int64.add base (Int64.of_int (len - 1)) in
+               let near x = List.map (fun d -> Int64.add x (Int64.of_int d)) [ -1; 0; 1 ] in
+               near base @ near last
+               @ [ Int64.add base (Int64.of_int (Ptl_util.Rng.int rng (max 1 len))) ])
+             ranges)
       in
-      let st = random_oracle rng ranges ~valid in
-      List.for_all
-        (fun (base, len) ->
-          let bytewise =
-            try
-              Ok
-                (Bytes.init len (fun i ->
-                     Char.chr (Spec.read_byte st (Int64.add base (Int64.of_int i)))))
-            with Spec.Spec_fault f -> Error f
-          in
-          let ranged = try Ok (Spec.read_range st base len) with Spec.Spec_fault f -> Error f in
-          bytewise = ranged)
-        ranges)
+      let pick () = Ptl_util.Rng.choose rng ends in
+      let mapped = List.init (Ptl_util.Rng.int rng 6) (fun _ -> (pick (), pick ())) in
+      read_range_bytewise (random_oracle rng ranges ~mapped) ranges)
 
 (* [Machine.load_blob] as it was: map, then one probe and write8 a byte. *)
 let load_blob_bytewise (m : Machine.t) ~vaddr ~bytes =
@@ -818,6 +841,7 @@ let suite =
     Test_seed.to_alcotest prop_machine_compare;
     Test_seed.to_alcotest prop_oracle_compare;
     Test_seed.to_alcotest prop_read_range;
+    Test_seed.to_alcotest prop_read_range_intervals;
     Alcotest.test_case "unmapped oracle byte faults as per-quad" `Quick
       test_unmapped_oracle_byte;
     Alcotest.test_case "page-wise load_blob = byte-wise load" `Quick

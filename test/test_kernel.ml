@@ -600,6 +600,62 @@ let test_load_image_pagewise () =
       ("multi-page user image", image 0x50_0010L 9000, true);
     ]
 
+(* --- page-wise DMA = byte-wise DMA: [Ramfs.dma_block_in] leaves the
+   frames, the dirty set, the allocation count and the page-table epoch
+   (advanced or not) that writing the block and its zero tail one byte
+   at a time leaves, for full, partial and past-the-end blocks, at
+   page-aligned and frame-straddling physical addresses, over written,
+   freshly allocated, watched and never-touched frames. --- *)
+
+(* [Ramfs.dma_block_in] as it was: one write8 a byte. *)
+let dma_block_in_bytewise mem (f : Ramfs.file) blk ~paddr =
+  let off = blk * Ramfs.block_size in
+  let n = min Ramfs.block_size (max 0 (f.Ramfs.size - off)) in
+  for i = 0 to Ramfs.block_size - 1 do
+    Pm.write8 mem (paddr + i) (if i < n then Char.code (Bytes.get f.Ramfs.data (off + i)) else 0)
+  done
+
+let prop_dma_pagewise =
+  QCheck.Test.make ~name:"page-wise DMA = byte-wise DMA" ~count:80 QCheck.int (fun seed ->
+      let rng = Ptl_util.Rng.create seed in
+      let size = Ptl_util.Rng.int rng (3 * Ramfs.block_size) in
+      let contents = String.init size (fun _ -> Char.chr (Ptl_util.Rng.int rng 256)) in
+      let blk = Ptl_util.Rng.int rng 4 in
+      let off =
+        match Ptl_util.Rng.int rng 3 with
+        | 0 -> 0
+        | 1 -> 64 * Ptl_util.Rng.int rng 64
+        | _ -> Ptl_util.Rng.int rng Pm.page_size
+      in
+      (* frames 0-1 hold nonzero bytes, 2-3 are allocated only, 4-5
+         never touched; frame 0 is watched *)
+      let first = Ptl_util.Rng.int rng 5 in
+      let junk = String.init (2 * Pm.page_size) (fun _ -> Char.chr (1 + Ptl_util.Rng.int rng 255)) in
+      let mk () =
+        let mem = Pm.create () in
+        let base = Pm.alloc_pages mem 4 in
+        for i = 0 to 1 do
+          Pm.blit_string mem junk (i * Pm.page_size) (Pm.paddr_of_mfn (base + i)) Pm.page_size
+        done;
+        Pm.watch mem base;
+        Pm.clear_dirty mem;
+        (mem, Pm.paddr_of_mfn (base + first) + off)
+      in
+      let fs = Ramfs.create () in
+      Ramfs.add_file fs ~name:"f" ~contents;
+      let f = Option.get (Ramfs.find fs "f") in
+      let ma, pa = mk () and mb, pb = mk () in
+      let epoch0 = Pm.pt_epoch ma in
+      dma_block_in_bytewise ma f blk ~paddr:pa;
+      Ramfs.dma_block_in mb f blk ~paddr:pb;
+      (* a write to the watched frame advances the epoch once per byte
+         written byte-wise and once per slice page-wise: either way a
+         memo taken before is stale *)
+      Pm.diff ma mb = []
+      && Pm.delta ma = Pm.delta mb
+      && Pm.allocated_pages ma = Pm.allocated_pages mb
+      && (Pm.pt_epoch ma > epoch0) = (Pm.pt_epoch mb > epoch0))
+
 let suite =
   [
     Alcotest.test_case "file write/read" `Quick test_file_write_read;
@@ -616,4 +672,5 @@ let suite =
       test_demand_paging_segv;
     Alcotest.test_case "page-wise load_image = byte-wise load" `Quick
       test_load_image_pagewise;
+    Test_seed.to_alcotest prop_dma_pagewise;
   ]

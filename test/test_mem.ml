@@ -869,6 +869,215 @@ let test_memo_stale_caught () =
     (Printf.sprintf "stale memo caught on %d of 20 schedules" !caught)
     true (!caught >= 10)
 
+(* ---- the shared zero frame against a reference memory ---- *)
+
+(* Random sequences of allocations, reads of absent frames, every write
+   path, snapshots, copy-on-write clones, deltas and dirty-set clears,
+   run on a [Phys_mem] and on a reference map from MFN to private bytes.
+   After every step the frames, their contents, [allocated_pages] and
+   the dirty set must match. A write that reached a shared frame would
+   change every other frame still mapping it, so afterwards a fresh
+   memory's new frames must read zero too. *)
+
+type ref_mem = {
+  pages : (int, Bytes.t) Hashtbl.t;
+  mutable next : int;
+  mutable count : int;  (* allocated_pages *)
+  dirty : (int, unit) Hashtbl.t;
+}
+
+let zf_frames = 12  (* MFNs 0..11; the allocator starts at 4 *)
+
+let ref_touch r mfn =
+  if not (Hashtbl.mem r.pages mfn) then begin
+    Hashtbl.replace r.pages mfn (Bytes.make Phys_mem.page_size '\x00');
+    r.count <- r.count + 1;
+    Hashtbl.replace r.dirty mfn ()
+  end
+
+let ref_write r pa v =
+  let mfn = Phys_mem.mfn_of_paddr pa in
+  ref_touch r mfn;
+  Bytes.set (Hashtbl.find r.pages mfn) (pa land Phys_mem.page_mask) (Char.chr (v land 0xFF));
+  Hashtbl.replace r.dirty mfn ()
+
+let ref_copy r =
+  let pages = Hashtbl.create 16 in
+  Hashtbl.iter (fun mfn b -> Hashtbl.replace pages mfn (Bytes.copy b)) r.pages;
+  { pages; next = r.next; count = r.count; dirty = Hashtbl.copy r.dirty }
+
+type zf_world = {
+  mutable zm : Phys_mem.t;
+  r : ref_mem;
+  mutable zsnap : (Phys_mem.t * ref_mem) option;
+  mutable zdelta : (Phys_mem.delta * (int * Bytes.t) list * int * int) option;
+}
+
+(* The memory the reference describes: its frames and nothing else. *)
+let of_ref r =
+  let x = Phys_mem.create () in
+  Hashtbl.iter
+    (fun mfn b ->
+      Phys_mem.blit_string x (Bytes.to_string b) 0 (Phys_mem.paddr_of_mfn mfn) Phys_mem.page_size)
+    r.pages;
+  x
+
+(* The MFNs a memory's delta carries: its dirty set. *)
+let dirty_mfns m =
+  let x = Phys_mem.create () in
+  Phys_mem.apply_delta x (Phys_mem.delta m);
+  Phys_mem.diff x (Phys_mem.create ())
+
+let zf_step rng w =
+  let m = w.zm and r = w.r in
+  let pa () = Rng.int rng (zf_frames * Phys_mem.page_size) in
+  let byte () = 1 + Rng.int rng 255 in
+  match Rng.int rng 16 with
+  | 0 ->
+    let mfn = Phys_mem.alloc_page m in
+    ref_touch r r.next;
+    r.next <- r.next + 1;
+    if mfn <> r.next - 1 then Some "alloc_page mfn" else None
+  | 1 ->
+    let n = 1 + Rng.int rng 3 and align = 1 + Rng.int rng 2 in
+    let first = Phys_mem.alloc_pages m ~align n in
+    let rfirst = (r.next + align - 1) / align * align in
+    for i = 0 to n - 1 do ref_touch r (rfirst + i) done;
+    r.next <- rfirst + n;
+    if first <> rfirst then Some "alloc_pages mfn" else None
+  | 2 | 3 ->
+    (* a read, of an absent frame as often as not *)
+    let a = pa () in
+    let v = Phys_mem.read8 m a in
+    ref_touch r (Phys_mem.mfn_of_paddr a);
+    let rv = Char.code (Bytes.get (Hashtbl.find r.pages (Phys_mem.mfn_of_paddr a)) (a land Phys_mem.page_mask)) in
+    if v <> rv then Some "read8 value" else None
+  | 4 ->
+    let a = pa () and v = byte () in
+    Phys_mem.write8 m a v;
+    ref_write r a v;
+    None
+  | 5 ->
+    (* page-straddling as often as not *)
+    let a = if Rng.bool rng then pa () else (Phys_mem.page_size * (1 + Rng.int rng (zf_frames - 1))) - 3 in
+    let v = Rng.next64 rng in
+    Phys_mem.write64 m a v;
+    for i = 0 to 7 do ref_write r (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i))) done;
+    None
+  | 6 ->
+    let a = pa () in
+    let s = String.init (1 + Rng.int rng 40) (fun _ -> Char.chr (byte ())) in
+    let a = min a ((zf_frames * Phys_mem.page_size) - String.length s) in
+    Phys_mem.write_string m a s;
+    String.iteri (fun i c -> ref_write r (a + i) (Char.code c)) s;
+    None
+  | 7 ->
+    let a = pa () in
+    let len = Rng.int rng (Phys_mem.page_size - (a land Phys_mem.page_mask) + 1) in
+    let s = String.init len (fun _ -> Char.chr (byte ())) in
+    Phys_mem.blit_string m s 0 a len;
+    String.iteri (fun i c -> ref_write r (a + i) (Char.code c)) s;
+    None
+  | 8 ->
+    let a = pa () and v = byte () in
+    Bytes.set (Phys_mem.frame m (Phys_mem.mfn_of_paddr a)) (a land Phys_mem.page_mask) (Char.chr v);
+    ref_write r a v;
+    None
+  | 9 ->
+    let snap = Phys_mem.copy m in
+    w.zsnap <- Some (snap, ref_copy r);
+    if Phys_mem.diff m snap <> [] then Some "copy differs" else None
+  | 10 -> (
+    match w.zsnap with
+    | None -> None
+    | Some (snap, rs) ->
+      Phys_mem.restore m ~snapshot:snap;
+      Hashtbl.reset r.pages;
+      Hashtbl.reset r.dirty;
+      Hashtbl.iter
+        (fun mfn b ->
+          Hashtbl.replace r.pages mfn (Bytes.copy b);
+          Hashtbl.replace r.dirty mfn ())
+        rs.pages;
+      r.next <- rs.next;
+      r.count <- rs.count;
+      None)
+  | 11 ->
+    (* the live memory itself may be the base, shared frames and all,
+       as long as nothing writes it afterwards *)
+    w.zm <- Phys_mem.clone_cow (if Rng.bool rng then m else Phys_mem.copy m);
+    Hashtbl.reset r.dirty;
+    None
+  | 12 ->
+    let pages =
+      Hashtbl.fold (fun mfn () acc -> (mfn, Bytes.copy (Hashtbl.find r.pages mfn)) :: acc) r.dirty []
+    in
+    w.zdelta <- Some (Phys_mem.delta m, pages, r.next, r.count);
+    None
+  | 13 -> (
+    match w.zdelta with
+    | None -> None
+    | Some (d, pages, next, count) ->
+      Phys_mem.apply_delta m d;
+      List.iter
+        (fun (mfn, b) ->
+          Hashtbl.replace r.pages mfn (Bytes.copy b);
+          Hashtbl.replace r.dirty mfn ())
+        pages;
+      r.next <- next;
+      r.count <- count;
+      None)
+  | 14 ->
+    Phys_mem.clear_dirty m;
+    Hashtbl.reset r.dirty;
+    None
+  | _ ->
+    (* a run of writes to one frame: the memo path *)
+    let a = pa () land lnot 0xFF in
+    for i = 0 to 15 do
+      Phys_mem.write8 m (a + i) (i + 1);
+      ref_write r (a + i) (i + 1)
+    done;
+    None
+
+let zf_check w =
+  let m = w.zm and r = w.r in
+  if Phys_mem.allocated_pages m <> r.count then Some "allocated_pages"
+  else if Phys_mem.diff m (of_ref r) <> [] then Some "frames"
+  else if dirty_mfns m <> List.sort compare (Hashtbl.fold (fun mfn () acc -> mfn :: acc) r.dirty [])
+  then Some "dirty set"
+  else None
+
+let prop_zero_frame =
+  QCheck.Test.make ~name:"shared zero frame = private zeroed frames" ~count:150 QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let w =
+        {
+          zm = Phys_mem.create ~first_mfn:4 ();
+          r = { pages = Hashtbl.create 16; next = 4; count = 0; dirty = Hashtbl.create 16 };
+          zsnap = None;
+          zdelta = None;
+        }
+      in
+      let rec go step =
+        if step = 60 then None
+        else
+          match zf_step rng w with
+          | Some why -> Some (step, why)
+          | None -> ( match zf_check w with Some why -> Some (step, why) | None -> go (step + 1))
+      in
+      let fresh = Phys_mem.create () in
+      let zero = String.make Phys_mem.page_size '\x00' in
+      let fresh_zero () =
+        let mfn = Phys_mem.alloc_page fresh in
+        Phys_mem.read_string fresh (Phys_mem.paddr_of_mfn mfn) Phys_mem.page_size = zero
+        && Phys_mem.read_string fresh 0x7000 Phys_mem.page_size = zero
+      in
+      match go 0 with
+      | Some (step, why) -> QCheck.Test.fail_reportf "seed %d, step %d: %s" seed step why
+      | None -> fresh_zero () || QCheck.Test.fail_reportf "seed %d: a fresh frame is not zero" seed)
+
 let suite =
   [
     Alcotest.test_case "phys rw" `Quick test_phys_rw;
@@ -907,4 +1116,5 @@ let suite =
     Test_seed.to_alcotest prop_memo_exact;
     Alcotest.test_case "memo that ignores the epoch is caught" `Quick
       test_memo_stale_caught;
+    Test_seed.to_alcotest prop_zero_frame;
   ]
