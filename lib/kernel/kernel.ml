@@ -856,10 +856,10 @@ let dispatch_syscall t =
           | `Ready va ->
             h.pos <- pos + n;
             let mem = t.env.Env.mem in
-            let paddr = kva_paddr t va in
             guest_copy t ~src:buf ~dst:(Int64.add va (Int64.of_int off)) ~len:n
               ~commit:(fun () ->
-                Ramfs.writeback_block mem file blk ~paddr ~upto:(off + n);
+                Ramfs.writeback_block mem file blk ~va ~translate:(kva_paddr t)
+                  ~upto:(off + n);
                 wake_all t;
                 Int64.of_int n))
         | Some (F_file _) -> err Abi.e_badf
@@ -1216,7 +1216,7 @@ let poll t =
         post t ~at:(t.env.Env.cycle + t.config.timer_period) E_timer
       | E_disk_done { pid; file; blk; va } ->
         Stats.incr t.c_page_ins;
-        Ramfs.dma_block_in t.env.Env.mem file blk ~paddr:(kva_paddr t va);
+        Ramfs.dma_block_in t.env.Env.mem file blk ~va ~translate:(kva_paddr t);
         Ramfs.ensure_blocks file blk;
         file.Ramfs.cache_paddr.(blk) <- Int64.to_int va;
         file.Ramfs.pending_blocks <-

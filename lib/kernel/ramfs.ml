@@ -70,34 +70,43 @@ let size t name = match find t name with Some f -> Some f.size | None -> None
 let block_resident (f : file) blk =
   blk < Array.length f.cache_paddr && f.cache_paddr.(blk) >= 0
 
-(* Copy [len] bytes of [src] from [src_off] to the physically
-   contiguous span at [paddr], one frame slice at a time. *)
-let blit_phys mem src src_off paddr len =
+(* A page-cache block is a kernel-heap buffer: contiguous in virtual
+   memory, but it may straddle two pages whose frames are not adjacent.
+   [iter_slices ~translate va len f] calls [f pos paddr n] for each
+   page slice of the [len] bytes at [va]: [n] bytes from buffer offset
+   [pos] sit at [paddr]. [translate] maps a virtual address to its
+   physical one. *)
+let iter_slices ~translate va len f =
   let module Pm = Ptl_mem.Phys_mem in
   let pos = ref 0 in
   while !pos < len do
-    let pa = paddr + !pos in
+    let pa = translate (Int64.add va (Int64.of_int !pos)) in
     let n = min (len - !pos) (Pm.page_size - (pa land Pm.page_mask)) in
-    Pm.blit_string mem src (src_off + !pos) pa n;
+    f !pos pa n;
     pos := !pos + n
   done
 
 let zero_block = String.make block_size '\x00'
 
-(** DMA block [blk] from disk into the page-cache frame at [paddr]
-    (host-side copy: this is the disk controller writing guest memory).
-    The block and the zero tail of a partial block are each copied one
-    frame slice at a time. *)
-let dma_block_in mem (f : file) blk ~paddr =
+(** DMA block [blk] from disk into the page-cache buffer at kernel
+    virtual address [va] (host-side copy: this is the disk controller
+    writing guest memory). The block and the zero tail of a partial
+    block are each copied one page slice at a time. *)
+let dma_block_in mem (f : file) blk ~va ~translate =
+  let module Pm = Ptl_mem.Phys_mem in
   let off = blk * block_size in
   let n = min block_size (max 0 (f.size - off)) in
   (* the copy is done before [f.data] can change *)
-  blit_phys mem (Bytes.unsafe_to_string f.data) off paddr n;
-  blit_phys mem zero_block 0 (paddr + n) (block_size - n)
+  let data = Bytes.unsafe_to_string f.data in
+  iter_slices ~translate va n (fun pos pa k ->
+      Pm.blit_string mem data (off + pos) pa k);
+  iter_slices ~translate (Int64.add va (Int64.of_int n)) (block_size - n)
+    (fun pos pa k -> Pm.blit_string mem zero_block pos pa k)
 
-(** Write-back [n] bytes from the page-cache frame into the disk image
-    (host-side, on file write completion). *)
-let writeback_block mem (f : file) blk ~paddr ~upto =
+(** Write-back the first [upto] bytes of the page-cache buffer at
+    kernel virtual address [va] into the disk image (host-side, on file
+    write completion). *)
+let writeback_block mem (f : file) blk ~va ~translate ~upto =
   let off = blk * block_size in
   if off + upto > f.size then begin
     let bigger = Bytes.make (off + upto) '\x00' in
@@ -105,10 +114,11 @@ let writeback_block mem (f : file) blk ~paddr ~upto =
     f.data <- bigger;
     f.size <- off + upto
   end;
-  for i = 0 to upto - 1 do
-    Bytes.set f.data (off + i)
-      (Char.chr (Ptl_mem.Phys_mem.read8 mem (paddr + i)))
-  done
+  iter_slices ~translate va upto (fun pos pa k ->
+      for i = 0 to k - 1 do
+        Bytes.set f.data (off + pos + i)
+          (Char.chr (Ptl_mem.Phys_mem.read8 mem (pa + i)))
+      done)
 
 (** Ensure the cache_paddr array covers block [blk]. *)
 let ensure_blocks (f : file) blk =

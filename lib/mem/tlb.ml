@@ -54,7 +54,15 @@ let make_level ~entries ~ways =
     tick = 0;
   }
 
-let set_of level vpn = Int64.to_int (Int64.unsigned_rem vpn (Int64.of_int level.sets))
+(* [vpn] mod [sets], unsigned. A 4K tag fits an [int]; only a huge tag
+   (bit 62 set) takes the 64-bit division. *)
+let set_of level vpn =
+  let sets = level.sets in
+  if sets = 1 then 0
+  else
+    let v = Int64.to_int vpn in
+    if v >= 0 then v mod sets
+    else Int64.to_int (Int64.unsigned_rem vpn (Int64.of_int sets))
 
 let level_lookup level vpn =
   let s = set_of level vpn in
@@ -360,7 +368,7 @@ let level_check name lvl =
         Hashtbl.replace seen tag ();
         if lvl.data.(s).(w) = None then
           note "%s set %d way %d: valid tag %#Lx with no entry" name s w tag;
-        if Int64.to_int (Int64.unsigned_rem tag (Int64.of_int lvl.sets)) <> s then
+        if set_of lvl tag <> s then
           note "%s set %d: vpn %#Lx indexed into the wrong set" name s tag;
         if lvl.lru.(s).(w) > lvl.tick then
           note "%s set %d: lru stamp %d from the future (tick %d)" name s

@@ -138,12 +138,15 @@ let release_all t ~cycle ~core ~thread =
     loads and stores touching such an address must replay until the owner
     releases (paper §4.4). *)
 let locked_by_other t ~core ~thread ~paddr =
-  match Hashtbl.find_opt t.locks (key paddr) with
-  | Some o ->
-    if o.core = core && o.thread = thread then false
-    else begin
-      o.was_contended <- true;
-      true
-    end
-  | None -> false
+  (* most accesses run with no lock held: skip the hash *)
+  if Hashtbl.length t.locks = 0 then false
+  else
+    match Hashtbl.find_opt t.locks (key paddr) with
+    | Some o ->
+      if o.core = core && o.thread = thread then false
+      else begin
+        o.was_contended <- true;
+        true
+      end
+    | None -> false
 let count t = Hashtbl.length t.locks

@@ -37,13 +37,18 @@ module Predictor = Ptl_bpred.Predictor
 module Stats = Ptl_stats.Statstree
 module Trace = Ptl_trace.Trace
 
-type rat_entry = Arch | Phys of int
+(* An alias-table mapping is an int: [arch] when the architectural
+   register holds the value, otherwise the physical register. An entry's
+   [old_rd]/[old_flags] is [not_renamed] when it did not rename that
+   register. *)
+let arch = -1
+let not_renamed = -2
 
 type entry_state =
   | Waiting  (* in an issue queue, sources not all ready / not selected *)
   | Issued  (* executing; completes at writeback_cycle *)
   | Done
-  | Faulted of Fault.t
+  | Faulted  (* the fault is in [fault] *)
 
 (* Where fetch resumes after a redirect. *)
 type redirect =
@@ -52,6 +57,7 @@ type redirect =
 
 type rob_entry = {
   uop : Uop.t;
+  handle : int;  (* tid * rob_size + ROB slot: the entry's name in [slots] *)
   seq : int;
   uuid : int;  (* fetch-order id for the event trace *)
   thread : int;
@@ -59,13 +65,14 @@ type rob_entry = {
   bb_index : int;  (* index within that block *)
   dest : int;  (* value physreg, -1 if none *)
   dest_flags : int;  (* flags physreg, -1 if none *)
-  old_rd : (int * rat_entry) option;  (* previous mapping of uop.rd *)
-  old_flags : rat_entry option;  (* previous mapping of the flags reg *)
-  src_a : rat_entry;
-  src_b : rat_entry;
-  src_c : rat_entry;
-  src_f : rat_entry;  (* flags source when readflags *)
+  old_rd : int;  (* previous mapping of uop.rd, or [not_renamed] *)
+  old_flags : int;  (* previous mapping of the flags reg, or [not_renamed] *)
+  src_a : int;  (* source mappings, [arch] or a physreg *)
+  src_b : int;
+  src_c : int;
+  src_f : int;  (* flags source when readflags *)
   mutable state : entry_state;
+  mutable fault : Fault.t option;  (* written only when state is Faulted *)
   mutable writeback_cycle : int;
   mutable in_iq : int;  (* cluster index while queued, -1 otherwise *)
   mutable exec_cluster : int;  (* cluster the uop executes in *)
@@ -94,8 +101,6 @@ type rob_entry = {
      replay loop cannot monopolize an issue port and starve other
      (SMT) threads' ready uops *)
   mutable retry_cycle : int;
-  (* the fault uop synthesized at fetch carries its fault here *)
-  fetch_fault : Fault.t option;
 }
 
 (* A uop sitting in the fetch queue with its prediction. *)
@@ -114,7 +119,7 @@ type fetched = {
 type thread_state = {
   tid : int;
   ctx : Context.t;
-  rat : rat_entry array;
+  rat : int array;  (* [arch] or a physreg, per architectural register *)
   rob : rob_entry Ring.t;
   lsq : rob_entry Ring.t;
   fetchq : fetched Ring.t;
@@ -138,6 +143,10 @@ type t = {
   prf : Physreg.t;
   clusters : Config.cluster array;
   fu_hosts : int array array;  (* per FU class: the clusters hosting it *)
+  (* Handle -> entry for every ROB slot of every thread; an empty slot
+     holds [dummy_entry]. The structures below name entries by handle,
+     so their per-cycle stores are of immediates. *)
+  slots : rob_entry array;
   (* The issue queues. A queued entry claims its cluster in [in_iq];
      each cluster counts its free slots and its entries per thread. An
      entry with unwritten sources waits on those registers' consumer
@@ -145,15 +154,20 @@ type t = {
      set, kept in [seq] order. *)
   iq_free : int array;  (* per cluster *)
   iq_thread : int array;  (* per (cluster, thread): cluster * nthreads + tid *)
-  waiters : rob_entry list array;  (* per physreg: queued consumers *)
-  ready : rob_entry array array;  (* per cluster, [ready_len] live, by seq *)
+  (* Consumer lists are intrusive: source [k] (a, b, c, flags) of the
+     entry with handle [h] is node [h * 4 + k]. *)
+  waiter_head : int array;  (* per physreg: first node, -1 if none *)
+  wnode_next : int array;  (* per node: next node on the same list, or -1 *)
+  ready : int array array;  (* per cluster, [ready_len] live handles, by seq *)
   ready_len : int array;
-  select_buf : rob_entry array;  (* one cluster's selection this cycle *)
+  select_buf : int array;  (* one cluster's selection this cycle *)
   (* Completion wheel: an Issued entry waits in bucket
-     [wb_slot land wheel_mask]; [wheel_done] is the last cycle drained. *)
-  wheel : rob_entry list array;
+     [wb_slot land wheel_mask], a list threaded through [wheel_next];
+     [wheel_done] is the last cycle drained. *)
+  wheel : int array;  (* per bucket: first handle, -1 if empty *)
+  wheel_next : int array;  (* per handle: next in the same bucket, or -1 *)
   mutable wheel_done : int;
-  due : rob_entry array;  (* writeback scratch, [ndue] live *)
+  due : int array;  (* writeback scratch, [ndue] live handles *)
   mutable ndue : int;
   bbcache : Bbcache.t;
   hierarchy : Hierarchy.t;
@@ -193,18 +207,26 @@ type t = {
   c_hoist_violations : Stats.counter;
 }
 
-(* Filler for the preallocated entry arrays; never in the pipeline. *)
+(* Filler for the empty slots of the ROB, the LSQ and [slots]; never in
+   the pipeline. *)
 let dummy_entry =
   {
-    uop = Uop.default; seq = -1; uuid = -1; thread = -1; bb_rip = 0L;
-    bb_index = 0; dest = -1; dest_flags = -1; old_rd = None; old_flags = None;
-    src_a = Arch; src_b = Arch; src_c = Arch; src_f = Arch; state = Done;
-    writeback_cycle = 0; in_iq = -1; exec_cluster = -1; unready = 0;
-    ready_at = 0; wb_slot = -1; result = 0L; rflags = 0; pred_taken = false;
+    uop = Uop.default; handle = -1; seq = -1; uuid = -1; thread = -1;
+    bb_rip = 0L; bb_index = 0; dest = -1; dest_flags = -1;
+    old_rd = not_renamed; old_flags = not_renamed; src_a = arch; src_b = arch;
+    src_c = arch; src_f = arch; state = Done; fault = None; writeback_cycle = 0;
+    in_iq = -1; exec_cluster = -1; unready = 0; ready_at = 0; wb_slot = -1; result = 0L; rflags = 0; pred_taken = false;
     pred_target = 0L; ras_ck = None; taken = false; target = 0L;
     mispredicted = false; vaddr = 0L; paddr = -1; addr_valid = false;
     store_data = 0L; locked_acquired = false; replays = 0; retry_cycle = 0;
-    fetch_fault = None;
+  }
+
+(* Filler for the fetch queue's empty slots. *)
+let dummy_fetched =
+  {
+    f_uop = Uop.default; f_uuid = -1; f_bb_rip = 0L; f_bb_index = 0;
+    f_cycle = 0; f_pred_taken = false; f_pred_target = 0L; f_ras_ck = None;
+    f_fault = None;
   }
 
 (* Wheel buckets: a power of two. Entries completing further ahead share
@@ -240,10 +262,10 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
     {
       tid;
       ctx;
-      rat = Array.make Uop.num_arch_regs Arch;
-      rob = Ring.create (config.Config.rob_size);
-      lsq = Ring.create (config.Config.lsq_size);
-      fetchq = Ring.create (config.Config.fetch_queue);
+      rat = Array.make Uop.num_arch_regs arch;
+      rob = Ring.create config.Config.rob_size dummy_entry;
+      lsq = Ring.create config.Config.lsq_size dummy_entry;
+      fetchq = Ring.create config.Config.fetch_queue dummy_fetched;
       fetch_rip = ctx.Context.rip;
       fetch_bb = None;
       fetch_bb_index = 0;
@@ -257,6 +279,7 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
       last_progress = env.Env.cycle;
     }
   in
+  let nhandles = nthreads * config.Config.rob_size in
   {
     config;
     env;
@@ -272,18 +295,21 @@ let create ?(core_id = 0) ?(prefix = "ooo") ?interlock ?bbcache ?uarch
                (fun ci ->
                  List.exists (fun cls -> fu_index cls = k) clusters.(ci).Config.fu_classes)
                (List.init nclusters Fun.id)));
+    slots = Array.make nhandles dummy_entry;
     iq_free = Array.map (fun cl -> cl.Config.iq_size) clusters;
     iq_thread = Array.make (nclusters * nthreads) 0;
-    waiters = Array.make config.Config.phys_regs [];
-    ready = Array.map (fun cl -> Array.make cl.Config.iq_size dummy_entry) clusters;
+    waiter_head = Array.make config.Config.phys_regs (-1);
+    wnode_next = Array.make (4 * nhandles) (-1);
+    ready = Array.map (fun cl -> Array.make cl.Config.iq_size (-1)) clusters;
     ready_len = Array.make nclusters 0;
     select_buf =
       Array.make
         (Array.fold_left (fun a cl -> max a cl.Config.issue_width) 0 clusters)
-        dummy_entry;
-    wheel = Array.make wheel_size [];
+        (-1);
+    wheel = Array.make wheel_size (-1);
+    wheel_next = Array.make nhandles (-1);
     wheel_done = env.Env.cycle - 1;
-    due = Array.make (nthreads * config.Config.rob_size) dummy_entry;
+    due = Array.make nhandles (-1);
     ndue = 0;
     bbcache = (match bbcache with Some b -> b | None -> uarch.Uarch.bbcache);
     hierarchy = uarch.Uarch.hierarchy;
@@ -337,15 +363,14 @@ let trace_replay t (e : rob_entry) reason =
 
 (* ---------- RAT / physreg plumbing ---------- *)
 
-let src_of th reg = if reg = Uop.reg_none then Arch else th.rat.(reg)
+let src_of th reg = if reg = Uop.reg_none then arch else th.rat.(reg)
 
-let src_value t th = function
-  | Arch, reg -> if reg = Uop.reg_none then 0L else Context.get_reg th.ctx reg
-  | Phys p, _ -> Physreg.value t.prf p
+let src_value t th m reg =
+  if m >= 0 then Physreg.value t.prf m
+  else if reg = Uop.reg_none then 0L
+  else Context.get_reg th.ctx reg
 
-let flags_value t th = function
-  | Arch -> th.ctx.Context.flags
-  | Phys p -> Physreg.flags t.prf p
+let flags_value t th m = if m >= 0 then Physreg.flags t.prf m else th.ctx.Context.flags
 
 (* ---------- issue queues: dispatch, wakeup, ready sets ---------- *)
 
@@ -360,33 +385,48 @@ let visible t p cluster =
 let ready_insert t c e =
   let a = t.ready.(c) in
   let i = ref t.ready_len.(c) in
-  while !i > 0 && a.(!i - 1).seq > e.seq do
+  while !i > 0 && t.slots.(a.(!i - 1)).seq > e.seq do
     a.(!i) <- a.(!i - 1);
     decr i
   done;
-  a.(!i) <- e;
+  a.(!i) <- e.handle;
   t.ready_len.(c) <- t.ready_len.(c) + 1
 
 let ready_remove t c e =
-  let a = t.ready.(c) and n = t.ready_len.(c) in
+  let a = t.ready.(c) and n = t.ready_len.(c) and h = e.handle in
   let i = ref 0 in
-  while !i < n && a.(!i) != e do incr i done;
+  while !i < n && a.(!i) <> h do incr i done;
   if !i < n then begin
-    Array.blit a (!i + 1) a !i (n - !i - 1);
-    a.(n - 1) <- dummy_entry;
+    for j = !i to n - 2 do
+      a.(j) <- a.(j + 1)
+    done;
     t.ready_len.(c) <- n - 1
   end
 
-(* Subscribe a queued entry to an unwritten source, or fold a written
-   one into its [ready_at]. *)
-let watch t c entry = function
-  | Arch -> ()
-  | Phys p ->
-    if Physreg.is_written t.prf p then
-      entry.ready_at <- imax entry.ready_at (visible t p c)
+(* Remove [x] from the list that starts at [heads.(i)] and is threaded
+   through [next]. *)
+let unlink heads i next x =
+  let first = heads.(i) in
+  if first = x then heads.(i) <- next.(x)
+  else begin
+    let prev = ref first in
+    while !prev >= 0 && next.(!prev) <> x do
+      prev := next.(!prev)
+    done;
+    if !prev >= 0 then next.(!prev) <- next.(x)
+  end
+
+(* Subscribe source [k] (mapping [m]) of a queued entry to an unwritten
+   physreg, or fold a written one into its [ready_at]. *)
+let watch t c entry k m =
+  if m >= 0 then
+    if Physreg.is_written t.prf m then
+      entry.ready_at <- imax entry.ready_at (visible t m c)
     else begin
       entry.unready <- entry.unready + 1;
-      t.waiters.(p) <- entry :: t.waiters.(p)
+      let node = (entry.handle * 4) + k in
+      t.wnode_next.(node) <- t.waiter_head.(m);
+      t.waiter_head.(m) <- node
     end
 
 (* Dispatch [entry] into cluster [c]: take a slot, then either wait on
@@ -397,36 +437,38 @@ let iq_insert t c entry =
   let k = (c * Array.length t.threads) + entry.thread in
   t.iq_thread.(k) <- t.iq_thread.(k) + 1;
   entry.in_iq <- c;
-  watch t c entry entry.src_a;
-  watch t c entry entry.src_b;
-  watch t c entry entry.src_c;
-  if entry.uop.Uop.readflags then watch t c entry entry.src_f;
+  watch t c entry 0 entry.src_a;
+  watch t c entry 1 entry.src_b;
+  watch t c entry 2 entry.src_c;
+  if entry.uop.Uop.readflags then watch t c entry 3 entry.src_f;
   if entry.unready = 0 then ready_insert t c entry
 
-(* Broadcast the write of physreg [p] to its queued consumers. *)
-let rec wake t p = function
-  | [] -> ()
-  | e :: rest ->
+(* Broadcast the write of physreg [p] to its queued consumers, the list
+   starting at [node]. *)
+let rec wake t p node =
+  if node >= 0 then begin
+    let next = t.wnode_next.(node) in
+    let e = t.slots.(node lsr 2) in
     let c = e.in_iq in
     if c >= 0 then begin
       e.ready_at <- imax e.ready_at (visible t p c);
       e.unready <- e.unready - 1;
       if e.unready = 0 then ready_insert t c e
     end;
-    wake t p rest
+    wake t p next
+  end
 
 let broadcast t p =
-  match t.waiters.(p) with
-  | [] -> ()
-  | l ->
-    t.waiters.(p) <- [];
-    wake t p l
+  let node = t.waiter_head.(p) in
+  if node >= 0 then begin
+    t.waiter_head.(p) <- -1;
+    wake t p node
+  end
 
 (* Undo [watch] for a source still unwritten (annulment). *)
-let unwatch t entry = function
-  | Phys p when not (Physreg.is_written t.prf p) ->
-    t.waiters.(p) <- List.filter (fun x -> x != entry) t.waiters.(p)
-  | Phys _ | Arch -> ()
+let unwatch t entry k m =
+  if m >= 0 && not (Physreg.is_written t.prf m) then
+    unlink t.waiter_head m t.wnode_next ((entry.handle * 4) + k)
 
 (* Leave the issue queue (issued, faulted or annulled): free the slot
    and drop the entry from the ready set or from the consumer lists of
@@ -439,10 +481,10 @@ let iq_remove t entry =
     t.iq_thread.(k) <- t.iq_thread.(k) - 1;
     if entry.unready = 0 then ready_remove t c entry
     else begin
-      unwatch t entry entry.src_a;
-      unwatch t entry entry.src_b;
-      unwatch t entry entry.src_c;
-      if entry.uop.Uop.readflags then unwatch t entry entry.src_f
+      unwatch t entry 0 entry.src_a;
+      unwatch t entry 1 entry.src_b;
+      unwatch t entry 2 entry.src_c;
+      if entry.uop.Uop.readflags then unwatch t entry 3 entry.src_f
     end;
     entry.in_iq <- -1
   end
@@ -490,11 +532,10 @@ let wheel_insert t e wb =
   let slot = imax wb (t.wheel_done + 1) in
   e.wb_slot <- slot;
   let b = slot land wheel_mask in
-  t.wheel.(b) <- e :: t.wheel.(b)
+  t.wheel_next.(e.handle) <- t.wheel.(b);
+  t.wheel.(b) <- e.handle
 
-let wheel_remove t e =
-  let b = e.wb_slot land wheel_mask in
-  t.wheel.(b) <- List.filter (fun x -> x != e) t.wheel.(b)
+let wheel_remove t e = unlink t.wheel (e.wb_slot land wheel_mask) t.wheel_next e.handle
 
 (* ---------- annulment and recovery ---------- *)
 
@@ -508,13 +549,13 @@ let annul_youngest t th n =
     let idx = Ring.length th.rob - 1 - k in
     let e = Ring.get th.rob idx in
     if !Trace.on then trace_uop t e Trace.Annul;
-    (match e.old_rd with Some (r, prev) -> th.rat.(r) <- prev | None -> ());
-    (match e.old_flags with Some prev -> th.rat.(Uop.reg_flags) <- prev | None -> ());
+    if e.old_rd <> not_renamed then th.rat.(e.uop.Uop.rd) <- e.old_rd;
+    if e.old_flags <> not_renamed then th.rat.(Uop.reg_flags) <- e.old_flags;
     (match e.uop.Uop.op with
     | Uop.Ldl ->
       Interlock.trace t.interlock "%d: annul ldl seq=%d th=%d acq=%b state=%s" (now t)
         e.seq e.thread e.locked_acquired
-        (match e.state with Waiting -> "w" | Issued -> "i" | Done -> "d" | Faulted _ -> "f")
+        (match e.state with Waiting -> "w" | Issued -> "i" | Done -> "d" | Faulted -> "f")
     | Uop.Strel ->
       Interlock.trace t.interlock "%d: annul strel seq=%d th=%d" (now t) e.seq e.thread
     | _ -> ());
@@ -525,6 +566,7 @@ let annul_youngest t th n =
     if e.locked_acquired then
       Interlock.release t.interlock ~cycle:(now t) ~core:t.core_id ~thread:th.tid
         ~paddr:e.paddr;
+    t.slots.(e.handle) <- dummy_entry;
     (* restore speculative RAS state *)
     match e.ras_ck with
     | Some ck -> Predictor.ras_restore t.bpred ck
@@ -555,16 +597,15 @@ let annul_from t th entry =
   annul_youngest t th (total - pos)
 
 (* After a full flush the context holds all committed state: revert every
-   RAT mapping to Arch and release the physregs that held committed
+   RAT mapping to [arch] and release the physregs that held committed
    values (no in-flight consumer can exist — the ROB is empty). *)
 let reset_rat t th =
   Array.iteri
-    (fun i entry ->
-      match entry with
-      | Phys p ->
+    (fun i p ->
+      if p >= 0 then begin
         Physreg.release t.prf p;
-        th.rat.(i) <- Arch
-      | Arch -> ())
+        th.rat.(i) <- arch
+      end)
     th.rat
 
 let flush_fetch th =
@@ -705,7 +746,7 @@ let fetch_thread t th =
       th.fetch_bb <- None;
       th.fetch_bb_index <- ib_index)
   | _ -> ());
-  if th.fetch_enabled && th.redirect = None && ctx.Context.running
+  if th.fetch_enabled && Option.is_none th.redirect && ctx.Context.running
      && now t >= th.fetch_stall_until
   then begin
     let budget = ref t.config.Config.fetch_width in
@@ -818,122 +859,118 @@ let fetch_thread t th =
 
 (* ---------- rename / dispatch ---------- *)
 
-let alloc_entry_regs t (u : Uop.t) =
-  let need_dest = u.Uop.rd <> Uop.reg_none in
-  let need_flags = u.Uop.setflags <> 0 in
-  let n_needed = (if need_dest then 1 else 0) + if need_flags then 1 else 0 in
-  if Physreg.free_count t.prf < n_needed then None
-  else begin
-    let dest = if need_dest then Option.get (Physreg.alloc t.prf) else -1 in
-    let dest_flags = if need_flags then Option.get (Physreg.alloc t.prf) else -1 in
-    Some (dest, dest_flags)
-  end
-
 let rename_thread t th =
   let budget = ref t.config.Config.rename_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 && not (Ring.is_empty th.fetchq) do
-    match Ring.peek th.fetchq with
-    | None -> stop := true
-    | Some f ->
-      if now t < f.f_cycle + t.config.Config.frontend_stages then stop := true
+    let f = Ring.get th.fetchq 0 in
+    if now t < f.f_cycle + t.config.Config.frontend_stages then stop := true
+    else begin
+      let u = f.f_uop in
+      let is_mem = Uop.is_mem u in
+      let is_assist = Uop.is_assist u || Option.is_some f.f_fault in
+      let cluster = if is_assist then -1 else cluster_for t u in
+      let iq_ok =
+        is_assist || (cluster >= 0 && iq_thread_may_insert t cluster th.tid)
+      in
+      let need_dest = u.Uop.rd <> Uop.reg_none in
+      let need_flags = u.Uop.setflags <> 0 in
+      let n_needed = (if need_dest then 1 else 0) + if need_flags then 1 else 0 in
+      if Ring.is_full th.rob
+         || (is_mem && Ring.is_full th.lsq)
+         || (not iq_ok)
+         || Physreg.free_count t.prf < n_needed
+      then stop := true
       else begin
-        let u = f.f_uop in
-        let is_mem = Uop.is_mem u in
-        let is_assist = Uop.is_assist u || f.f_fault <> None in
-        let cluster = if is_assist then -1 else cluster_for t u in
-        let iq_ok =
-          is_assist || (cluster >= 0 && iq_thread_may_insert t cluster th.tid)
+        let dest = if need_dest then Physreg.alloc t.prf else -1 in
+        let dest_flags = if need_flags then Physreg.alloc t.prf else -1 in
+        let src_a = src_of th u.Uop.ra in
+        let src_b = src_of th u.Uop.rb in
+        let src_c = src_of th u.Uop.rc in
+        let src_f =
+          if u.Uop.readflags then th.rat.(Uop.reg_flags) else arch
         in
-        if Ring.is_full th.rob
-           || (is_mem && Ring.is_full th.lsq)
-           || not iq_ok
-        then stop := true
-        else
-          match alloc_entry_regs t u with
-          | None -> stop := true
-          | Some (dest, dest_flags) ->
-            let src_a = src_of th u.Uop.ra in
-            let src_b = src_of th u.Uop.rb in
-            let src_c = src_of th u.Uop.rc in
-            let src_f =
-              if u.Uop.readflags then th.rat.(Uop.reg_flags) else Arch
-            in
-            let old_rd =
-              if u.Uop.rd <> Uop.reg_none then begin
-                let prev = th.rat.(u.Uop.rd) in
-                th.rat.(u.Uop.rd) <- Phys dest;
-                Some (u.Uop.rd, prev)
-              end
-              else None
-            in
-            let old_flags =
-              if u.Uop.setflags <> 0 then begin
-                let prev = th.rat.(Uop.reg_flags) in
-                th.rat.(Uop.reg_flags) <- Phys dest_flags;
-                Some prev
-              end
-              else None
-            in
-            t.seq_counter <- t.seq_counter + 1;
-            let entry =
-              {
-                uop = u;
-                seq = t.seq_counter;
-                uuid = f.f_uuid;
-                thread = th.tid;
-                bb_rip = f.f_bb_rip;
-                bb_index = f.f_bb_index;
-                dest;
-                dest_flags;
-                old_rd;
-                old_flags;
-                src_a;
-                src_b;
-                src_c;
-                src_f;
-                state =
-                  (match f.f_fault with
-                  | Some fault -> Faulted fault
-                  | None -> if is_assist then Done else Waiting);
-                writeback_cycle = 0;
-                in_iq = -1;
-                exec_cluster = cluster;
-                unready = 0;
-                ready_at = 0;
-                wb_slot = -1;
-                result = 0L;
-                rflags = 0;
-                pred_taken = f.f_pred_taken;
-                pred_target = f.f_pred_target;
-                ras_ck = f.f_ras_ck;
-                taken = false;
-                target = 0L;
-                mispredicted = false;
-                vaddr = 0L;
-                paddr = -1;
-                addr_valid = false;
-                store_data = 0L;
-                locked_acquired = false;
-                replays = 0;
-                retry_cycle = 0;
-                fetch_fault = f.f_fault;
-              }
-            in
-            Ring.push th.rob entry;
-            if !Trace.on then begin
-              Trace.emit ~core:t.core_id ~thread:th.tid ~uuid:entry.uuid
-                ~rip:u.Uop.rip
-                ~slot:(Ring.length th.rob - 1)
-                Trace.Rename;
-              Trace.emit ~core:t.core_id ~thread:th.tid ~uuid:entry.uuid
-                ~rip:u.Uop.rip ~slot:cluster Trace.Dispatch
-            end;
-            if is_mem then Ring.push th.lsq entry;
-            if not is_assist then iq_insert t cluster entry;
-            ignore (Ring.pop th.fetchq);
-            decr budget
+        let old_rd =
+          if need_dest then begin
+            let prev = th.rat.(u.Uop.rd) in
+            th.rat.(u.Uop.rd) <- dest;
+            prev
+          end
+          else not_renamed
+        in
+        let old_flags =
+          if need_flags then begin
+            let prev = th.rat.(Uop.reg_flags) in
+            th.rat.(Uop.reg_flags) <- dest_flags;
+            prev
+          end
+          else not_renamed
+        in
+        let handle =
+          (th.tid * t.config.Config.rob_size) + Ring.tail_slot th.rob
+        in
+        t.seq_counter <- t.seq_counter + 1;
+        let entry =
+          {
+            uop = u;
+            handle;
+            seq = t.seq_counter;
+            uuid = f.f_uuid;
+            thread = th.tid;
+            bb_rip = f.f_bb_rip;
+            bb_index = f.f_bb_index;
+            dest;
+            dest_flags;
+            old_rd;
+            old_flags;
+            src_a;
+            src_b;
+            src_c;
+            src_f;
+            state =
+              (match f.f_fault with
+              | Some _ -> Faulted
+              | None -> if is_assist then Done else Waiting);
+            fault = f.f_fault;
+            writeback_cycle = 0;
+            in_iq = -1;
+            exec_cluster = cluster;
+            unready = 0;
+            ready_at = 0;
+            wb_slot = -1;
+            result = 0L;
+            rflags = 0;
+            pred_taken = f.f_pred_taken;
+            pred_target = f.f_pred_target;
+            ras_ck = f.f_ras_ck;
+            taken = false;
+            target = 0L;
+            mispredicted = false;
+            vaddr = 0L;
+            paddr = -1;
+            addr_valid = false;
+            store_data = 0L;
+            locked_acquired = false;
+            replays = 0;
+            retry_cycle = 0;
+          }
+        in
+        Ring.push th.rob entry;
+        t.slots.(handle) <- entry;
+        if !Trace.on then begin
+          Trace.emit ~core:t.core_id ~thread:th.tid ~uuid:entry.uuid
+            ~rip:u.Uop.rip
+            ~slot:(Ring.length th.rob - 1)
+            Trace.Rename;
+          Trace.emit ~core:t.core_id ~thread:th.tid ~uuid:entry.uuid
+            ~rip:u.Uop.rip ~slot:cluster Trace.Dispatch
+        end;
+        if is_mem then Ring.push th.lsq entry;
+        if not is_assist then iq_insert t cluster entry;
+        ignore (Ring.pop th.fetchq);
+        decr budget
       end
+    end
   done
 
 (* ---------- memory pipeline helpers ---------- *)
@@ -1069,6 +1106,10 @@ let older_locked_pending th (load : rob_entry) =
 
 let thread_of t e = t.threads.(e.thread)
 
+let set_fault e f =
+  e.fault <- Some f;
+  e.state <- Faulted
+
 let redirect_fetch t th ~where =
   if !Trace.on then begin
     let target =
@@ -1133,7 +1174,7 @@ let check_hoist_violation t th (store : rob_entry) =
         in
         if
           Uop.is_load e.uop
-          && (e.state = Done || e.state = Issued)
+          && (match e.state with Done | Issued -> true | Waiting | Faulted -> false)
           && not (List.exists covers !covering)
         then victim := Some e
   done;
@@ -1171,7 +1212,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
   e.vaddr <- vaddr;
   match dtlb_translate t th ~vaddr ~write:false ~at_rip with
   | Error f ->
-    e.state <- Faulted f;
+    set_fault e f;
     iq_remove t e
   | Ok (paddr, tlb_lat) -> (
     e.paddr <- paddr;
@@ -1250,7 +1291,7 @@ let execute_load t th (e : rob_entry) (out : Exec.outcome) =
         else
           match read_guest_data t th ~vaddr ~paddr ~size:u.Uop.mem_size ~at_rip with
           | Error f ->
-            e.state <- Faulted f;
+            set_fault e f;
             iq_remove t e
           | Ok (raw, cross_lat) ->
             let lat = Hierarchy.load t.hierarchy ~cycle:(now t) ~paddr in
@@ -1268,7 +1309,7 @@ let execute_store t th (e : rob_entry) (out : Exec.outcome) ~rc =
   e.vaddr <- vaddr;
   match dtlb_translate t th ~vaddr ~write:true ~at_rip with
   | Error f ->
-    e.state <- Faulted f;
+    set_fault e f;
     iq_remove t e
   | Ok (paddr, tlb_lat) ->
     if
@@ -1303,13 +1344,13 @@ let execute_entry t (e : rob_entry) =
   if !Trace.on then
     Trace.emit ~core:t.core_id ~thread:e.thread ~uuid:e.uuid ~rip:u.Uop.rip
       ~slot:e.exec_cluster Trace.Issue;
-  let ra = src_value t th (e.src_a, u.Uop.ra) in
-  let rb = src_value t th (e.src_b, u.Uop.rb) in
-  let rc = src_value t th (e.src_c, u.Uop.rc) in
+  let ra = src_value t th e.src_a u.Uop.ra in
+  let rb = src_value t th e.src_b u.Uop.rb in
+  let rc = src_value t th e.src_c u.Uop.rc in
   let flags = if u.Uop.readflags then flags_value t th e.src_f else 0 in
   match Exec.execute u ~ra ~rb ~rc ~flags with
   | exception Exec.Divide_error ->
-    e.state <- Faulted { Fault.kind = Fault.Divide_error; at_rip = u.Uop.rip };
+    set_fault e { Fault.kind = Fault.Divide_error; at_rip = u.Uop.rip };
     iq_remove t e
   | out ->
     if Uop.is_load u then execute_load t th e out
@@ -1340,14 +1381,15 @@ let[@inline] is_waiting e = match e.state with Waiting -> true | _ -> false
 
 (* Append to [buf] (holding [k] entries) the selectable ready entries of
    class [cls] in [seq] order until [width] are chosen; the new count. *)
-let select_class now rs n cls buf k width =
+let select_class slots now rs n cls buf k width =
   let k = ref k and i = ref 0 in
   while !k < width && !i < n do
-    let e = rs.(!i) in
+    let h = rs.(!i) in
+    let e = slots.(h) in
     if now >= e.retry_cycle && now >= e.ready_at && is_waiting e
        && klass now e = cls
     then begin
-      buf.(!k) <- e;
+      buf.(!k) <- h;
       incr k
     end;
     incr i
@@ -1355,38 +1397,44 @@ let select_class now rs n cls buf k width =
   !k
 
 let issue t =
-  let now = now t and buf = t.select_buf in
+  let now = now t and buf = t.select_buf and slots = t.slots in
   for ci = 0 to Array.length t.clusters - 1 do
     let width = t.clusters.(ci).Config.issue_width in
     let rs = t.ready.(ci) and n = t.ready_len.(ci) in
-    let k = select_class now rs n 0 buf 0 width in
-    let k = select_class now rs n 1 buf k width in
+    let k = select_class slots now rs n 0 buf 0 width in
+    let k = select_class slots now rs n 1 buf k width in
     for j = 0 to k - 1 do
-      let e = buf.(j) in
-      buf.(j) <- dummy_entry;
       (* an earlier branch resolution in this same cycle may have
-         annulled the entry; it still used up its issue slot *)
+         annulled the entry, emptying its slot; it still used up its
+         issue slot *)
+      let e = slots.(buf.(j)) in
       if e.in_iq = ci && is_waiting e then execute_entry t e
     done
   done
 
 (* ---------- writeback ---------- *)
 
-(* Move the due entries of a wheel bucket to [t.due]; returns the rest
-   of the bucket. Entries no longer Issued (a planted fault) are
+(* Move the due entries of wheel bucket [b] to [t.due], keeping the
+   rest in the bucket. Entries no longer Issued (a planted fault) are
    dropped. *)
-let rec take_due t now keep = function
-  | [] -> keep
-  | e :: rest ->
-    if e.wb_slot > now then take_due t now (e :: keep) rest
-    else begin
-      (match e.state with
-      | Issued ->
-        t.due.(t.ndue) <- e;
-        t.ndue <- t.ndue + 1
-      | _ -> ());
-      take_due t now keep rest
+let take_due t now b =
+  let node = ref t.wheel.(b) and keep = ref (-1) in
+  while !node >= 0 do
+    let h = !node in
+    node := t.wheel_next.(h);
+    let e = t.slots.(h) in
+    if e.wb_slot > now then begin
+      t.wheel_next.(h) <- !keep;
+      keep := h
     end
+    else
+      match e.state with
+      | Issued ->
+        t.due.(t.ndue) <- h;
+        t.ndue <- t.ndue + 1
+      | Waiting | Done | Faulted -> ()
+  done;
+  t.wheel.(b) <- !keep
 
 (* Complete every Issued entry whose writeback cycle has come, in thread
    order and then ROB age, broadcasting each result to its consumers. *)
@@ -1396,29 +1444,27 @@ let writeback t =
     t.ndue <- 0;
     for c = imax (t.wheel_done + 1) (now - wheel_mask) to now do
       let b = c land wheel_mask in
-      match t.wheel.(b) with
-      | [] -> ()
-      | l -> t.wheel.(b) <- take_due t now [] l
+      if t.wheel.(b) >= 0 then take_due t now b
     done;
     t.wheel_done <- now;
-    let due = t.due and n = t.ndue in
+    let due = t.due and n = t.ndue and slots = t.slots in
     (* insertion sort by (thread, seq): a handful of entries *)
     for i = 1 to n - 1 do
-      let e = due.(i) in
+      let h = due.(i) in
+      let e = slots.(h) in
       let j = ref i in
       while
         !j > 0
-        && (let d = due.(!j - 1) in
+        && (let d = slots.(due.(!j - 1)) in
             d.thread > e.thread || (d.thread = e.thread && d.seq > e.seq))
       do
         due.(!j) <- due.(!j - 1);
         decr j
       done;
-      due.(!j) <- e
+      due.(!j) <- h
     done;
     for i = 0 to n - 1 do
-      let e = due.(i) in
-      due.(i) <- dummy_entry;
+      let e = slots.(due.(i)) in
       if e.dest >= 0 then begin
         Physreg.write t.prf e.dest ~value:e.result ~flags:e.rflags
           ~cycle:e.writeback_cycle ~cluster:e.exec_cluster;
@@ -1444,7 +1490,7 @@ module Flags = Ptl_isa.Flags
 type macro_scan =
   | Macro_ready of int
   | Macro_incomplete
-  | Macro_fault of int * Fault.t  (* first faulting entry *)
+  | Macro_fault of int  (* first faulting entry *)
 
 let scan_head_macro th =
   let n = Ring.length th.rob in
@@ -1453,7 +1499,7 @@ let scan_head_macro th =
     else begin
       let e = Ring.get th.rob i in
       match e.state with
-      | Faulted f -> Macro_fault (i, f)
+      | Faulted -> Macro_fault i
       | Waiting | Issued -> Macro_incomplete
       | Done ->
         if Uop.is_branch e.uop && e.taken then Macro_ready i
@@ -1464,12 +1510,8 @@ let scan_head_macro th =
   go 0
 
 let release_old t entry =
-  (match entry.old_rd with
-  | Some (_, Phys p) -> Physreg.release t.prf p
-  | Some (_, Arch) | None -> ());
-  match entry.old_flags with
-  | Some (Phys p) -> Physreg.release t.prf p
-  | Some Arch | None -> ()
+  if entry.old_rd >= 0 then Physreg.release t.prf entry.old_rd;
+  if entry.old_flags >= 0 then Physreg.release t.prf entry.old_flags
 
 
 (* Commit one store to guest memory, with timing charge and SMC check.
@@ -1518,15 +1560,21 @@ let commit_thread t th =
   while !continue_ && !budget > 0 && not (Ring.is_empty th.rob) do
     match scan_head_macro th with
     | Macro_incomplete -> continue_ := false
-    | Macro_fault (i, f) ->
+    | Macro_fault i ->
       (* wait until everything before the faulting uop is done, so an
          older fault can still win *)
       let all_done_before =
-        let rec chk j = j >= i || (Ring.get th.rob j).state = Done && chk (j + 1) in
+        let rec chk j =
+          j >= i
+          || (match (Ring.get th.rob j).state with Done -> true | _ -> false)
+             && chk (j + 1)
+        in
         chk 0
       in
       if all_done_before then begin
-        commit_fault t th f;
+        (match (Ring.get th.rob i).fault with
+        | Some f -> commit_fault t th f
+        | None -> assert false);
         th.last_progress <- now t
       end;
       continue_ := false
@@ -1602,16 +1650,13 @@ let commit_thread t th =
         (* remove the macro from ROB and LSQ *)
         let last_seq = last_e.seq in
         for _ = 0 to last do
-          ignore (Ring.pop th.rob)
+          t.slots.((Ring.pop th.rob).handle) <- dummy_entry
         done;
-        let rec pop_lsq () =
-          match Ring.peek th.lsq with
-          | Some e when e.seq <= last_seq ->
-            ignore (Ring.pop th.lsq);
-            pop_lsq ()
-          | _ -> ()
-        in
-        pop_lsq ();
+        while
+          (not (Ring.is_empty th.lsq)) && (Ring.get th.lsq 0).seq <= last_seq
+        do
+          ignore (Ring.pop th.lsq)
+        done;
         Stats.incr t.c_insns;
         if !Trace.on then
           Trace.emit ~core:t.core_id ~thread:th.tid ~uuid:last_e.uuid
@@ -1675,7 +1720,7 @@ let step t =
     let fetched = ref false in
     while (not !fetched) && !tried < n do
       let th = t.threads.((t.fetch_round + !tried) mod n) in
-      if th.ctx.Context.running || th.redirect <> None then begin
+      if th.ctx.Context.running || Option.is_some th.redirect then begin
         fetch_thread t th;
         fetched := true;
         t.fetch_round <- (t.fetch_round + !tried + 1) mod n
@@ -1814,29 +1859,36 @@ let guard_lsq_check t =
     included for the dangling-reference check). *)
 let guard_iter_referenced t f =
   let add i = if i >= 0 then f i in
-  let add_rat = function Phys p -> add p | Arch -> () in
   Array.iter
     (fun th ->
-      Array.iter add_rat th.rat;
+      Array.iter add th.rat;
       Ring.iter th.rob (fun e ->
           add e.dest;
           add e.dest_flags;
-          (match e.old_rd with Some (_, m) -> add_rat m | None -> ());
-          (match e.old_flags with Some m -> add_rat m | None -> ());
-          add_rat e.src_a;
-          add_rat e.src_b;
-          add_rat e.src_c;
-          add_rat e.src_f))
+          add e.old_rd;
+          add e.old_flags;
+          add e.src_a;
+          add e.src_b;
+          add e.src_c;
+          add e.src_f))
     t.threads
 
-(** Issue-queue consistency. Slot conservation, both directions: each
-    cluster's free-slot counter and per-thread counters equal a recount
-    of the ROB entries claiming the cluster, and every claiming entry is
-    Waiting. Wakeup: a queued entry's unready count equals its unwritten
-    sources, it sits on each such source's consumer list (and every
-    consumer-list member is such an entry), and it is in its cluster's
-    ready set exactly when that count is zero; ready sets are in [seq]
-    order and hold only Waiting, fully-written entries of that cluster.
+(* Source [k] of [e], as numbered in consumer-list nodes. *)
+let source e k =
+  match k with 0 -> e.src_a | 1 -> e.src_b | 2 -> e.src_c | _ -> e.src_f
+
+(** Issue-queue consistency. Handles: each ROB entry's handle names its
+    own ROB slot and maps back to it, an empty slot maps to no entry,
+    and every handle in a ready set, a wheel bucket or a consumer list
+    names an entry in the ROB (a stale handle is a violation). Slot
+    conservation, both directions: each cluster's free-slot counter and
+    per-thread counters equal a recount of the ROB entries claiming the
+    cluster, and every claiming entry is Waiting. Wakeup: a queued
+    entry's unready count equals its unwritten sources, it sits on each
+    such source's consumer list (and every consumer-list node is such a
+    source of such an entry), and it is in its cluster's ready set
+    exactly when that count is zero; ready sets are in [seq] order and
+    hold only Waiting, fully-written entries of that cluster.
     Completion: every wheel entry is Issued, in the bucket of its
     [wb_slot] at or after its writeback cycle and not yet drained, and
     the wheel holds exactly the Issued ROB entries. Returns a violation
@@ -1845,14 +1897,69 @@ let guard_iq_check t =
   let violation = ref None in
   let note fmt = Printf.ksprintf (fun s -> if !violation = None then violation := Some s) fmt in
   let nclusters = Array.length t.clusters and nthreads = Array.length t.threads in
+  let nhandles = Array.length t.slots and rob_size = t.config.Config.rob_size in
+  let nnodes = 4 * nhandles in
+  (* handles of the entries in the ROB *)
+  let live = Array.make nhandles false in
+  Array.iter
+    (fun th ->
+      for i = 0 to Ring.length th.rob - 1 do
+        let e = Ring.get th.rob i in
+        let h = (th.tid * rob_size) + Ring.slot_of th.rob i in
+        if e.handle <> h then
+          note "thread %d: rob seq %d has handle %d but sits in slot %d" th.tid e.seq
+            e.handle h
+        else if t.slots.(h) != e then
+          note "handle %d: rob seq %d is not the entry its handle names" h e.seq
+        else live.(h) <- true
+      done)
+    t.threads;
+  Array.iteri
+    (fun h e ->
+      if (not live.(h)) && e != dummy_entry then
+        note "handle %d: empty ROB slot still names seq %d" h e.seq)
+    t.slots;
+  let is_live h = h >= 0 && h < nhandles && live.(h) in
+  (* consumer lists: node -> the physreg whose list holds it *)
+  let node_reg = Array.make nnodes (-1) in
+  let consumers = ref 0 in
+  Array.iteri
+    (fun p first ->
+      let node = ref first in
+      while !node >= 0 do
+        let n = !node in
+        node := -1;
+        if n >= nnodes then note "physreg %d: consumer node %d out of range" p n
+        else if node_reg.(n) >= 0 then
+          note "physreg %d: consumer node %d already listed under physreg %d" p n
+            node_reg.(n)
+        else begin
+          node_reg.(n) <- p;
+          incr consumers;
+          let h = n lsr 2 in
+          if not (is_live h) then note "physreg %d: stale consumer handle %d" p h
+          else begin
+            let e = t.slots.(h) in
+            if Physreg.is_written t.prf p then
+              note "physreg %d: written but seq %d still waits on it" p e.seq
+            else if e.in_iq < 0 || not (is_waiting e) then
+              note "physreg %d: consumer seq %d is not queued" p e.seq
+            else if source e (n land 3) <> p then
+              note "physreg %d: consumer seq %d source %d reads physreg %d" p e.seq
+                (n land 3) (source e (n land 3))
+          end;
+          node := t.wnode_next.(n)
+        end
+      done)
+    t.waiter_head;
   let claimed = Array.make nclusters 0 in
   let claimed_thread = Array.make (nclusters * nthreads) 0 in
   let ready_expected = Array.make nclusters 0 in
   let watched = ref 0 and issued = ref 0 in
-  let in_ready c e =
+  let in_ready c h =
     let n = ref 0 in
     for i = 0 to t.ready_len.(c) - 1 do
-      if t.ready.(c).(i) == e then incr n
+      if t.ready.(c).(i) = h then incr n
     done;
     !n
   in
@@ -1871,23 +1978,25 @@ let guard_iq_check t =
               if not (is_waiting e) then
                 note "iq[%d]: queued entry seq %d not in Waiting state" c e.seq;
               let pending = ref 0 in
-              let check_src = function
-                | Phys p when not (Physreg.is_written t.prf p) ->
+              let check_src k =
+                let p = source e k in
+                if p >= 0 && not (Physreg.is_written t.prf p) then begin
                   incr pending;
-                  if not (List.memq e t.waiters.(p)) then
+                  let n = (e.handle * 4) + k in
+                  if n < 0 || n >= nnodes || node_reg.(n) <> p then
                     note "iq[%d]: seq %d waits on physreg %d but is not its consumer"
                       c e.seq p
-                | Phys _ | Arch -> ()
+                end
               in
-              check_src e.src_a;
-              check_src e.src_b;
-              check_src e.src_c;
-              if e.uop.Uop.readflags then check_src e.src_f;
+              check_src 0;
+              check_src 1;
+              check_src 2;
+              if e.uop.Uop.readflags then check_src 3;
               if !pending <> e.unready then
                 note "iq[%d]: seq %d has %d unwritten sources but unready=%d" c
                   e.seq !pending e.unready;
               watched := !watched + e.unready;
-              let r = in_ready c e in
+              let r = in_ready c e.handle in
               if e.unready = 0 then begin
                 ready_expected.(c) <- ready_expected.(c) + 1;
                 if r <> 1 then
@@ -1912,43 +2021,42 @@ let guard_iq_check t =
     done;
     let prev = ref min_int in
     for i = 0 to t.ready_len.(c) - 1 do
-      let e = t.ready.(c).(i) in
-      if not (is_waiting e) then
-        note "iq[%d]: ready-set seq %d not in Waiting state" c e.seq
-      else if e.in_iq <> c then
-        note "iq[%d]: ready-set seq %d claims cluster %d" c e.seq e.in_iq
-      else if e.unready <> 0 then
-        note "iq[%d]: ready-set seq %d has unready=%d" c e.seq e.unready
-      else if e.seq <= !prev then
-        note "iq[%d]: ready set out of seq order at %d" c e.seq;
-      prev := e.seq
+      let h = t.ready.(c).(i) in
+      if not (is_live h) then note "iq[%d]: stale handle %d in the ready set" c h
+      else begin
+        let e = t.slots.(h) in
+        if not (is_waiting e) then
+          note "iq[%d]: ready-set seq %d not in Waiting state" c e.seq
+        else if e.in_iq <> c then
+          note "iq[%d]: ready-set seq %d claims cluster %d" c e.seq e.in_iq
+        else if e.unready <> 0 then
+          note "iq[%d]: ready-set seq %d has unready=%d" c e.seq e.unready
+        else if e.seq <= !prev then
+          note "iq[%d]: ready set out of seq order at %d" c e.seq;
+        prev := e.seq
+      end
     done;
     if t.ready_len.(c) <> ready_expected.(c) then
       note "iq[%d]: ready set holds %d entries but %d are ready" c t.ready_len.(c)
         ready_expected.(c)
   done;
-  let consumers = ref 0 in
-  Array.iteri
-    (fun p l ->
-      List.iter
-        (fun e ->
-          incr consumers;
-          if Physreg.is_written t.prf p then
-            note "physreg %d: written but seq %d still waits on it" p e.seq
-          else if e.in_iq < 0 || not (is_waiting e) then
-            note "physreg %d: consumer seq %d is not queued" p e.seq)
-        l)
-    t.waiters;
   if !consumers <> !watched then
     note "consumer lists hold %d entries but queued entries wait on %d" !consumers
       !watched;
-  let in_wheel = ref 0 in
+  let in_wheel = ref 0 and seen = Array.make nhandles false in
   Array.iteri
-    (fun b l ->
-      List.iter
-        (fun e ->
+    (fun b first ->
+      let node = ref first in
+      while !node >= 0 do
+        let h = !node in
+        node := -1;
+        if not (is_live h) then note "wheel[%d]: stale handle %d" b h
+        else if seen.(h) then note "wheel[%d]: handle %d listed twice" b h
+        else begin
+          seen.(h) <- true;
           incr in_wheel;
-          match e.state with
+          let e = t.slots.(h) in
+          (match e.state with
           | Issued ->
             if e.wb_slot land wheel_mask <> b then
               note "wheel[%d]: seq %d belongs in bucket %d" b e.seq
@@ -1959,8 +2067,10 @@ let guard_iq_check t =
             else if e.wb_slot <= t.wheel_done then
               note "wheel[%d]: seq %d slot %d already drained (at %d)" b e.seq
                 e.wb_slot t.wheel_done
-          | _ -> note "wheel[%d]: seq %d is not Issued" b e.seq)
-        l)
+          | _ -> note "wheel[%d]: seq %d is not Issued" b e.seq);
+          node := t.wheel_next.(h)
+        end
+      done)
     t.wheel;
   if !in_wheel <> !issued then
     note "wheel holds %d entries but %d ROB entries are Issued" !in_wheel !issued;

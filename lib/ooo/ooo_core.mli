@@ -11,10 +11,29 @@
     of a completion wheel keyed by writeback cycle. Dispatch checks
     free-slot counters per cluster and per (cluster, thread).
 
+    The per-cycle bookkeeping structures hold immediates, so storing
+    into them needs no write barrier ([caml_modify]); the barrier still
+    runs when an entry enters a ring or [slots], and for an entry's
+    boxed [int64] fields. A
+    ROB entry is named by an integer handle, [tid * rob_size] plus its
+    ROB slot, and [slots] maps a handle back to its entry. The ready
+    sets, the select buffer, the writeback scratch, the completion wheel
+    ([wheel] heads plus [wheel_next]) and the consumer lists
+    ([waiter_head] plus [wnode_next], node [handle * 4 + source]) hold
+    handles; alias-table mappings are ints; [entry_state] is immediate;
+    and {!Physreg} is one flat array per field. The rule for new code: a
+    structure written every cycle stores ints, not entries, boxed
+    [int64]s or options. ROB entries and fetch-queue records themselves
+    are allocated fresh per uop, since a young allocation needs no
+    barrier.
+
     The records stay transparent because {!Ptl_ooo.Multicore} reads the
     TLBs and hierarchy of each core, and {!Ptl_guard.Guard} (and its
-    corruption tests) walk and plant faults in the ROB, the issue-queue
-    structures and the completion wheel. *)
+    corruption tests) walk and plant faults in the ROB, the handle table
+    [slots], the ready sets, the consumer lists ([waiter_head],
+    [wnode_next]), the completion wheel ([wheel], [wheel_next]) and the
+    physical register file's state array and free list. A handle in any
+    of them that does not name an entry in the ROB is a violation. *)
 
 open Ptl_util
 
@@ -29,16 +48,13 @@ module Hierarchy := Ptl_mem.Hierarchy
 module Predictor := Ptl_bpred.Predictor
 module Stats := Ptl_stats.Statstree
 
-(** One alias-table mapping: where an architectural register's value
-    lives. *)
-type rat_entry
-
-(** Life cycle of a ROB entry. *)
+(** Life cycle of a ROB entry. An immediate, so setting it needs no
+    write barrier; a Faulted entry's fault is in its [fault] field. *)
 type entry_state =
   | Waiting  (* in an issue queue, sources not all ready / not selected *)
   | Issued  (* executing; completes at writeback_cycle *)
   | Done
-  | Faulted of Fault.t
+  | Faulted
 
 (** Where fetch resumes after a redirect. *)
 type redirect
@@ -46,6 +62,7 @@ type redirect
 (** One in-flight uop in a thread's reorder buffer. *)
 type rob_entry = {
   uop : Uop.t;
+  handle : int;  (* tid * rob_size + ROB slot: the entry's name in [slots] *)
   seq : int;
   uuid : int;  (* fetch-order id for the event trace *)
   thread : int;
@@ -53,13 +70,17 @@ type rob_entry = {
   bb_index : int;  (* index within that block *)
   dest : int;  (* value physreg, -1 if none *)
   dest_flags : int;  (* flags physreg, -1 if none *)
-  old_rd : (int * rat_entry) option;  (* previous mapping of uop.rd *)
-  old_flags : rat_entry option;  (* previous mapping of the flags reg *)
-  src_a : rat_entry;
-  src_b : rat_entry;
-  src_c : rat_entry;
-  src_f : rat_entry;  (* flags source when readflags *)
+  (* Alias-table mappings are ints: -1 when the architectural register
+     holds the value, otherwise the physical register; an old mapping is
+     -2 when the entry did not rename that register. *)
+  old_rd : int;  (* previous mapping of uop.rd *)
+  old_flags : int;  (* previous mapping of the flags reg *)
+  src_a : int;
+  src_b : int;
+  src_c : int;
+  src_f : int;  (* flags source when readflags *)
   mutable state : entry_state;
+  mutable fault : Fault.t option;  (* written only when state is Faulted *)
   mutable writeback_cycle : int;
   mutable in_iq : int;  (* cluster index while queued, -1 otherwise *)
   mutable exec_cluster : int;  (* cluster the uop executes in *)
@@ -88,8 +109,6 @@ type rob_entry = {
      replay loop cannot monopolize an issue port and starve other
      (SMT) threads' ready uops *)
   mutable retry_cycle : int;
-  (* the fault uop synthesized at fetch carries its fault here *)
-  fetch_fault : Fault.t option;
 }
 
 (** A uop sitting in the fetch queue with its prediction. *)
@@ -99,7 +118,7 @@ type fetched
 type thread_state = {
   tid : int;
   ctx : Context.t;
-  rat : rat_entry array;
+  rat : int array;  (* -1 or a physreg, per architectural register *)
   rob : rob_entry Ring.t;
   lsq : rob_entry Ring.t;
   fetchq : fetched Ring.t;
@@ -124,6 +143,9 @@ type t = {
   prf : Physreg.t;
   clusters : Config.cluster array;
   fu_hosts : int array array;  (* per FU class: the clusters hosting it *)
+  (* Handle -> entry for every ROB slot of every thread; an empty slot
+     holds a filler entry with handle -1. *)
+  slots : rob_entry array;
   (* The issue queues. A queued entry claims its cluster in [in_iq];
      each cluster counts its free slots and its entries per thread. An
      entry with unwritten sources waits on those registers' consumer
@@ -131,15 +153,20 @@ type t = {
      set, kept in [seq] order. *)
   iq_free : int array;  (* per cluster *)
   iq_thread : int array;  (* per (cluster, thread): cluster * nthreads + tid *)
-  waiters : rob_entry list array;  (* per physreg: queued consumers *)
-  ready : rob_entry array array;  (* per cluster, [ready_len] live, by seq *)
+  (* Consumer lists are intrusive: source [k] (0 = a, 1 = b, 2 = c,
+     3 = flags) of the entry with handle [h] is node [h * 4 + k]. *)
+  waiter_head : int array;  (* per physreg: first node, -1 if none *)
+  wnode_next : int array;  (* per node: next node on the same list, or -1 *)
+  ready : int array array;  (* per cluster, [ready_len] live handles, by seq *)
   ready_len : int array;
-  select_buf : rob_entry array;  (* one cluster's selection this cycle *)
+  select_buf : int array;  (* one cluster's selection this cycle *)
   (* Completion wheel: an Issued entry waits in bucket
-     [wb_slot land wheel_mask]; [wheel_done] is the last cycle drained. *)
-  wheel : rob_entry list array;
+     [wb_slot land (Array.length wheel - 1)], a list threaded through
+     [wheel_next]; [wheel_done] is the last cycle drained. *)
+  wheel : int array;  (* per bucket: first handle, -1 if empty *)
+  wheel_next : int array;  (* per handle: next in the same bucket, or -1 *)
   mutable wheel_done : int;
-  due : rob_entry array;  (* writeback scratch, [ndue] live *)
+  due : int array;  (* writeback scratch, [ndue] live handles *)
   mutable ndue : int;
   bbcache : Bbcache.t;
   hierarchy : Hierarchy.t;
@@ -219,14 +246,18 @@ val guard_lsq_check : t -> string option
     included for the dangling-reference check). *)
 val guard_iter_referenced : t -> (int -> unit) -> unit
 
-(** Issue-queue consistency. Slot conservation, both directions: each
-    cluster's free-slot counter and per-thread counters equal a recount
-    of the ROB entries claiming the cluster, and every claiming entry is
-    Waiting. Wakeup: a queued entry's unready count equals its unwritten
-    sources, it sits on each such source's consumer list (and every
-    consumer-list member is such an entry), and it is in its cluster's
-    ready set exactly when that count is zero; ready sets are in [seq]
-    order and hold only Waiting, fully-written entries of that cluster.
+(** Issue-queue consistency. Handles: each ROB entry's handle names its
+    own ROB slot and maps back to it, an empty slot maps to no entry,
+    and every handle in a ready set, a wheel bucket or a consumer list
+    names an entry in the ROB (a stale handle is a violation). Slot
+    conservation, both directions: each cluster's free-slot counter and
+    per-thread counters equal a recount of the ROB entries claiming the
+    cluster, and every claiming entry is Waiting. Wakeup: a queued
+    entry's unready count equals its unwritten sources, it sits on each
+    such source's consumer list (and every consumer-list node is such a
+    source of such an entry), and it is in its cluster's ready set
+    exactly when that count is zero; ready sets are in [seq] order and
+    hold only Waiting, fully-written entries of that cluster.
     Completion: every wheel entry is Issued, in the bucket of its
     [wb_slot] at or after its writeback cycle and not yet drained, and
     the wheel holds exactly the Issued ROB entries. Returns a violation

@@ -193,9 +193,14 @@ type state = {
 
 let default_capacity = 1 lsl 20
 
+(* Filler for the ring's empty slots; never emitted. *)
+let no_event =
+  { ev_cycle = 0; ev_kind = Fetch; ev_core = 0; ev_thread = 0; ev_uuid = -1;
+    ev_rip = 0L; ev_slot = 0; ev_info = 0L; ev_tag = "" }
+
 let st =
   {
-    ring = Ring.create 1;
+    ring = Ring.create 1 no_event;
     stop_cycle = max_int;
     rip_filter = None;
     class_mask = 127;
@@ -223,7 +228,7 @@ let configure ?(capacity = default_capacity) ?start_cycle
     | None, Some n -> At_cycle n
     | None, None -> Immediate
   in
-  st.ring <- Ring.create (max 1 capacity);
+  st.ring <- Ring.create (max 1 capacity) no_event;
   st.stop_cycle <- stop_cycle;
   st.rip_filter <- rip;
   st.class_mask <- List.fold_left (fun m c -> m lor class_bit c) 0 classes;

@@ -17,6 +17,32 @@ module Stats = Ptl_stats.Statstree
 
 type key = { krip : int64; kmfn : int; kkernel : bool }
 
+(* Every fetch-block lookup probes [Blocks] and every committed store
+   probes [Frames], so both hash and compare keys without the
+   polymorphic [caml_hash] and [compare]. Nothing iterates either, so
+   bucket order cannot reach a result. *)
+module Blocks = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    Int64.equal a.krip b.krip && a.kmfn = b.kmfn && Bool.equal a.kkernel b.kkernel
+
+  let hash k =
+    let h =
+      (Int64.to_int k.krip * 0x2545F4914F6CDD1D)
+      + (k.kmfn * 0x9E3779B1)
+      + if k.kkernel then 1 else 0
+    in
+    h lxor (h lsr 32)
+end)
+
+module Frames = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash mfn = mfn land max_int
+end)
+
 type bb = {
   key : key;
   uops : Uop.t array;
@@ -31,8 +57,8 @@ type bb = {
 }
 
 type t = {
-  blocks : (key, bb) Hashtbl.t;
-  by_mfn : (int, key list ref) Hashtbl.t;
+  blocks : bb Blocks.t;
+  by_mfn : key list ref Frames.t;
   max_insns : int;
   max_uops : int;
   hits : Stats.counter;
@@ -43,8 +69,8 @@ type t = {
 
 let create ?(max_insns = 16) ?(max_uops = 48) stats =
   {
-    blocks = Hashtbl.create 4096;
-    by_mfn = Hashtbl.create 1024;
+    blocks = Blocks.create 4096;
+    by_mfn = Frames.create 1024;
     max_insns;
     max_uops;
     hits = Stats.counter stats "bbcache.hits";
@@ -54,9 +80,9 @@ let create ?(max_insns = 16) ?(max_uops = 48) stats =
   }
 
 let register_mfn t mfn key =
-  match Hashtbl.find_opt t.by_mfn mfn with
+  match Frames.find_opt t.by_mfn mfn with
   | Some l -> l := key :: !l
-  | None -> Hashtbl.add t.by_mfn mfn (ref [ key ])
+  | None -> Frames.add t.by_mfn mfn (ref [ key ])
 
 (** Translate a basic block starting at [rip]. [fetch] returns instruction
     bytes by virtual address (raising the caller's fault exception on
@@ -115,14 +141,14 @@ let build t ~rip ~kernel ~fetch ~mfn_of =
       terminated = !terminated;
     }
   in
-  Hashtbl.replace t.blocks key bb;
+  Blocks.replace t.blocks key bb;
   List.iter (fun m -> register_mfn t m key) bb.mfns;
   bb
 
 (** Look up (or decode and cache) the block at [rip]. *)
 let lookup t ~rip ~kernel ~fetch ~mfn_of =
   let key = { krip = rip; kmfn = mfn_of rip; kkernel = kernel } in
-  match Hashtbl.find_opt t.blocks key with
+  match Blocks.find_opt t.blocks key with
   | Some bb ->
     Stats.incr t.hits;
     if !Ptl_trace.Trace.on then Ptl_trace.Trace.emit ~rip Ptl_trace.Trace.Bb_hit;
@@ -134,24 +160,24 @@ let lookup t ~rip ~kernel ~fetch ~mfn_of =
 
 (** Invalidate every block decoded from [mfn]; returns how many died. *)
 let invalidate_mfn t mfn =
-  match Hashtbl.find_opt t.by_mfn mfn with
+  match Frames.find_opt t.by_mfn mfn with
   | None -> 0
   | Some keys ->
     let n = ref 0 in
     List.iter
       (fun key ->
-        if Hashtbl.mem t.blocks key then begin
-          Hashtbl.remove t.blocks key;
+        if Blocks.mem t.blocks key then begin
+          Blocks.remove t.blocks key;
           incr n
         end)
       !keys;
-    Hashtbl.remove t.by_mfn mfn;
+    Frames.remove t.by_mfn mfn;
     Stats.add t.invalidations !n;
     !n
 
 (** Does [mfn] back any cached code? (Cheap check for the store-commit
     path: only stores touching code pages trigger SMC handling.) *)
-let mfn_has_code t mfn = Hashtbl.mem t.by_mfn mfn
+let mfn_has_code t mfn = Frames.mem t.by_mfn mfn
 
 (** A committed store hit [mfn]. If code was cached from that page, all of
     it is invalidated and the caller must flush its pipeline (returns
@@ -168,5 +194,5 @@ let store_committed t mfn =
   else false
 
 let clear t =
-  Hashtbl.reset t.blocks;
-  Hashtbl.reset t.by_mfn
+  Blocks.reset t.blocks;
+  Frames.reset t.by_mfn

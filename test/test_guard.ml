@@ -90,13 +90,16 @@ let run_to_idle ?(budget = 2_000_000) inst =
   if !budget = 0 then Alcotest.fail "guarded run did not finish in budget"
 
 (* The invariant sweep over [inst] must currently report a violation
-   whose subsystem tag contains [sub]. *)
-let detect ~sub m inst =
+   whose subsystem tag contains [sub] (and whose message contains
+   [needle]). *)
+let detect ?(needle = "") ~sub m inst =
   match Guard.first_violation (Guard.checks_for_instance m.Machine.env inst) with
   | Some (c, msg) ->
     if not (contains c.Guard.subsystem sub) then
       Alcotest.failf "wrong subsystem %S for %S (wanted *%s*)" c.Guard.subsystem
-        msg sub
+        msg sub;
+    if not (contains msg needle) then
+      Alcotest.failf "violation %S does not mention %S" msg needle
   | None -> Alcotest.failf "planted %s corruption was not detected" sub
 
 (* The sweep must be clean (guards each test against pre-existing false
@@ -181,11 +184,10 @@ let test_corrupt_freelist () =
   let prf = core.Ooo.prf in
   let live = ref (-1) in
   Array.iteri
-    (fun idx (r : Physreg.reg) ->
-      if !live < 0 && r.Physreg.state <> Physreg.Free then live := idx)
-    prf.Physreg.regs;
+    (fun idx st -> if !live < 0 && st <> Physreg.Free then live := idx)
+    prf.Physreg.state;
   if !live < 0 then Alcotest.fail "no live physreg after warmup";
-  Queue.push !live prf.Physreg.free;
+  Ring.push prf.Physreg.free !live;
   detect ~sub:"physreg" m inst
 
 let test_corrupt_physreg_leak () =
@@ -194,8 +196,8 @@ let test_corrupt_physreg_leak () =
      entry has leaked; fabricate one by marking a Free register Written
      without putting it anywhere *)
   let prf = core.Ooo.prf in
-  let victim = Queue.pop prf.Physreg.free in
-  prf.Physreg.regs.(victim).Physreg.state <- Physreg.Written;
+  let victim = Ring.pop prf.Physreg.free in
+  prf.Physreg.state.(victim) <- Physreg.Written;
   detect ~sub:"physreg" m inst
 
 let test_corrupt_rob_order () =
@@ -256,9 +258,36 @@ let test_corrupt_ready_set () =
   in
   expect_clean m inst;
   let n = core.Ooo.ready_len.(0) in
-  core.Ooo.ready.(0).(n) <- e;
+  core.Ooo.ready.(0).(n) <- e.Ooo.handle;
   core.Ooo.ready_len.(0) <- n + 1;
   detect ~sub:"iq" m inst
+
+let test_corrupt_stale_handle () =
+  let m, inst, core = warm_ooo () in
+  (* step until an annulment: after it, a thread's youngest entry is
+     older than an entry it held before the step (commit removes the
+     oldest entries and rename adds younger ones) *)
+  let rob = core.Ooo.threads.(0).Ooo.rob in
+  let annulled = ref None and tries = ref 20_000 in
+  while !annulled = None && !tries > 0 do
+    let before = Ring.to_list rob in
+    inst.Registry.step ();
+    decr tries;
+    if not (Ring.is_empty rob) then begin
+      let youngest = (Ring.get rob (Ring.length rob - 1)).Ooo.seq in
+      annulled := List.find_opt (fun e -> e.Ooo.seq > youngest) before
+    end
+  done;
+  let e = match !annulled with Some e -> e | None -> Alcotest.fail "no annulment" in
+  Alcotest.(check int) "annulled slot is empty" (-1)
+    core.Ooo.slots.(e.Ooo.handle).Ooo.handle;
+  expect_clean m inst;
+  (* its handle, left behind in a ready set, is stale *)
+  let n = core.Ooo.ready_len.(0) in
+  if n = Array.length core.Ooo.ready.(0) then Alcotest.fail "ready set full";
+  core.Ooo.ready.(0).(n) <- e.Ooo.handle;
+  core.Ooo.ready_len.(0) <- n + 1;
+  detect ~needle:"stale handle" ~sub:"iq" m inst
 
 let test_corrupt_wheel () =
   let m, inst, core = warm_ooo () in
@@ -266,7 +295,8 @@ let test_corrupt_wheel () =
   let e = step_to_entry inst core "completed entry" (fun e -> e.Ooo.state = Ooo.Done) in
   expect_clean m inst;
   let b = (m.Machine.env.Env.cycle + 1) land (Array.length core.Ooo.wheel - 1) in
-  core.Ooo.wheel.(b) <- e :: core.Ooo.wheel.(b);
+  core.Ooo.wheel_next.(e.Ooo.handle) <- core.Ooo.wheel.(b);
+  core.Ooo.wheel.(b) <- e.Ooo.handle;
   detect ~sub:"iq" m inst
 
 let test_corrupt_mshr_leak () =
@@ -290,8 +320,8 @@ let test_supervisor_raises () =
   let g = wrap m inst in
   step_n g 8;
   let prf = core.Ooo.prf in
-  let victim = Queue.pop prf.Physreg.free in
-  prf.Physreg.regs.(victim).Physreg.state <- Physreg.Written;
+  let victim = Ring.pop prf.Physreg.free in
+  prf.Physreg.state.(victim) <- Physreg.Written;
   let fl = expect_failure ~sub:"physreg" (fun () -> step_n g 4) in
   Alcotest.(check bool) "invariant kind" true
     (fl.Sim_failure.kind = Sim_failure.Invariant);
@@ -416,6 +446,8 @@ let suite =
     Alcotest.test_case "iq counter drift -> iq" `Quick test_corrupt_iq_counters;
     Alcotest.test_case "non-Waiting ready-set member -> iq" `Quick test_corrupt_ready_set;
     Alcotest.test_case "stale wheel entry -> iq" `Quick test_corrupt_wheel;
+    Alcotest.test_case "annulled handle in a ready set -> iq" `Quick
+      test_corrupt_stale_handle;
     Alcotest.test_case "leak MSHR -> mem" `Quick test_corrupt_mshr_leak;
     Alcotest.test_case "duplicate cache tag -> mem" `Quick test_corrupt_cache_tag;
     Alcotest.test_case "supervisor raises typed failure" `Quick test_supervisor_raises;

@@ -647,7 +647,8 @@ let prop_dma_pagewise =
       let ma, pa = mk () and mb, pb = mk () in
       let epoch0 = Pm.pt_epoch ma in
       dma_block_in_bytewise ma f blk ~paddr:pa;
-      Ramfs.dma_block_in mb f blk ~paddr:pb;
+      (* an identity translation: the block is physically contiguous *)
+      Ramfs.dma_block_in mb f blk ~va:(Int64.of_int pb) ~translate:Int64.to_int;
       (* a write to the watched frame advances the epoch once per byte
          written byte-wise and once per slice page-wise: either way a
          memo taken before is stale *)
@@ -655,6 +656,55 @@ let prop_dma_pagewise =
       && Pm.delta ma = Pm.delta mb
       && Pm.allocated_pages ma = Pm.allocated_pages mb
       && (Pm.pt_epoch ma > epoch0) = (Pm.pt_epoch mb > epoch0))
+
+(* --- a page-cache block straddling two pages whose frames are not
+   adjacent: DMA-in puts each byte where a per-byte virtual write would,
+   the frame between the two is untouched, and write-back reads the
+   bytes from there. --- *)
+let test_dma_noncontiguous () =
+  let block = Ramfs.block_size in
+  let contents = String.init (block + 1000) (fun i -> Char.chr (1 + (i * 7 mod 251))) in
+  let fs = Ramfs.create () in
+  Ramfs.add_file fs ~name:"f" ~contents;
+  let f = Option.get (Ramfs.find fs "f") in
+  (* virtual page 0 maps frame [base], page 1 frame [base + 2]; frame
+     [base + 1] holds other data *)
+  let va0 = 0x7000_0000L in
+  let mk () =
+    let mem = Pm.create () in
+    let base = Pm.alloc_pages mem 3 in
+    Pm.blit_string mem (String.make Pm.page_size '\xAA') 0
+      (Pm.paddr_of_mfn (base + 1)) Pm.page_size;
+    let translate va =
+      let rel = Int64.to_int (Int64.sub va va0) in
+      let mfn = if rel < Pm.page_size then base else base + 2 in
+      Pm.paddr_of_mfn mfn + (rel land Pm.page_mask)
+    in
+    (mem, translate)
+  in
+  List.iter
+    (fun (blk, page_off) ->
+      let name = Printf.sprintf "block %d at page offset %d" blk page_off in
+      let va = Int64.add va0 (Int64.of_int page_off) in
+      let ma, ta = mk () and mb, tb = mk () in
+      (* an earlier case may have written the block back *)
+      let disk = Bytes.to_string f.Ramfs.data in
+      Ramfs.dma_block_in ma f blk ~va ~translate:ta;
+      let n = min block (String.length disk - (blk * block)) in
+      for i = 0 to block - 1 do
+        let b = if i < n then Char.code disk.[(blk * block) + i] else 0 in
+        Pm.write8 mb (tb (Int64.add va (Int64.of_int i))) b
+      done;
+      Alcotest.(check (list int)) (name ^ ": frames") [] (Pm.diff ma mb);
+      (* write-back reads the bytes back through the same translation *)
+      for i = 0 to block - 1 do
+        Pm.write8 ma (ta (Int64.add va (Int64.of_int i))) (i land 0xFF)
+      done;
+      Ramfs.writeback_block ma f blk ~va ~translate:ta ~upto:block;
+      Alcotest.(check string) (name ^ ": written back")
+        (String.init block (fun i -> Char.chr (i land 0xFF)))
+        (Bytes.sub_string f.Ramfs.data (blk * block) block))
+    [ (0, 256); (1, 256); (0, Pm.page_size - 1) ]
 
 let suite =
   [
@@ -673,4 +723,6 @@ let suite =
     Alcotest.test_case "page-wise load_image = byte-wise load" `Quick
       test_load_image_pagewise;
     Test_seed.to_alcotest prop_dma_pagewise;
+    Alcotest.test_case "page-cache DMA across non-adjacent frames" `Quick
+      test_dma_noncontiguous;
   ]

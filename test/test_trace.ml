@@ -59,7 +59,7 @@ let count_kind k = List.length (List.filter (String.equal k) (kinds ()))
 (* ---------- ring overwrite semantics ---------- *)
 
 let test_ring_push_overwrite () =
-  let r = Ring.create 4 in
+  let r = Ring.create 4 0 in
   for i = 1 to 4 do
     Alcotest.(check bool)
       (Printf.sprintf "no overwrite at %d" i)
@@ -76,7 +76,7 @@ let test_ring_push_overwrite () =
 
 let test_ring_overwrite_wraparound_many () =
   let cap = 7 in
-  let r = Ring.create cap in
+  let r = Ring.create cap 0 in
   for i = 1 to 1000 do
     ignore (Ring.push_overwrite r i)
   done;
@@ -91,7 +91,7 @@ let test_ring_overwrite_wraparound_many () =
   Alcotest.(check int) "refill after pop" cap (Ring.length r)
 
 let test_ring_overwrite_mixed_ops () =
-  let r = Ring.create 3 in
+  let r = Ring.create 3 0 in
   ignore (Ring.push_overwrite r 1);
   ignore (Ring.push_overwrite r 2);
   Alcotest.(check int) "pop" 1 (Ring.pop r);

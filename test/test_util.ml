@@ -3,7 +3,7 @@
 open Ptl_util
 
 let test_ring_fifo () =
-  let r = Ring.create 4 in
+  let r = Ring.create 4 0 in
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
   Ring.push r 1;
   Ring.push r 2;
@@ -16,7 +16,7 @@ let test_ring_fifo () =
   Alcotest.(check (list int)) "order" [ 2; 3; 4; 5 ] (Ring.to_list r)
 
 let test_ring_wrap () =
-  let r = Ring.create 3 in
+  let r = Ring.create 3 0 in
   for round = 0 to 9 do
     Ring.push r round;
     Alcotest.(check int) "wrapped pop" round (Ring.pop r)
@@ -24,7 +24,7 @@ let test_ring_wrap () =
   Alcotest.(check bool) "empty after" true (Ring.is_empty r)
 
 let test_ring_drop () =
-  let r = Ring.create 8 in
+  let r = Ring.create 8 0 in
   List.iter (Ring.push r) [ 10; 11; 12; 13; 14 ];
   Ring.drop_youngest r 2;
   Alcotest.(check (list int)) "dropped" [ 10; 11; 12 ] (Ring.to_list r);
