@@ -18,34 +18,50 @@ module Uop = Ptl_uop.Uop
 module Stats = Ptl_stats.Statstree
 module Trace = Ptl_trace.Trace
 module Pm = Ptl_mem.Phys_mem
+module Exec = Ptl_uop.Exec
+module Bbcache = Ptl_uop.Bbcache
 
-(** Optional per-event callbacks, used by timing monitors layered on the
-    functional core (the in-order timed core, perfctr-style functional
-    cache/predictor models, trace collectors). *)
-type hooks = {
-  h_load : vaddr:int64 -> rip:int64 -> unit;
-  h_store : vaddr:int64 -> rip:int64 -> unit;
-  h_branch :
-    rip:int64 ->
-    taken:bool ->
-    target:int64 ->
-    conditional:bool ->
-    call:bool ->
-    ret:bool ->
-    next_rip:int64 ->
-    unit;
-      (** [call]/[ret] carry the decoder's branch hints (RAS warming);
-          [next_rip] is the fall-through address (the return address a
-          call would push). *)
-  h_insn : rip:int64 -> kernel:bool -> unit;  (* after each macro commit *)
+(* The macro-op buffer: this instruction's register writes and stores,
+   oldest first, searched newest-first and committed oldest-first. Each
+   uop of an instruction runs at most once, so [Microcode.max_uops]
+   entries hold any instruction's effects. *)
+type buffer = {
+  rw_reg : int array;
+  rw_val : Bytes.t;  (* 8 bytes per entry of [rw_reg] *)
+  mutable n_rw : int;
+  st_addr : Bytes.t;
+  st_val : Bytes.t;
+  st_size : W64.size array;
+  mutable n_st : int;
+  mutable flags : int;  (* the flags word as of the last executed uop *)
 }
+
+let buffer_slots = Ptl_uop.Microcode.max_uops
+
+let create_buffer () =
+  {
+    rw_reg = Array.make buffer_slots Uop.reg_none;
+    rw_val = Bytes.create (8 * buffer_slots);
+    n_rw = 0;
+    st_addr = Bytes.create (8 * buffer_slots);
+    st_val = Bytes.create (8 * buffer_slots);
+    st_size = Array.make buffer_slots W64.B8;
+    n_st = 0;
+    flags = 0;
+  }
 
 type t = {
   env : Env.t;
   ctx : Context.t;
   prefix : string;  (* stats / trace namespace, e.g. "seq", "native" *)
-  bbcache : Ptl_uop.Bbcache.t;
-  mutable hooks : hooks option;
+  bbcache : Bbcache.t;
+  mutable monitor : Monitor.t option;
+  buf : buffer;
+  (* instruction fetch for the block decoder, built once per core: a
+     block is looked up with ctx.rip at its start, which is the [at_rip]
+     a fetch fault reports *)
+  fetch : int64 -> int;
+  mfn_of : int64 -> int;
   c_insns : Stats.counter;
   c_uops : Stats.counter;
   c_loads : Stats.counter;
@@ -63,8 +79,14 @@ let create ?(prefix = "seq") ?max_bb_insns env ctx =
     env;
     ctx;
     prefix;
-    bbcache = Ptl_uop.Bbcache.create ?max_insns:max_bb_insns env.Env.stats;
-    hooks = None;
+    bbcache = Bbcache.create ?max_insns:max_bb_insns env.Env.stats;
+    monitor = None;
+    buf = create_buffer ();
+    fetch =
+      (fun vaddr ->
+        Vmem.fetch_byte env.Env.vmem ctx ~at_rip:ctx.Context.rip vaddr);
+    mfn_of =
+      (fun vaddr -> Vmem.code_mfn env.Env.vmem ctx ~at_rip:ctx.Context.rip vaddr);
     c_insns = c "insns";
     c_uops = c "uops";
     c_loads = c "loads";
@@ -81,144 +103,152 @@ type status =
   | Idle  (* VCPU halted, waiting for an interrupt *)
   | Interrupted  (* an external interrupt was delivered *)
 
-(* Per-macro-op speculative state. *)
-type macro_state = {
-  mutable reg_writes : (int * int64) list;  (* newest first *)
-  mutable store_writes : (int64 * W64.size * int64) list;  (* newest first *)
-  mutable cur_flags : int;
-}
+let overflow () = invalid_arg "Seqcore: macro-op buffer overflow"
 
-let read_reg ms ctx r =
+let read_reg t r =
   if r = Uop.reg_none then 0L
-  else if r = Uop.reg_flags then Int64.of_int ms.cur_flags
-  else
-    match List.assoc_opt r ms.reg_writes with
-    | Some v -> v
-    | None -> Context.get_reg ctx r
+  else if r = Uop.reg_flags then Int64.of_int t.buf.flags
+  else begin
+    let b = t.buf in
+    let k = ref (b.n_rw - 1) in
+    while !k >= 0 && Array.unsafe_get b.rw_reg !k <> r do
+      decr k
+    done;
+    if !k >= 0 then Bytes.get_int64_le b.rw_val (!k * 8)
+    else Context.get_reg t.ctx r
+  end
 
-let buffer_reg ms r v = if r <> Uop.reg_none then ms.reg_writes <- (r, v) :: ms.reg_writes
+let buffer_reg b r v =
+  if r <> Uop.reg_none then begin
+    let k = b.n_rw in
+    if k = buffer_slots then overflow ();
+    b.rw_reg.(k) <- r;
+    Bytes.set_int64_le b.rw_val (k * 8) v;
+    b.n_rw <- k + 1
+  end
 
-(* Loads see this macro-op's earlier stores only on exact address+size
+let buffer_store b vaddr size v =
+  let k = b.n_st in
+  if k = buffer_slots then overflow ();
+  Bytes.set_int64_le b.st_addr (k * 8) vaddr;
+  Bytes.set_int64_le b.st_val (k * 8) v;
+  b.st_size.(k) <- size;
+  b.n_st <- k + 1
+
+(* The newest buffered store a load can take its value from, or -1.
+   Loads see this macro-op's earlier stores only on exact address+size
    match (our microcode never generates partial overlap within one
    instruction). *)
-let buffered_load ms vaddr size =
-  List.find_map
-    (fun (a, s, v) -> if a = vaddr && s = size then Some v else None)
-    ms.store_writes
+let forwarding_store b vaddr size =
+  let k = ref (b.n_st - 1) in
+  while
+    !k >= 0
+    && not
+         (Array.unsafe_get b.st_size !k = size
+         && Int64.equal (Bytes.get_int64_le b.st_addr (!k * 8)) vaddr)
+  do
+    decr k
+  done;
+  !k
 
-let commit_macro t ms =
-  List.iter (fun (r, v) -> Context.set_reg t.ctx r v) (List.rev ms.reg_writes);
-  t.ctx.Context.flags <- ms.cur_flags;
-  (* commit stores, with SMC detection on code pages *)
-  List.iter
-    (fun (vaddr, size, value) ->
-      Vmem.write t.env.Env.vmem t.ctx ~vaddr ~size ~value ~at_rip:t.ctx.Context.rip;
-      let paddr =
-        Vmem.translate t.env.Env.vmem t.ctx ~vaddr ~write:true ~fetch:false
-          ~at_rip:t.ctx.Context.rip
-      in
-      ignore (Ptl_uop.Bbcache.store_committed t.bbcache (Pm.mfn_of_paddr paddr)))
-    (List.rev ms.store_writes);
-  t.ctx.Context.insns_committed <- t.ctx.Context.insns_committed + 1;
+let commit_macro t =
+  let b = t.buf and ctx = t.ctx in
+  for k = 0 to b.n_rw - 1 do
+    Context.set_reg ctx b.rw_reg.(k) (Bytes.get_int64_le b.rw_val (k * 8))
+  done;
+  ctx.Context.flags <- b.flags;
+  (* commit stores, with SMC detection on code pages: the store's own
+     translation names the frame to check *)
+  for k = 0 to b.n_st - 1 do
+    let paddr =
+      Vmem.store t.env.Env.vmem ctx
+        ~vaddr:(Bytes.get_int64_le b.st_addr (k * 8))
+        ~size:b.st_size.(k)
+        ~value:(Bytes.get_int64_le b.st_val (k * 8))
+        ~at_rip:ctx.Context.rip
+    in
+    ignore (Bbcache.store_committed t.bbcache (Pm.mfn_of_paddr paddr))
+  done;
+  ctx.Context.insns_committed <- ctx.Context.insns_committed + 1;
   Stats.incr t.c_insns;
   if !Trace.on then
-    Trace.emit ~uuid:t.ctx.Context.insns_committed ~rip:t.ctx.Context.rip
+    Trace.emit ~uuid:ctx.Context.insns_committed ~rip:ctx.Context.rip
       ~tag:t.prefix Trace.Commit;
-  match t.hooks with
-  | Some h -> h.h_insn ~rip:t.ctx.Context.rip ~kernel:(Context.is_kernel t.ctx)
-  | None -> ()
+  match t.monitor with Some m -> Monitor.insn m | None -> ()
 
 (* Execute the uops of one macro-op (one x86 instruction), starting at
-   index [i] of [uops]. Returns [`Fallthrough j] (next uop index),
-   [`Redirect rip] (taken branch / assist redirect) — in both cases the
-   instruction committed — or raises [Fault.Guest_fault]. *)
-let exec_macro t uops i =
-  let ctx = t.ctx in
-  let ms = { reg_writes = []; store_writes = []; cur_flags = ctx.Context.flags } in
-  let finish_insn (u : Uop.t) i =
-    if u.Uop.eom then begin
-      commit_macro t ms;
-      ctx.Context.rip <- u.Uop.next_rip;
-      `Fallthrough (i + 1)
-    end
-    else `Continue
-  in
-  let rec go i =
-    let u = uops.(i) in
+   index [i] of [uops]. Returns the index of the next macro-op's first
+   uop, or -1 after a taken branch or an assist redirected [rip]; either
+   way the instruction committed. A fault raises [Fault.Guest_fault] (or
+   [Exec.Divide_error]) with nothing committed. *)
+let exec_macro t (uops : Uop.t array) i =
+  let ctx = t.ctx and b = t.buf in
+  b.n_rw <- 0;
+  b.n_st <- 0;
+  b.flags <- ctx.Context.flags;
+  let i = ref i in
+  (* -2 while the macro-op is still executing *)
+  let next = ref (-2) in
+  while !next = -2 do
+    let u = uops.(!i) in
     Stats.incr t.c_uops;
-    match u.Uop.op with
+    (match u.Uop.op with
     | Uop.Assist a ->
       (* assists commit the buffered state first, then run serialized *)
-      commit_macro t ms;
+      commit_macro t;
       Stats.incr t.c_assists;
       Assists.run t.env ctx u a;
-      `Redirect ctx.Context.rip
+      next := -1
     | _ ->
-      let at_rip = u.Uop.rip in
-      let ra = read_reg ms ctx u.Uop.ra in
-      let rb = read_reg ms ctx u.Uop.rb in
-      let rc = read_reg ms ctx u.Uop.rc in
-      let out = Ptl_uop.Exec.execute u ~ra ~rb ~rc ~flags:ms.cur_flags in
-      ms.cur_flags <- out.Ptl_uop.Exec.flags;
+      let ra = read_reg t u.Uop.ra in
+      let rb = read_reg t u.Uop.rb in
+      let rc = read_reg t u.Uop.rc in
+      let out = Exec.execute u ~ra ~rb ~rc ~flags:b.flags in
+      b.flags <- out.Exec.flags;
       if Uop.is_load u then begin
         Stats.incr t.c_loads;
-        let vaddr = out.Ptl_uop.Exec.value in
-        (match t.hooks with
-        | Some h -> h.h_load ~vaddr ~rip:at_rip
-        | None -> ());
+        let vaddr = out.Exec.value in
+        (match t.monitor with Some m -> Monitor.load m ~vaddr | None -> ());
+        let k = forwarding_store b vaddr u.Uop.mem_size in
         let raw =
-          match buffered_load ms vaddr u.Uop.mem_size with
-          | Some v -> v
-          | None -> Vmem.read t.env.Env.vmem ctx ~vaddr ~size:u.Uop.mem_size ~at_rip
+          if k >= 0 then Bytes.get_int64_le b.st_val (k * 8)
+          else Vmem.read t.env.Env.vmem ctx ~vaddr ~size:u.Uop.mem_size ~at_rip:u.Uop.rip
         in
-        buffer_reg ms u.Uop.rd (Ptl_uop.Exec.finish_load u raw);
-        match finish_insn u i with `Continue -> go (i + 1) | r -> r
+        buffer_reg b u.Uop.rd (Exec.finish_load u raw)
       end
       else if Uop.is_store u then begin
         Stats.incr t.c_stores;
-        let vaddr = out.Ptl_uop.Exec.value in
-        (match t.hooks with
-        | Some h -> h.h_store ~vaddr ~rip:at_rip
-        | None -> ());
+        let vaddr = out.Exec.value in
+        (match t.monitor with Some m -> Monitor.store m ~vaddr | None -> ());
         (* fault check now, so the whole instruction discards on fault *)
         ignore
-          (Vmem.translate t.env.Env.vmem ctx ~vaddr ~write:true ~fetch:false ~at_rip);
-        ms.store_writes <-
-          (vaddr, u.Uop.mem_size, Ptl_uop.Exec.store_data u rc) :: ms.store_writes;
-        match finish_insn u i with `Continue -> go (i + 1) | r -> r
+          (Vmem.translate t.env.Env.vmem ctx ~vaddr ~write:true ~fetch:false
+             ~at_rip:u.Uop.rip);
+        buffer_store b vaddr u.Uop.mem_size (Exec.store_data u rc)
       end
       else if Uop.is_branch u then begin
         Stats.incr t.c_branches;
-        (match t.hooks with
-        | Some h ->
-          let conditional =
-            match u.Uop.op with
-            | Uop.Brc _ | Uop.Brnz | Uop.Brz -> true
-            | _ -> false
-          in
-          h.h_branch ~rip:at_rip ~taken:out.Ptl_uop.Exec.taken
-            ~target:out.Ptl_uop.Exec.target ~conditional
-            ~call:u.Uop.hint_call ~ret:u.Uop.hint_ret ~next_rip:u.Uop.next_rip
+        (match t.monitor with
+        | Some m -> Monitor.branch m u ~taken:out.Exec.taken ~target:out.Exec.target
         | None -> ());
-        if out.Ptl_uop.Exec.taken then begin
+        if out.Exec.taken then begin
           Stats.incr t.c_taken;
           (* a taken branch ends its macro-op even mid-microcode *)
-          commit_macro t ms;
-          ctx.Context.rip <- out.Ptl_uop.Exec.target;
-          `Redirect out.Ptl_uop.Exec.target
+          commit_macro t;
+          ctx.Context.rip <- out.Exec.target;
+          next := -1
         end
-        else
-          match finish_insn u i with `Continue -> go (i + 1) | r -> r
       end
-      else begin
-        buffer_reg ms u.Uop.rd out.Ptl_uop.Exec.value;
-        match finish_insn u i with `Continue -> go (i + 1) | r -> r
+      else buffer_reg b u.Uop.rd out.Exec.value);
+    if !next = -2 then
+      if u.Uop.eom then begin
+        commit_macro t;
+        ctx.Context.rip <- u.Uop.next_rip;
+        next := !i + 1
       end
-  in
-  go i
-
-let fetch_fn t ~at_rip vaddr = Vmem.fetch_byte t.env.Env.vmem t.ctx ~at_rip vaddr
-let mfn_fn t ~at_rip vaddr = Vmem.code_mfn t.env.Env.vmem t.ctx ~at_rip vaddr
+      else incr i
+  done;
+  !next
 
 (** Execute one basic block's worth of instructions (or deliver one pending
     interrupt, or report the VCPU idle). Interrupts are sampled at block
@@ -238,29 +268,23 @@ let step_block t : status =
     Interrupted
   end
   else begin
-    let rip = ctx.Context.rip in
     let executed = ref 0 in
     (try
        let bb =
-         Ptl_uop.Bbcache.lookup t.bbcache ~rip ~kernel:(Context.is_kernel ctx)
-           ~fetch:(fetch_fn t ~at_rip:rip)
-           ~mfn_of:(mfn_fn t ~at_rip:rip)
+         Bbcache.lookup t.bbcache ~rip:ctx.Context.rip ~kernel:(Context.is_kernel ctx)
+           ~fetch:t.fetch ~mfn_of:t.mfn_of
        in
-       let rec loop i =
-         if i < Array.length bb.Ptl_uop.Bbcache.uops then
-           match exec_macro t bb.Ptl_uop.Bbcache.uops i with
-           | `Fallthrough j ->
-             incr executed;
-             loop j
-           | `Redirect _ -> incr executed
-           | `Continue -> assert false
-       in
-       loop 0
+       let uops = bb.Bbcache.uops in
+       let i = ref 0 in
+       while !i >= 0 && !i < Array.length uops do
+         i := exec_macro t uops !i;
+         incr executed
+       done
      with
      | Fault.Guest_fault f ->
        Stats.incr t.c_faults;
        Assists.deliver_fault t.env ctx f
-     | Ptl_uop.Exec.Divide_error ->
+     | Exec.Divide_error ->
        (* the divide uop faults before its macro commits, so ctx.rip is
           still the faulting instruction (the OOO core does the same via
           its Faulted completion state) *)

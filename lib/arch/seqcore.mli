@@ -5,26 +5,8 @@
 
 module Stats := Ptl_stats.Statstree
 
-(** Optional per-event callbacks, used by timing monitors layered on the
-    functional core (the in-order timed core, perfctr-style functional
-    cache/predictor models, trace collectors). *)
-type hooks = {
-  h_load : vaddr:int64 -> rip:int64 -> unit;
-  h_store : vaddr:int64 -> rip:int64 -> unit;
-  h_branch :
-    rip:int64 ->
-    taken:bool ->
-    target:int64 ->
-    conditional:bool ->
-    call:bool ->
-    ret:bool ->
-    next_rip:int64 ->
-    unit;
-      (** [call]/[ret] carry the decoder's branch hints (RAS warming);
-          [next_rip] is the fall-through address (the return address a
-          call would push). *)
-  h_insn : rip:int64 -> kernel:bool -> unit;  (* after each macro commit *)
-}
+(** One instruction's buffered register writes and stores. *)
+type buffer
 
 (** A functional core over one VCPU. *)
 type t = {
@@ -32,7 +14,11 @@ type t = {
   ctx : Context.t;
   prefix : string;  (* stats / trace namespace, e.g. "seq", "native" *)
   bbcache : Ptl_uop.Bbcache.t;
-  mutable hooks : hooks option;
+  mutable monitor : Monitor.t option;
+      (** the timing or warming model fed this core's events *)
+  buf : buffer;
+  fetch : int64 -> int;  (** the block decoder's instruction fetch *)
+  mfn_of : int64 -> int;  (** the frame behind a code address *)
   c_insns : Stats.counter;
   c_uops : Stats.counter;
   c_loads : Stats.counter;
@@ -44,11 +30,26 @@ type t = {
   c_irqs : Stats.counter;
 }
 
+(** Entries in each of the buffer's register-write and store parts:
+    {!Ptl_uop.Microcode.max_uops}, since each uop of an instruction
+    runs at most once. A macro-op that needs more raises
+    [Invalid_argument]. *)
+val buffer_slots : int
+
 (** A core for [ctx] on [env]; [prefix] (default ["seq"]) namespaces its
     statistics, [max_bb_insns] bounds its basic blocks. *)
 val create :
   ?prefix:string ->
   ?max_bb_insns:int -> Env.t -> Context.t -> t
+
+(** Execute the macro-op whose first uop is [uops.(i)]. Register writes
+    and stores are buffered (a read sees the newest buffered write, a
+    load the newest buffered store to the same address and size) and
+    applied oldest-first when the instruction ends. Returns the index of
+    the next macro-op's first uop, or -1 when a taken branch or an assist
+    redirected [rip]. A fault raises [Fault.Guest_fault] or
+    [Ptl_uop.Exec.Divide_error] with nothing applied. *)
+val exec_macro : t -> Ptl_uop.Uop.t array -> int -> int
 
 (** What one {!step_block} did. *)
 type status =

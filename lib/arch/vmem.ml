@@ -107,19 +107,25 @@ let read env ctx ~vaddr ~size ~at_rip =
         let pa = translate env ctx ~vaddr:va ~write:false ~fetch:false ~at_rip in
         Pm.read8 env.mem pa)
 
-(** Sized virtual write. *)
-let write env ctx ~vaddr ~size ~value ~at_rip =
+(** Sized virtual write; returns the physical address of its first byte
+    (what a committing core checks for self-modifying code). *)
+let store env ctx ~vaddr ~size ~value ~at_rip =
   let n = W64.bytes_of_size size in
-  if not (crosses_page vaddr n) then begin
-    let paddr = translate env ctx ~vaddr ~write:true ~fetch:false ~at_rip in
-    Pm.write_sized env.mem paddr size value
-  end
-  else
-    for i = 0 to n - 1 do
+  let paddr = translate env ctx ~vaddr ~write:true ~fetch:false ~at_rip in
+  if not (crosses_page vaddr n) then Pm.write_sized env.mem paddr size value
+  else begin
+    Pm.write8 env.mem paddr (W64.byte value 0);
+    for i = 1 to n - 1 do
       let va = Int64.add vaddr (Int64.of_int i) in
       let pa = translate env ctx ~vaddr:va ~write:true ~fetch:false ~at_rip in
       Pm.write8 env.mem pa (W64.byte value i)
     done
+  end;
+  paddr
+
+(** Sized virtual write. *)
+let write env ctx ~vaddr ~size ~value ~at_rip =
+  ignore (store env ctx ~vaddr ~size ~value ~at_rip : int)
 
 (** Instruction byte fetch (for the decoder). *)
 let fetch_byte env ctx ~at_rip vaddr =

@@ -9,6 +9,7 @@
     memory latency twice (non-blocking cache behaviour the out-of-order
     core depends on). *)
 
+module Int_tbl = Ptl_util.Int_tbl
 module Stats = Ptl_stats.Statstree
 
 type config = {
@@ -46,7 +47,7 @@ type t = {
   l2 : Cache.t;
   l3 : Cache.t option;
   (* line paddr -> cycle at which the fill completes *)
-  mshr : (int, int) Hashtbl.t;
+  mshr : int Int_tbl.t;
   (* no entry of [mshr] completes before this cycle ([max_int] when it
      is empty), so expiry has nothing to drop until then *)
   mutable mshr_next : int;
@@ -69,7 +70,7 @@ let create ?(prefix = "mem") stats config =
     l1i = Cache.create ~stats_prefix:prefix stats config.l1i;
     l2 = Cache.create ~stats_prefix:prefix stats config.l2;
     l3 = Option.map (fun c -> Cache.create ~stats_prefix:prefix stats c) config.l3;
-    mshr = Hashtbl.create 64;
+    mshr = Int_tbl.create 64;
     mshr_next = max_int;
     loads = Stats.counter stats (prefix ^ ".loads");
     stores = Stats.counter stats (prefix ^ ".stores");
@@ -85,14 +86,14 @@ let set_remote_write_hit t f = t.remote_write_hit <- f
 
 let l1d t = t.l1d
 
-let earliest_mshr t = Hashtbl.fold (fun _ r acc -> min r acc) t.mshr max_int
+let earliest_mshr t = Int_tbl.fold (fun _ r acc -> min r acc) t.mshr max_int
 
 (* Drop completed MSHR entries. Nothing completes before [mshr_next], so
    the table is only folded on an access at or after that cycle. *)
 let expire_mshrs t ~cycle =
   if t.mshr_next <= cycle then begin
-    let dead = Hashtbl.fold (fun line ready acc -> if ready <= cycle then line :: acc else acc) t.mshr [] in
-    List.iter (Hashtbl.remove t.mshr) dead;
+    let dead = Int_tbl.fold (fun line ready acc -> if ready <= cycle then line :: acc else acc) t.mshr [] in
+    List.iter (Int_tbl.remove t.mshr) dead;
     t.mshr_next <- earliest_mshr t
   end
 
@@ -168,7 +169,7 @@ let data_access t ~cycle ~paddr ~write =
   | Cache.Hit ->
     t.config.l1d.latency + if write then t.remote_write_hit ~paddr else 0
   | Cache.Miss _ ->
-    (match Hashtbl.find_opt t.mshr line with
+    (match Int_tbl.find_opt t.mshr line with
     | Some ready when ready > cycle ->
       (* Merge with the outstanding miss. *)
       Stats.incr t.mshr_merges;
@@ -180,13 +181,13 @@ let data_access t ~cycle ~paddr ~write =
       let extra =
         (* A full MSHR file delays the new miss until the earliest
            outstanding fill returns. *)
-        if Hashtbl.length t.mshr >= t.config.mshrs then begin
+        if Int_tbl.length t.mshr >= t.config.mshrs then begin
           max 0 (earliest_mshr t - cycle)
         end
         else 0
       in
       let lat = t.config.l1d.latency + extra + miss_latency t ~write ~paddr in
-      Hashtbl.replace t.mshr line (cycle + lat);
+      Int_tbl.replace t.mshr line (cycle + lat);
       t.mshr_next <- min t.mshr_next (cycle + lat);
       prefetch t paddr;
       lat)
@@ -236,7 +237,7 @@ let snapshot t =
     sn_l2 = Cache.snapshot t.l2;
     sn_l3 = Option.map Cache.snapshot t.l3;
     sn_mshr =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.mshr []);
+      List.sort compare (Int_tbl.fold (fun k v acc -> (k, v) :: acc) t.mshr []);
   }
 
 (** Whether [snapshot] came from a hierarchy of this geometry (every
@@ -259,15 +260,15 @@ let restore t ~snapshot =
   | Some l3, Some s -> Cache.restore l3 ~snapshot:s
   | None, None -> ()
   | _ -> invalid_arg "Hierarchy.restore: l3 presence mismatch");
-  Hashtbl.reset t.mshr;
-  List.iter (fun (k, v) -> Hashtbl.replace t.mshr k v) snapshot.sn_mshr;
+  Int_tbl.reset t.mshr;
+  List.iter (fun (k, v) -> Int_tbl.replace t.mshr k v) snapshot.sn_mshr;
   t.mshr_next <- earliest_mshr t
 
 (** Compare the live hierarchy against a snapshot; returns one line per
     mismatch across every cache level and the MSHR table. *)
 let diff t snapshot =
   let mshr_live =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.mshr [])
+    List.sort compare (Int_tbl.fold (fun k v acc -> (k, v) :: acc) t.mshr [])
   in
   Cache.diff t.l1d snapshot.sn_l1d
   @ Cache.diff t.l1i snapshot.sn_l1i
@@ -300,18 +301,20 @@ let mshr_check t ~cycle =
   in
   (* remote_penalty (coherence) adds an unknown but bounded cost *)
   let bound = (t.config.mshrs + 2) * (worst_single + 1024) in
-  Hashtbl.fold
-    (fun line ready acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if ready > cycle + bound then
-          Some
-            (Printf.sprintf
-               "MSHR for line %#x completes at cycle %d, %d cycles out (bound %d): leaked entry"
-               line ready (ready - cycle) bound)
-        else None)
-    t.mshr None
+  (* the lowest leaked line, so the report does not depend on table order *)
+  let leaked =
+    Int_tbl.fold
+      (fun line ready acc ->
+        if ready > cycle + bound && (acc < 0 || line < acc) then line else acc)
+      t.mshr (-1)
+  in
+  if leaked < 0 then None
+  else
+    let ready = Int_tbl.find t.mshr leaked in
+    Some
+      (Printf.sprintf
+         "MSHR for line %#x completes at cycle %d, %d cycles out (bound %d): leaked entry"
+         leaked ready (ready - cycle) bound)
 
 (** Structural consistency of every cache level plus the MSHR table. *)
 let check t ~cycle =

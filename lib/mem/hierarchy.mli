@@ -34,7 +34,7 @@ type t = {
   l2 : Cache.t;
   l3 : Cache.t option;
   (* line paddr -> cycle at which the fill completes *)
-  mshr : (int, int) Hashtbl.t;
+  mshr : int Ptl_util.Int_tbl.t;
   (* no entry of [mshr] completes before this cycle ([max_int] when it
      is empty): expiry skips the table until then, so a direct insert
      into [mshr] that completes earlier must lower it *)

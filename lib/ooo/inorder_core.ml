@@ -9,15 +9,13 @@
     ablation benches. *)
 
 module Seqcore = Ptl_arch.Seqcore
+module Monitor = Ptl_arch.Monitor
 module Context = Ptl_arch.Context
 module Vmem = Ptl_arch.Vmem
 module Env = Ptl_arch.Env
 module Hierarchy = Ptl_mem.Hierarchy
 module Tlb = Ptl_mem.Tlb
 module Pwc = Ptl_mem.Pwc
-module Pm = Ptl_mem.Phys_mem
-module Pt = Ptl_mem.Pagetable
-module Predictor = Ptl_bpred.Predictor
 module Stats = Ptl_stats.Statstree
 module Trace = Ptl_trace.Trace
 
@@ -29,9 +27,7 @@ type t = {
   dtlb : Tlb.t;
   itlb : Tlb.t;
   pwc : Pwc.t option;
-  hugepages : bool;
-  bpred : Predictor.t;
-  mutable pending_cycles : int;  (* cost accumulated by the current block *)
+  monitor : Monitor.t;  (* charges the current block's cost *)
   mutable tlb_gen_seen : int;
   (* no-commit watchdog (same contract as the OOO core's): a running
      context that retires nothing for [watchdog_cycles] is a core bug *)
@@ -51,113 +47,38 @@ let create ?(prefix = "inorder") ?uarch (config : Config.t) env ctx =
     | Some u -> u
     | None -> Uarch.create ~prefix config stats
   in
-  let t =
-    {
-      env;
-      ctx;
-      seq = Seqcore.create ~prefix env ctx;
-      hierarchy = uarch.Uarch.hierarchy;
-      dtlb = uarch.Uarch.dtlb;
-      itlb = uarch.Uarch.itlb;
-      pwc = uarch.Uarch.pwc;
-      hugepages = config.Config.tlb_hugepages;
-      bpred = uarch.Uarch.bpred;
-      pending_cycles = 0;
-      tlb_gen_seen = ctx.Context.tlb_generation;
-      watchdog_cycles = config.Config.watchdog_cycles;
-      wd_last_insns = 0;
-      wd_last_progress = env.Env.cycle;
-      c_cycles = Stats.counter stats (prefix ^ ".cycles");
-      c_kernel = Stats.counter stats (prefix ^ ".cycles_in_mode.kernel");
-      c_user = Stats.counter stats (prefix ^ ".cycles_in_mode.user");
-      c_idle = Stats.counter stats (prefix ^ ".cycles_in_mode.idle");
-    }
+  (* registration order is dump order: these counters come before the
+     functional core's, in the order recorded stats dumps expect *)
+  let c_idle = Stats.counter stats (prefix ^ ".cycles_in_mode.idle") in
+  let c_user = Stats.counter stats (prefix ^ ".cycles_in_mode.user") in
+  let c_kernel = Stats.counter stats (prefix ^ ".cycles_in_mode.kernel") in
+  let c_cycles = Stats.counter stats (prefix ^ ".cycles") in
+  let seq = Seqcore.create ~prefix env ctx in
+  let monitor =
+    Monitor.timed ~env ~ctx ~hierarchy:uarch.Uarch.hierarchy ~dtlb:uarch.Uarch.dtlb
+      ~itlb:uarch.Uarch.itlb ~pwc:uarch.Uarch.pwc
+      ~hugepages:config.Config.tlb_hugepages ~bpred:uarch.Uarch.bpred ~c_kernel
+      ~c_user
   in
-  let charge n = t.pending_cycles <- t.pending_cycles + n in
-  let translate ~vaddr ~write =
-    match Tlb.lookup t.dtlb vaddr with
-    | Tlb.L1_hit e | Tlb.L2_hit e -> Some (Tlb.paddr_of e vaddr)
-    | Tlb.Tlb_miss ->
-      (match
-         Pt.walk env.Env.mem ~cr3_mfn:ctx.Context.cr3 ~vaddr ~write
-           ~user:(ctx.Context.mode = Context.User) ~exec:false ~set_ad:false ()
-       with
-      | Error _ -> None
-      | Ok tr ->
-        let e = Tlb.entry_of_walk tr in
-        let e =
-          if e.Tlb.huge && not t.hugepages then
-            { e with Tlb.huge = false; mfn = tr.Pt.mfn }
-          else e
-        in
-        Tlb.insert t.dtlb vaddr e;
-        (* blocking page walk; the PWC cuts the dependent-load chain *)
-        let addrs = tr.Pt.pte_addrs in
-        let loads =
-          match t.pwc with
-          | None -> List.length addrs
-          | Some pwc ->
-            let left =
-              Pwc.loads_left pwc vaddr ~walk_len:(List.length addrs)
-            in
-            Pwc.insert pwc vaddr ~pte_addrs:addrs;
-            left
-        in
-        let drop = List.length addrs - loads in
-        List.iteri
-          (fun i pa ->
-            if i >= drop then
-              charge (Hierarchy.load t.hierarchy ~cycle:env.Env.cycle ~paddr:pa))
-          addrs;
-        Some (Pt.to_paddr tr vaddr))
-  in
-  t.seq.Seqcore.hooks <-
-    Some
-      {
-        Seqcore.h_load =
-          (fun ~vaddr ~rip ->
-            ignore rip;
-            match translate ~vaddr ~write:false with
-            | Some paddr -> charge (Hierarchy.load t.hierarchy ~cycle:env.Env.cycle ~paddr)
-            | None -> ());
-        h_store =
-          (fun ~vaddr ~rip ->
-            ignore rip;
-            match translate ~vaddr ~write:true with
-            | Some paddr -> charge (Hierarchy.store t.hierarchy ~cycle:env.Env.cycle ~paddr)
-            | None -> ());
-        h_branch =
-          (fun ~rip ~taken ~target ~conditional ~call:_ ~ret:_ ~next_rip:_ ->
-            if conditional then begin
-              let pred = Predictor.predict_cond t.bpred ~rip in
-              let mispredicted = pred <> taken in
-              Predictor.update_cond t.bpred ~rip ~taken ~mispredicted;
-              if mispredicted then begin
-                if !Trace.on then
-                  Trace.emit ~rip ~info:target
-                    ~tag:(if taken then "taken" else "nt")
-                    Trace.Mispredict;
-                charge 8
-              end
-            end
-            else begin
-              (* indirect/direct: BTB-checked *)
-              match Predictor.predict_target t.bpred ~rip with
-              | Some p when p = target -> ()
-              | _ ->
-                Predictor.update_target t.bpred ~rip ~target;
-                if !Trace.on then
-                  Trace.emit ~rip ~info:target ~tag:"btb" Trace.Mispredict;
-                charge 8
-            end);
-        h_insn =
-          (fun ~rip ~kernel ->
-            ignore rip;
-            (* base CPI of 1 plus an i-cache charge per instruction line *)
-            charge 1;
-            if kernel then Stats.incr t.c_kernel else Stats.incr t.c_user);
-      };
-  t
+  seq.Seqcore.monitor <- Some monitor;
+  {
+    env;
+    ctx;
+    seq;
+    hierarchy = uarch.Uarch.hierarchy;
+    dtlb = uarch.Uarch.dtlb;
+    itlb = uarch.Uarch.itlb;
+    pwc = uarch.Uarch.pwc;
+    monitor;
+    tlb_gen_seen = ctx.Context.tlb_generation;
+    watchdog_cycles = config.Config.watchdog_cycles;
+    wd_last_insns = 0;
+    wd_last_progress = env.Env.cycle;
+    c_cycles;
+    c_kernel;
+    c_user;
+    c_idle;
+  }
 
 (** Execute one basic block and advance simulated time by its cost.
     Returns the seqcore status. *)
@@ -169,9 +90,9 @@ let step_block t =
     Tlb.flush t.itlb;
     Option.iter Pwc.flush t.pwc
   end;
-  t.pending_cycles <- 0;
+  ignore (Monitor.take_cycles t.monitor : int);
   let st = Seqcore.step_block t.seq in
-  let cost = max 1 t.pending_cycles in
+  let cost = max 1 (Monitor.take_cycles t.monitor) in
   (match st with
   | Seqcore.Idle -> Stats.incr t.c_idle
   | Seqcore.Executed _ | Seqcore.Interrupted -> ());

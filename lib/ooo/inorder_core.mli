@@ -11,7 +11,6 @@ module Env := Ptl_arch.Env
 module Hierarchy := Ptl_mem.Hierarchy
 module Tlb := Ptl_mem.Tlb
 module Pwc := Ptl_mem.Pwc
-module Predictor := Ptl_bpred.Predictor
 module Stats := Ptl_stats.Statstree
 
 (** The core state. *)
@@ -23,9 +22,7 @@ type t = {
   dtlb : Tlb.t;
   itlb : Tlb.t;
   pwc : Pwc.t option;
-  hugepages : bool;
-  bpred : Predictor.t;
-  mutable pending_cycles : int;  (* cost accumulated by the current block *)
+  monitor : Ptl_arch.Monitor.t;  (* charges the current block's cost *)
   mutable tlb_gen_seen : int;
   (* no-commit watchdog (same contract as the OOO core's): a running
      context that retires nothing for [watchdog_cycles] is a core bug *)

@@ -7,6 +7,8 @@
     store (st.rel) commits. Ownership is keyed by (core, thread) so a
     thread's own replayed uops re-acquire freely. *)
 
+module Int_tbl = Ptl_util.Int_tbl
+
 type owner = { core : int; thread : int; mutable was_contended : bool }
 
 type t = {
@@ -19,14 +21,14 @@ type t = {
      cooldown during which no one may re-acquire. Plain loads/stores are
      NOT subject to the cooldown, so the thread whose release store was
      being starved by the spinning xchg gets a guaranteed window. *)
-  locks : (int, owner) Hashtbl.t;
-  cooldown : (int, int) Hashtbl.t;  (* key -> first cycle acquirable again *)
+  locks : owner Int_tbl.t;
+  cooldown : int Int_tbl.t;  (* key -> first cycle acquirable again *)
   (* FIFO fairness: threads that failed an acquisition queue here; a
      contended release reserves the lock for the oldest waiter so a fixed
      cluster/issue ordering cannot starve one spinner forever. Stale
      reservations (annulled waiters) expire. *)
-  waiters : (int, (int * int) list) Hashtbl.t;
-  reserved : (int, int * int * int) Hashtbl.t;  (* key -> core, thread, expiry *)
+  waiters : (int * int) list Int_tbl.t;
+  reserved : (int * int * int) Int_tbl.t;  (* key -> core, thread, expiry *)
   acquires : Ptl_stats.Statstree.counter;
   contended : Ptl_stats.Statstree.counter;
   mutable trace_enabled : bool;  (* record recent lock events for debugging *)
@@ -52,10 +54,10 @@ let reservation_cycles = 64
 
 let create stats =
   {
-    locks = Hashtbl.create 64;
-    cooldown = Hashtbl.create 64;
-    waiters = Hashtbl.create 64;
-    reserved = Hashtbl.create 64;
+    locks = Int_tbl.create 64;
+    cooldown = Int_tbl.create 64;
+    waiters = Int_tbl.create 64;
+    reserved = Int_tbl.create 64;
     acquires = Ptl_stats.Statstree.counter stats "interlock.acquires";
     contended = Ptl_stats.Statstree.counter stats "interlock.contended";
     trace_enabled = false;
@@ -65,13 +67,13 @@ let create stats =
 let key paddr = paddr land lnot 7
 
 let enqueue_waiter t k ~core ~thread =
-  let l = try Hashtbl.find t.waiters k with Not_found -> [] in
-  if not (List.mem (core, thread) l) then Hashtbl.replace t.waiters k (l @ [ (core, thread) ])
+  let l = try Int_tbl.find t.waiters k with Not_found -> [] in
+  if not (List.mem (core, thread) l) then Int_tbl.replace t.waiters k (l @ [ (core, thread) ])
 
 let remove_waiter t k ~core ~thread =
-  match Hashtbl.find_opt t.waiters k with
+  match Int_tbl.find_opt t.waiters k with
   | None -> ()
-  | Some l -> Hashtbl.replace t.waiters k (List.filter (fun w -> w <> (core, thread)) l)
+  | Some l -> Int_tbl.replace t.waiters k (List.filter (fun w -> w <> (core, thread)) l)
 
 (** Try to acquire the interlock on [paddr] for (core, thread) at [cycle].
     Returns true on success. *)
@@ -82,20 +84,20 @@ let acquire t ~cycle ~core ~thread ~paddr =
     Ptl_stats.Statstree.incr t.contended;
     false
   in
-  match Hashtbl.find_opt t.locks k with
+  match Int_tbl.find_opt t.locks k with
   | Some _ -> fail ()
   | None -> (
-    match Hashtbl.find_opt t.cooldown k with
+    match Int_tbl.find_opt t.cooldown k with
     | Some until when cycle < until -> fail ()
     | _ -> (
-      match Hashtbl.find_opt t.reserved k with
+      match Int_tbl.find_opt t.reserved k with
       | Some (c, th, expiry) when cycle < expiry && not (c = core && th = thread) ->
         fail ()
       | _ ->
-        Hashtbl.remove t.cooldown k;
-        Hashtbl.remove t.reserved k;
+        Int_tbl.remove t.cooldown k;
+        Int_tbl.remove t.reserved k;
         remove_waiter t k ~core ~thread;
-        Hashtbl.replace t.locks k { core; thread; was_contended = false };
+        Int_tbl.replace t.locks k { core; thread; was_contended = false };
         Ptl_stats.Statstree.incr t.acquires;
         trace t "%d: acq %x by (%d,%d)" cycle k core thread;
         true))
@@ -105,16 +107,16 @@ let acquire t ~cycle ~core ~thread ~paddr =
     enters cooldown so starved plain accesses get a window. *)
 let release t ~cycle ~core ~thread ~paddr =
   let k = key paddr in
-  match Hashtbl.find_opt t.locks k with
+  match Int_tbl.find_opt t.locks k with
   | Some o when o.core = core && o.thread = thread ->
-    Hashtbl.remove t.locks k;
+    Int_tbl.remove t.locks k;
     trace t "%d: rel %x by (%d,%d)" cycle k core thread;
-    if o.was_contended then Hashtbl.replace t.cooldown k (cycle + cooldown_cycles);
+    if o.was_contended then Int_tbl.replace t.cooldown k (cycle + cooldown_cycles);
     (* hand the next turn to the oldest waiter, if any *)
-    (match Hashtbl.find_opt t.waiters k with
+    (match Int_tbl.find_opt t.waiters k with
     | Some ((wc, wt) :: rest) ->
-      Hashtbl.replace t.waiters k rest;
-      Hashtbl.replace t.reserved k
+      Int_tbl.replace t.waiters k rest;
+      Int_tbl.replace t.reserved k
         (wc, wt, cycle + cooldown_cycles + reservation_cycles)
     | Some [] | None -> ())
   | Some _ | None -> ()
@@ -122,7 +124,7 @@ let release t ~cycle ~core ~thread ~paddr =
 (** Release every lock held by (core, thread) — pipeline flush path. *)
 let release_all t ~cycle ~core ~thread =
   let mine =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun k o acc ->
         if o.core = core && o.thread = thread then (k, o.was_contended) :: acc
         else acc)
@@ -130,8 +132,8 @@ let release_all t ~cycle ~core ~thread =
   in
   List.iter
     (fun (k, contended) ->
-      Hashtbl.remove t.locks k;
-      if contended then Hashtbl.replace t.cooldown k (cycle + cooldown_cycles))
+      Int_tbl.remove t.locks k;
+      if contended then Int_tbl.replace t.cooldown k (cycle + cooldown_cycles))
     mine
 
 (** Is [paddr] interlocked by someone other than (core, thread)? Plain
@@ -139,9 +141,9 @@ let release_all t ~cycle ~core ~thread =
     releases (paper §4.4). *)
 let locked_by_other t ~core ~thread ~paddr =
   (* most accesses run with no lock held: skip the hash *)
-  if Hashtbl.length t.locks = 0 then false
+  if Int_tbl.length t.locks = 0 then false
   else
-    match Hashtbl.find_opt t.locks (key paddr) with
+    match Int_tbl.find_opt t.locks (key paddr) with
     | Some o ->
       if o.core = core && o.thread = thread then false
       else begin
@@ -149,4 +151,4 @@ let locked_by_other t ~core ~thread ~paddr =
         true
       end
     | None -> false
-let count t = Hashtbl.length t.locks
+let count t = Int_tbl.length t.locks

@@ -9,13 +9,15 @@
     granted FIFO reservations with expiry — the fairness half of the
     paper's "deadlock prevention schemes". *)
 
+module Int_tbl := Ptl_util.Int_tbl
+
 type owner = { core : int; thread : int; mutable was_contended : bool }
 
 type t = {
-  locks : (int, owner) Hashtbl.t;
-  cooldown : (int, int) Hashtbl.t;
-  waiters : (int, (int * int) list) Hashtbl.t;
-  reserved : (int, int * int * int) Hashtbl.t;
+  locks : owner Int_tbl.t;
+  cooldown : int Int_tbl.t;
+  waiters : (int * int) list Int_tbl.t;
+  reserved : (int * int * int) Int_tbl.t;
   acquires : Ptl_stats.Statstree.counter;
   contended : Ptl_stats.Statstree.counter;
   mutable trace_enabled : bool;

@@ -37,12 +37,7 @@
 module Env = Ptl_arch.Env
 module Context = Ptl_arch.Context
 module Seqcore = Ptl_arch.Seqcore
-module Hierarchy = Ptl_mem.Hierarchy
-module Tlb = Ptl_mem.Tlb
-module Pwc = Ptl_mem.Pwc
-module Pm = Ptl_mem.Phys_mem
-module Pt = Ptl_mem.Pagetable
-module Predictor = Ptl_bpred.Predictor
+module Monitor = Ptl_arch.Monitor
 module Rng = Ptl_util.Rng
 module Stats = Ptl_stats.Statstree
 module Timelapse = Ptl_stats.Timelapse
@@ -233,116 +228,28 @@ let result_stat r path =
 (* Functional warming                                                *)
 (* ---------------------------------------------------------------- *)
 
-(** Hook the native sequential core so every fast-forwarded instruction
-    warms [uarch] architecturally: TLB fills fall back to a silent page
-    walk (faulting accesses warm nothing — the native core raises the
-    real fault itself), cache updates go through the [warm_*] hierarchy
-    entry points, branches train the direction tables / BTB / RAS. No
-    statistics counters move and no trace events are emitted. *)
+(** Attach a warming {!Ptl_arch.Monitor} to the native sequential core,
+    so every fast-forwarded instruction warms [uarch] architecturally:
+    TLB fills fall back to a silent page walk (faulting accesses warm
+    nothing — the native core raises the real fault itself), cache
+    updates go through the [warm_*] hierarchy entry points, branches
+    train the direction tables / BTB / RAS. No statistics counters move
+    and no trace events are emitted. Returns the memo reset, called at
+    every window-capture point: the line memos are harness state outside
+    the checkpoint, so a resumed pass (which reinstalls warming fresh)
+    must meet the same cold memos the original pass had at that
+    boundary, or the first repeated-line access after the boundary would
+    warm the hierarchy/TLB LRU in one run and be skipped in the other. *)
 let install_warming (d : Domain.t) (u : Uarch.t) =
-  let env = d.Domain.env and ctx = d.Domain.ctx in
-  let tlb_gen_seen = ref ctx.Context.tlb_generation in
-  (* 1-entry line memos: consecutive accesses to the same 64B line leave
-     every warmed structure in the same state (the line stays
-     most-recently-used), so skipping them loses nothing but sub-line
-     LRU-stamp precision and makes warming ~3x cheaper per instruction.
-     -1 never matches a real line index. *)
-  let last_iline = ref (-1) and last_lline = ref (-1)
-  and last_sline = ref (-1) in
-  let line_of vaddr = Int64.to_int (Int64.shift_right_logical vaddr 6) in
-  let check_gen () =
-    if ctx.Context.tlb_generation <> !tlb_gen_seen then begin
-      tlb_gen_seen := ctx.Context.tlb_generation;
-      Tlb.flush u.Uarch.dtlb;
-      Tlb.flush u.Uarch.itlb;
-      Option.iter Pwc.flush u.Uarch.pwc;
-      last_iline := -1;
-      last_lline := -1;
-      last_sline := -1
-    end
+  let m =
+    Monitor.warm ~env:d.Domain.env ~ctx:d.Domain.ctx ~hierarchy:u.Uarch.hierarchy
+      ~dtlb:u.Uarch.dtlb ~itlb:u.Uarch.itlb ~pwc:u.Uarch.pwc
+      ~hugepages:d.Domain.config.Ptl_ooo.Config.tlb_hugepages ~bpred:u.Uarch.bpred
   in
-  let hugepages = d.Domain.config.Ptl_ooo.Config.tlb_hugepages in
-  let translate tlb ~vaddr ~write ~exec =
-    match Tlb.lookup_quiet tlb vaddr with
-    | Tlb.L1_hit e | Tlb.L2_hit e -> Some (Tlb.paddr_of e vaddr)
-    | Tlb.Tlb_miss -> (
-      match
-        Pt.walk env.Env.mem ~cr3_mfn:ctx.Context.cr3 ~vaddr ~write
-          ~user:(ctx.Context.mode = Context.User) ~exec ~set_ad:false ()
-      with
-      | Error _ -> None
-      | Ok tr ->
-        let e = Tlb.entry_of_walk tr in
-        let e =
-          if e.Tlb.huge && not hugepages then
-            { e with Tlb.huge = false; mfn = tr.Pt.mfn }
-          else e
-        in
-        Tlb.insert tlb vaddr e;
-        (* warm the page-walk caches exactly as the timed walk would *)
-        (match u.Uarch.pwc with
-        | Some pwc ->
-          ignore (Pwc.lookup_quiet pwc vaddr);
-          Pwc.insert pwc vaddr ~pte_addrs:tr.Pt.pte_addrs
-        | None -> ());
-        Some
-          (Pm.paddr_of_mfn tr.Pt.mfn
-           + Int64.to_int (Int64.logand vaddr (Int64.of_int Pm.page_mask))))
-  in
-  d.Domain.native.Seqcore.hooks <-
-    Some
-      {
-        Seqcore.h_load =
-          (fun ~vaddr ~rip:_ ->
-            check_gen ();
-            let line = line_of vaddr in
-            if line <> !last_lline then begin
-              last_lline := line;
-              match translate u.Uarch.dtlb ~vaddr ~write:false ~exec:false with
-              | Some paddr -> Hierarchy.warm_load u.Uarch.hierarchy ~paddr
-              | None -> ()
-            end);
-        h_store =
-          (fun ~vaddr ~rip:_ ->
-            check_gen ();
-            let line = line_of vaddr in
-            if line <> !last_sline then begin
-              last_sline := line;
-              match translate u.Uarch.dtlb ~vaddr ~write:true ~exec:false with
-              | Some paddr -> Hierarchy.warm_store u.Uarch.hierarchy ~paddr
-              | None -> ()
-            end);
-        h_branch =
-          (fun ~rip ~taken ~target ~conditional ~call ~ret ~next_rip ->
-            if conditional then Predictor.warm_cond u.Uarch.bpred ~rip ~taken;
-            if taken && target <> 0L then
-              Predictor.warm_target u.Uarch.bpred ~rip ~target;
-            Predictor.warm_ras u.Uarch.bpred ~call ~ret ~next_rip);
-        h_insn =
-          (fun ~rip ~kernel:_ ->
-            check_gen ();
-            let line = line_of rip in
-            if line <> !last_iline then begin
-              last_iline := line;
-              match
-                translate u.Uarch.itlb ~vaddr:rip ~write:false ~exec:true
-              with
-              | Some paddr -> Hierarchy.warm_ifetch u.Uarch.hierarchy ~paddr
-              | None -> ()
-            end);
-      };
-  (* memo reset, called at every window-capture point: the memos are
-     harness state outside the checkpoint, so a resumed pass (which
-     reinstalls the hooks fresh) must meet the same cold memos the
-     original pass had at that boundary, or the first repeated-line
-     access after the boundary would warm the hierarchy/TLB LRU in one
-     run and be skipped in the other *)
-  fun () ->
-    last_iline := -1;
-    last_lline := -1;
-    last_sline := -1
+  d.Domain.native.Seqcore.monitor <- Some m;
+  fun () -> Monitor.reset_memos m
 
-let remove_warming (d : Domain.t) = d.Domain.native.Seqcore.hooks <- None
+let remove_warming (d : Domain.t) = d.Domain.native.Seqcore.monitor <- None
 
 (* ---------------------------------------------------------------- *)
 (* Supervisor                                                        *)

@@ -82,12 +82,13 @@ val aggregate :
     whole-run counter deltas attributable to measured execution. *)
 val result_stat : result -> string -> int
 
-(** Hook the domain's native core so fast-forwarded instructions warm
-    the shared {!Ptl_ooo.Uarch} (exposed for tests; {!run} installs it
-    itself). Returns a function resetting the warmer's line memos —
-    {!run_capture} calls it at every window-capture point so a resumed
-    pass, whose freshly installed hooks start with cold memos, warms
-    exactly as the uninterrupted pass did. *)
+(** Attach a warming {!Ptl_arch.Monitor} to the domain's native core so
+    fast-forwarded instructions warm the shared {!Ptl_ooo.Uarch}
+    (exposed for tests; {!run} installs it itself). Returns a function
+    resetting the warmer's line memos — {!run_capture} calls it at every
+    window-capture point so a resumed pass, whose freshly installed
+    monitor starts with cold memos, warms exactly as the uninterrupted
+    pass did. *)
 val install_warming : Ptl_hyper.Domain.t -> Ptl_ooo.Uarch.t -> unit -> unit
 
 (** Drive the domain to completion (guest shutdown / halt / [-kill] /

@@ -106,6 +106,22 @@ let tmp_name path =
   Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
     (Atomic.fetch_and_add tmp_counter 1)
 
+(* Records are read and written through [Unix] file descriptors, not
+   channels: a channel carries a 64 KB buffer outside the OCaml heap that
+   is freed only when the GC finalizes it, and a replay opens dozens of
+   records per interval. Errors read as the channel functions' did:
+   "PATH: REASON" when the file cannot be opened, "REASON" after. *)
+let open_fd path flags perm =
+  try Unix.openfile path (Unix.O_CLOEXEC :: flags) perm
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+let with_fd fd f =
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      try f () with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e)))
+
 let write_record ~path ~kind payload =
   (* chaos instrumentation: record writes are a fault-matrix cell.
      Fail = the caller sees a typed I/O error; Drop = the write is
@@ -138,31 +154,39 @@ let write_record ~path ~kind payload =
     in
     try
       let tmp = tmp_name path in
-      let oc = open_out_bin tmp in
-      let hdr = Buffer.create header_size in
-      Buffer.add_string hdr magic;
-      Buffer.add_uint16_le hdr version;
-      Buffer.add_char hdr kind;
-      Buffer.add_int64_le hdr (Int64.of_int (String.length payload));
-      Buffer.add_int32_le hdr (Crc32.string payload);
-      Buffer.output_buffer oc hdr;
-      output_string oc payload_out;
-      close_out oc;
+      let hdr = Bytes.create header_size in
+      Bytes.blit_string magic 0 hdr 0 8;
+      Bytes.set_uint16_le hdr 8 version;
+      Bytes.set hdr 10 kind;
+      Bytes.set_int64_le hdr 11 (Int64.of_int (String.length payload));
+      Bytes.set_int32_le hdr 19 (Crc32.string payload);
+      let fd = open_fd tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o666 in
+      with_fd fd (fun () ->
+          ignore (Unix.write fd hdr 0 header_size : int);
+          ignore (Unix.write_substring fd payload_out 0 (String.length payload_out) : int));
       Sys.rename tmp path;
       if fault = Some Chaos.Truncate then
         raise (Chaos.Killed (Printf.sprintf "store.write %s (torn)" path));
       Ok ()
     with Sys_error reason -> Error (E_io { path; reason }))
 
+(* Reads and validates a whole record. The payload is the suffix of the
+   returned string from [header_size] on, decoded in place so a large
+   base checkpoint is not copied a second time. *)
 let read_record ~path ~kind =
   match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let size = in_channel_length ic in
-        let raw = really_input_string ic size in
-        raw)
+    let fd = open_fd path [ Unix.O_RDONLY ] 0 in
+    with_fd fd (fun () ->
+        let size = (Unix.fstat fd).Unix.st_size in
+        let buf = Bytes.create size in
+        (* a file that shrank under us reads short, and fails the
+           length check below as truncated *)
+        let rec fill off =
+          let n = if off < size then Unix.read fd buf off (size - off) else 0 in
+          if n = 0 then off else fill (off + n)
+        in
+        let got = fill 0 in
+        if got = size then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got)
   with
   | exception Sys_error reason -> Error (E_io { path; reason })
   | raw ->
@@ -186,7 +210,7 @@ let read_record ~path ~kind =
             let computed = Crc32.update Crc32.empty raw ~pos:header_size ~len in
             if stored <> computed then
               Error (E_checksum { path; stored; computed })
-            else Ok (String.sub raw header_size len)
+            else Ok raw
           end
         end
       end
@@ -199,8 +223,8 @@ let write_value ~path ~kind v = write_record ~path ~kind (marshal v)
 (* The kind tag is checked before unmarshaling, so a payload can only be
    decoded at the type it was encoded at. *)
 let read_value ~path ~kind =
-  let* payload = read_record ~path ~kind in
-  match Marshal.from_string payload 0 with
+  let* raw = read_record ~path ~kind in
+  match Marshal.from_string raw header_size with
   | v -> Ok v
   | exception Failure reason -> Error (E_io { path; reason })
 

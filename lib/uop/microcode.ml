@@ -28,9 +28,15 @@ let make_builder ~rip ~next_rip =
 
 let push b u = b.acc <- u :: b.acc
 
+(* The longest translation (REP MOVS: brz, ld, st, two adds, sub, bru
+   is 7) rounded up to the documented bound. Cores size per-instruction
+   buffers from it, so a longer sequence is a translator bug. *)
+let max_uops = 8
+
 let finish b =
   match List.rev b.acc with
   | [] -> invalid_arg "Microcode: empty translation"
+  | l when List.length l > max_uops -> invalid_arg "Microcode: too many uops"
   | first :: rest ->
     let uops = Array.of_list ({ first with Uop.som = true } :: rest) in
     let last = Array.length uops - 1 in

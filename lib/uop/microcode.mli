@@ -12,6 +12,12 @@ module Insn := Ptl_isa.Insn
     divide, which no modern compiler emits. *)
 exception Unimplemented of string
 
+(** The most uops one instruction translates into. Every translation
+    has between 1 and [max_uops] uops ({!translate} raises
+    [Invalid_argument] otherwise), and within one instruction each uop
+    runs at most once: a taken branch ends the instruction. *)
+val max_uops : int
+
 (** Translate [insn] at [rip] with fall-through [next_rip] into its uop
     sequence. *)
 val translate : Insn.t -> rip:int64 -> next_rip:int64 -> Uop.t array

@@ -60,7 +60,7 @@ let warmed_machine ?(insns = 20_000) () =
     alive := Domain.drive_once d
   done;
   (* warming off: drop the functional core's hooks *)
-  d.Domain.native.Ptl_arch.Seqcore.hooks <- None;
+  d.Domain.native.Ptl_arch.Seqcore.monitor <- None;
   (d, u, m)
 
 let no_diff name diff =

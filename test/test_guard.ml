@@ -302,7 +302,7 @@ let test_corrupt_wheel () =
 let test_corrupt_mshr_leak () =
   let m, inst, core = warm_ooo () in
   (* an MSHR whose completion lies beyond any legitimate latency chain *)
-  Hashtbl.replace core.Ooo.hierarchy.Hierarchy.mshr 0x1234
+  Ptl_util.Int_tbl.replace core.Ooo.hierarchy.Hierarchy.mshr 0x1234
     (m.Machine.env.Env.cycle + 500_000_000);
   detect ~sub:"mem" m inst
 

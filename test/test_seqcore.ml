@@ -368,6 +368,185 @@ let test_rdtsc_monotone () =
   let _ = Machine.run_seq m in
   Alcotest.(check int64) "tsc value" 12345L (Machine.gpr m (reg "rbx"))
 
+(* ---- the macro-op buffer ---- *)
+
+let test_newest_write_wins () =
+  (* pop rsp buffers rsp+8 and then the loaded value: the loaded value
+     commits. cmpxchg rax, rbx writes rax (= rbx, the comparison being
+     equal) and then reads it back for its second select: the read must
+     see the buffered write, or rax would end as the old 5. *)
+  let insns =
+    [ i (Insn.Movabs (reg "rax", 0x6000_0040L));
+      i (Insn.Push (Insn.RM (Insn.Reg (reg "rax"))));
+      i (Insn.Pop (Insn.Reg (reg "rsp")));
+      i (Insn.Mov (W64.B8, Insn.Reg (reg "rax"), Insn.Imm 5L));
+      i (Insn.Mov (W64.B8, Insn.Reg (reg "rbx"), Insn.Imm 9L));
+      i (Insn.Cmpxchg (W64.B8, Insn.Reg (reg "rax"), reg "rbx")) ]
+    @ halt
+  in
+  let m, _ = run insns in
+  Alcotest.(check int64) "pop rsp takes the loaded value" 0x6000_0040L
+    (Machine.gpr m (reg "rsp"));
+  Alcotest.(check int64) "cmpxchg rax, rbx" 9L (Machine.gpr m (reg "rax"))
+
+(* A machine whose rsi points into the heap, with a functional core over
+   it, for driving hand-built macro-ops through [Seqcore.exec_macro]. *)
+let macro_machine () =
+  let m = Machine.create (build halt) in
+  let ctx = m.Machine.ctx in
+  Context.set_gpr ctx (reg "rsi") Machine.heap_base;
+  Context.set_gpr ctx (reg "rax") 0x1122_3344_5566_7788L;
+  Machine.write_mem m ~vaddr:Machine.heap_base ~size:W64.B8 ~value:0x0A0B_0C0D_0E0F_0102L;
+  (m, Seqcore.create m.Machine.env ctx)
+
+let macro uops =
+  let n = List.length uops in
+  Array.of_list
+    (List.mapi
+       (fun k u ->
+         { u with Ptl_uop.Uop.som = k = 0; eom = k = n - 1; rip = 0x40_0000L;
+           next_rip = 0x40_0001L })
+       uops)
+
+let st ~base ~data size =
+  { Ptl_uop.Uop.default with op = Ptl_uop.Uop.St; ra = base; rc = data; mem_size = size }
+
+let ld ~base ~dst size =
+  { Ptl_uop.Uop.default with op = Ptl_uop.Uop.Ld; ra = base; rd = dst; mem_size = size }
+
+let test_newest_write_read () =
+  (* two buffered writes of rcx, then a read: the read sees the newer *)
+  let m, seq = macro_machine () in
+  let mov rd v = { Ptl_uop.Uop.default with op = Ptl_uop.Uop.Mov; rd; imm = v } in
+  let uops =
+    macro
+      [ mov (reg "rcx") 1L; mov (reg "rcx") 2L;
+        { Ptl_uop.Uop.default with op = Ptl_uop.Uop.Mov; rd = reg "rdx"; rb = reg "rcx" } ]
+  in
+  ignore (Seqcore.exec_macro seq uops 0 : int);
+  Alcotest.(check int64) "read the newest" 2L (Machine.gpr m (reg "rdx"));
+  Alcotest.(check int64) "committed the newest" 2L (Machine.gpr m (reg "rcx"))
+
+let test_store_forwarding () =
+  let m, seq = macro_machine () in
+  let uops =
+    macro
+      [ st ~base:(reg "rsi") ~data:(reg "rax") W64.B8;
+        (* same address and size: forwarded from the buffer *)
+        ld ~base:(reg "rsi") ~dst:(reg "rbx") W64.B8;
+        (* a different size is not forwarded: it reads memory *)
+        ld ~base:(reg "rsi") ~dst:(reg "rcx") W64.B4 ]
+  in
+  Alcotest.(check int) "next macro-op" 3 (Seqcore.exec_macro seq uops 0);
+  Alcotest.(check int64) "forwarded" 0x1122_3344_5566_7788L (Machine.gpr m (reg "rbx"));
+  Alcotest.(check int64) "from memory" 0x0E0F_0102L (Machine.gpr m (reg "rcx"));
+  Alcotest.(check int64) "store committed" 0x1122_3344_5566_7788L
+    (Machine.read_mem m ~vaddr:Machine.heap_base ~size:W64.B8);
+  Alcotest.(check int64) "rip advanced" 0x40_0001L m.Machine.ctx.Context.rip
+
+let test_fault_discards_buffers () =
+  let m, seq = macro_machine () in
+  let ctx = m.Machine.ctx in
+  let rip = ctx.Context.rip and insns = ctx.Context.insns_committed in
+  let uops =
+    macro
+      [ st ~base:(reg "rsi") ~data:(reg "rax") W64.B8;
+        { Ptl_uop.Uop.default with op = Ptl_uop.Uop.Mov; rd = reg "rcx"; imm = 5L };
+        (* nothing is mapped at 0x10 *)
+        { (ld ~base:Ptl_uop.Uop.reg_none ~dst:(reg "rdx") W64.B8) with imm = 0x10L } ]
+  in
+  (match Seqcore.exec_macro seq uops 0 with
+  | _ -> Alcotest.fail "the load should fault"
+  | exception Ptl_arch.Fault.Guest_fault _ -> ());
+  Alcotest.(check int64) "memory untouched" 0x0A0B_0C0D_0E0F_0102L
+    (Machine.read_mem m ~vaddr:Machine.heap_base ~size:W64.B8);
+  Alcotest.(check int64) "rcx untouched" 0L (Machine.gpr m (reg "rcx"));
+  Alcotest.(check int64) "rip untouched" rip ctx.Context.rip;
+  Alcotest.(check int) "nothing committed" insns ctx.Context.insns_committed;
+  (* the next macro-op starts from an empty buffer *)
+  let uops = macro [ ld ~base:(reg "rsi") ~dst:(reg "rbx") W64.B8 ] in
+  ignore (Seqcore.exec_macro seq uops 0 : int);
+  Alcotest.(check int64) "no stale forwarding" 0x0A0B_0C0D_0E0F_0102L
+    (Machine.gpr m (reg "rbx"))
+
+(* Every instruction form, in its register and memory variants, LOCKed
+   where x86 allows it: each translation fits the macro-op buffer, and
+   the longest (REP MOVS) is what the buffer is sized from. *)
+let test_longest_microcode_fits () =
+  let r = reg "rbx" and m = Insn.mem_bd (reg "rsi") 8L in
+  let rms = [ Insn.Reg r; Insn.Mem m ] in
+  let srcs = [ Insn.RM (Insn.Reg r); Insn.RM (Insn.Mem m); Insn.Imm 3L ] in
+  let sizes = [ W64.B2; W64.B8 ] in
+  let x0 = 0 and x1 = 1 in
+  let forms =
+    List.concat
+      [ List.concat_map
+          (fun op ->
+            List.concat_map
+              (fun size ->
+                List.concat_map
+                  (fun dst ->
+                    List.filter_map
+                      (fun src ->
+                        match (dst, src) with
+                        | Insn.Mem _, Insn.RM (Insn.Mem _) -> None
+                        | _ -> Some (Insn.Alu (op, size, dst, src)))
+                      srcs)
+                  rms)
+              sizes)
+          Insn.[ Add; Or; Adc; Sbb; And; Sub; Xor; Cmp ];
+        List.concat_map
+          (fun dst ->
+            [ Insn.Test (W64.B8, dst, Insn.Imm 1L);
+              Insn.Mov (W64.B8, dst, Insn.Imm 1L);
+              Insn.Mov (W64.B1, Insn.Reg r, Insn.RM dst);
+              Insn.Movzx (W64.B8, W64.B1, r, dst);
+              Insn.Movsx (W64.B8, W64.B2, r, dst);
+              Insn.Imul2 (W64.B8, r, dst);
+              Insn.Push (Insn.RM dst);
+              Insn.Pop dst;
+              Insn.CallInd dst;
+              Insn.JmpInd dst;
+              Insn.Setcc (Flags.E, dst);
+              Insn.Cmovcc (Flags.E, W64.B8, r, dst);
+              Insn.Xchg (W64.B4, dst, reg "rax");
+              Insn.Xadd (W64.B4, dst, reg "rax");
+              Insn.Cmpxchg (W64.B4, dst, reg "rcx") ]
+            @ List.map (fun op -> Insn.Unary (op, W64.B8, dst)) Insn.[ Not; Neg; Inc; Dec ]
+            @ List.concat_map
+                (fun op -> [ Insn.Shift (op, W64.B8, dst, Insn.Cl); Insn.Shift (op, W64.B8, dst, Insn.ImmC 3) ])
+                Insn.[ Shl; Shr; Sar; Rol; Ror ]
+            @ List.map (fun op -> Insn.Muldiv (op, W64.B8, dst)) Insn.[ Mul; Imul1; Div; Idiv ]
+            @ List.concat_map
+                (fun op -> [ Insn.Bittest (op, W64.B8, dst, Insn.Breg (reg "rcx")); Insn.Bittest (op, W64.B8, dst, Insn.Bimm 5) ])
+                Insn.[ Bt; Bts; Btr; Btc ])
+          rms;
+        List.concat_map
+          (fun rep -> [ Insn.Movs (W64.B8, rep); Insn.Stos (W64.B1, rep); Insn.Lods (W64.B4, rep) ])
+          [ false; true ];
+        Insn.
+          [ Nop; Movabs (r, 1L); Lea (r, m); Push (Imm 7L); Call 0x40_0100L; Ret; Jmp 0x40_0100L;
+            Jcc (Flags.NE, 0x40_0100L); Hlt; Syscall; Sysret; Int 3; Iret; Pushf; Popf; Cli; Sti;
+            Pause; Ptlcall; Kcall; Rdtsc; Rdpmc; Cpuid; MovToCr (3, r); MovFromCr (3, r);
+            Invlpg m; Fld m; Fst m; Fp (Fadd, m); SseLoad (x0, m); SseStore (m, x1);
+            SseMov (x0, x1); Sse (Mulsd, x0, x1); Cvtsi2sd (x0, r); Cvtsd2si (r, x1);
+            Comisd (x0, x1) ] ]
+  in
+  let forms = forms @ List.filter_map (fun f -> if Insn.lockable f then Some (Insn.Locked f) else None) forms in
+  let longest =
+    List.fold_left
+      (fun acc insn ->
+        let n = Array.length (Ptl_uop.Microcode.translate insn ~rip:0x40_0000L ~next_rip:0x40_0004L) in
+        if n > Seqcore.buffer_slots then
+          Alcotest.failf "%s: %d uops overflow the %d-entry buffer" (Disasm.to_string insn) n
+            Seqcore.buffer_slots;
+        max acc n)
+      0 forms
+  in
+  Alcotest.(check int) "rep movs is the longest" 7 longest;
+  Alcotest.(check int) "buffer holds the documented bound" Ptl_uop.Microcode.max_uops
+    Seqcore.buffer_slots
+
 let suite =
   [
     Alcotest.test_case "mov/add" `Quick test_mov_add;
@@ -387,4 +566,9 @@ let suite =
     Alcotest.test_case "self-modifying code" `Quick test_smc_invalidation_functional;
     Alcotest.test_case "syscall/sysret" `Quick test_syscall_sysret;
     Alcotest.test_case "rdtsc" `Quick test_rdtsc_monotone;
+    Alcotest.test_case "buffer: newest write wins" `Quick test_newest_write_wins;
+    Alcotest.test_case "buffer: a read sees the newest write" `Quick test_newest_write_read;
+    Alcotest.test_case "buffer: same-macro store forwarding" `Quick test_store_forwarding;
+    Alcotest.test_case "buffer: fault discards everything" `Quick test_fault_discards_buffers;
+    Alcotest.test_case "buffer: longest microcode fits" `Quick test_longest_microcode_fits;
   ]

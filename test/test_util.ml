@@ -1,4 +1,5 @@
-(* Tests for rings, bit operations, RNG determinism and table formatting. *)
+(* Tests for rings, bit operations, RNG determinism, table formatting and
+   CRC-32. *)
 
 open Ptl_util
 
@@ -78,6 +79,64 @@ let test_table_render () =
     (fun l -> Alcotest.(check bool) "aligned" true (String.length l > 0))
     lines
 
+(* Bit-serial CRC-32 (reflected 0xEDB88320), the definition the table
+   driven [Crc32] must agree with. *)
+let crc_reference s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let random_string r n = String.init n (fun _ -> Char.chr (Rng.int r 256))
+
+let test_crc_known () =
+  Alcotest.(check int32) "123456789" 0xCBF43926l (Crc32.string "123456789");
+  Alcotest.(check int32) "empty" 0l (Crc32.string "");
+  Alcotest.(check int32) "empty is the seed" Crc32.empty (Crc32.string "")
+
+let test_crc_chaining () =
+  let r = Test_seed.rng ~salt:32 () in
+  for _ = 1 to 200 do
+    let s = random_string r (Rng.int r 300) in
+    let whole = Crc32.string s in
+    (* fold the string in random consecutive pieces *)
+    let rec go crc pos =
+      if pos = String.length s then crc
+      else
+        let len = Rng.int r (String.length s - pos + 1) in
+        go (Crc32.update crc s ~pos ~len) (pos + len)
+    in
+    Alcotest.(check int32) "chained = whole" whole (go Crc32.empty 0)
+  done
+
+let test_crc_reference () =
+  let r = Test_seed.rng ~salt:33 () in
+  let s = random_string r 4096 in
+  for _ = 1 to 300 do
+    let pos = Rng.int r 200 in
+    let len = Rng.int r (String.length s - pos + 1) in
+    Alcotest.(check int32)
+      (Printf.sprintf "pos %d len %d" pos len)
+      (crc_reference s ~pos ~len)
+      (Crc32.update Crc32.empty s ~pos ~len)
+  done
+
+let test_crc_bounds () =
+  let s = "abcdefgh" in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Crc32.update")
+        (fun () -> ignore (Crc32.update Crc32.empty s ~pos ~len)))
+    [ (-1, 2); (0, -1); (0, 9); (8, 1); (5, 4); (max_int, 1) ];
+  Alcotest.(check int32) "empty slice at the end" Crc32.empty
+    (Crc32.update Crc32.empty s ~pos:8 ~len:0)
+
 let suite =
   [
     Alcotest.test_case "ring fifo order" `Quick test_ring_fifo;
@@ -89,4 +148,8 @@ let suite =
     Alcotest.test_case "thousands format" `Quick test_thousands;
     Alcotest.test_case "pct diff format" `Quick test_pct_diff;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "crc32 known answers" `Quick test_crc_known;
+    Alcotest.test_case "crc32 chained update = whole" `Quick test_crc_chaining;
+    Alcotest.test_case "crc32 = bit-serial reference" `Quick test_crc_reference;
+    Alcotest.test_case "crc32 update bounds" `Quick test_crc_bounds;
   ]
